@@ -13,9 +13,17 @@
 //! ([`SplitMix64::stream_seed`], an O(1) random access), so the interval is
 //! a deterministic function of `(data, seed)` — **bit-identical for every
 //! `jobs` setting**, exactly like [`CampaignRunner`](crate::CampaignRunner).
+//!
+//! The maxima are tie-compressed once per interval ([`TiedSample`]: the
+//! distinct values plus one value index per maximum). A resample makes
+//! the same [`Mwc64`] draws in the same order but keeps the drawn value
+//! indices instead of copying values, and each shard worker fits them
+//! with one reused [`GumbelKernel`]: no allocation per resample, and
+//! budgets bit-identical to fitting the drawn values with
+//! [`fit_gumbel`](proxima_stats::evt::fit_gumbel).
 
 use proxima_prng::{Mwc64, RandomSource, SplitMix64};
-use proxima_stats::evt::{block_maxima, fit_gumbel};
+use proxima_stats::evt::{block_maxima, GumbelKernel, TiedSample};
 
 use crate::campaign::run_sharded;
 use crate::pwcet::Pwcet;
@@ -55,7 +63,8 @@ impl BudgetInterval {
 ///
 /// * [`MbptaError::InvalidConfig`] for `level` outside (0, 1) or zero
 ///   `resamples`;
-/// * [`MbptaError::Stats`] if too few resamples produce a valid fit.
+/// * [`MbptaError::Stats`] if no resample, or fewer than half of them,
+///   produces a valid fit.
 ///
 /// # Examples
 ///
@@ -137,7 +146,9 @@ pub fn interval_from_maxima(
         });
     }
     let mut budgets = resample_budgets(maxima, block_size, p, resamples, seed, jobs);
-    if budgets.len() < resamples / 2 {
+    // `resamples / 2` is 0 at one resample: the emptiness check keeps a
+    // lone degenerate resample from reaching the quantile code.
+    if budgets.is_empty() || budgets.len() < resamples / 2 {
         return Err(MbptaError::Stats(
             proxima_stats::StatsError::DegenerateSample,
         ));
@@ -166,16 +177,19 @@ fn resample_budgets(
     seed: u64,
     jobs: usize,
 ) -> Vec<f64> {
+    let sample = TiedSample::new(maxima);
+    let value_index = sample.indices();
     run_sharded(resamples, jobs, |shard| {
-        let n = maxima.len();
-        let mut resample = vec![0.0f64; n];
+        let n = value_index.len();
+        let mut kernel = GumbelKernel::default();
+        let mut draw = vec![0usize; n];
         shard
             .filter_map(|r| {
                 let mut rng = Mwc64::new(SplitMix64::stream_seed(seed, r as u64));
-                for slot in resample.iter_mut() {
-                    *slot = maxima[rng.below(n as u64) as usize];
+                for slot in draw.iter_mut() {
+                    *slot = value_index[rng.below(n as u64) as usize];
                 }
-                let gumbel = fit_gumbel(&resample).ok()?;
+                let gumbel = kernel.fit(&sample, &draw).ok()?;
                 Pwcet::new(gumbel, block_size).budget_for(p).ok()
             })
             .collect()
@@ -260,6 +274,126 @@ mod tests {
             cil.relative_width(),
             cis.relative_width()
         );
+    }
+
+    /// The value-copying resampler the tie-compressed one replaced,
+    /// verbatim: copy each drawn maximum, fit the copy with `fit_gumbel`.
+    /// (`proxima-stats`' kernel battery pins `fit_gumbel` to the
+    /// per-element MLE loop bit for bit.)
+    fn oracle_budgets(
+        maxima: &[f64],
+        block_size: usize,
+        p: f64,
+        resamples: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let n = maxima.len();
+        let mut resample = vec![0.0f64; n];
+        (0..resamples)
+            .filter_map(|r| {
+                let mut rng = Mwc64::new(SplitMix64::stream_seed(seed, r as u64));
+                for slot in resample.iter_mut() {
+                    *slot = maxima[rng.below(n as u64) as usize];
+                }
+                let gumbel = proxima_stats::evt::fit_gumbel(&resample).ok()?;
+                Pwcet::new(gumbel, block_size).budget_for(p).ok()
+            })
+            .collect()
+    }
+
+    /// The interval the pre-change code built from the oracle budgets.
+    fn oracle_interval(
+        maxima: &[f64],
+        block_size: usize,
+        estimate: f64,
+        p: f64,
+        level: f64,
+        resamples: usize,
+        seed: u64,
+    ) -> BudgetInterval {
+        let mut budgets = oracle_budgets(maxima, block_size, p, resamples, seed);
+        assert!(budgets.len() >= resamples / 2 && !budgets.is_empty());
+        budgets.sort_by(|a, b| a.total_cmp(b));
+        let alpha = 1.0 - level;
+        BudgetInterval {
+            estimate,
+            lower: proxima_stats::descriptive::quantile_sorted(&budgets, alpha / 2.0),
+            upper: proxima_stats::descriptive::quantile_sorted(&budgets, 1.0 - alpha / 2.0),
+            level,
+            resamples: budgets.len(),
+        }
+    }
+
+    fn assert_same_bits(a: &BudgetInterval, b: &BudgetInterval, label: &str) {
+        assert_eq!(a.lower.to_bits(), b.lower.to_bits(), "{label}: lower");
+        assert_eq!(a.upper.to_bits(), b.upper.to_bits(), "{label}: upper");
+        assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{label}");
+        assert_eq!(a.resamples, b.resamples, "{label}: resamples");
+    }
+
+    #[test]
+    fn tie_compressed_resampler_matches_the_oracle_at_every_job_count() {
+        // Tied integer cycle-count maxima (few distinct values) and
+        // tie-free ones: the budgets and the interval must be the
+        // value-copying resampler's, bit for bit, at every `jobs`.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let tied: Vec<f64> = (0..120)
+            .map(|_| {
+                let mut k = 0u32;
+                while rng.gen::<f64>() >= 0.05 {
+                    k += 1;
+                }
+                100_000.0 + 16.0 * f64::from(k)
+            })
+            .collect();
+        let continuous = block_maxima(&campaign(6000, 4), 50).unwrap();
+        for (label, maxima) in [("tied", tied), ("continuous", continuous)] {
+            let fit = proxima_stats::evt::fit_gumbel(&maxima).unwrap();
+            let estimate = Pwcet::new(fit, 50).budget_for(1e-12).unwrap();
+            let want_budgets = oracle_budgets(&maxima, 50, 1e-12, 101, 29);
+            let want = oracle_interval(&maxima, 50, estimate, 1e-12, 0.95, 101, 29);
+            for jobs in [1, 2, 3, 8] {
+                let got_budgets = resample_budgets(&maxima, 50, 1e-12, 101, 29, jobs);
+                assert_eq!(
+                    got_budgets.iter().map(|b| b.to_bits()).collect::<Vec<_>>(),
+                    want_budgets.iter().map(|b| b.to_bits()).collect::<Vec<_>>(),
+                    "{label} jobs={jobs}: budgets"
+                );
+                let got = interval_from_maxima(&maxima, 50, estimate, 1e-12, 0.95, 101, 29, jobs)
+                    .unwrap();
+                assert_same_bits(&got, &want, &format!("{label} jobs={jobs}"));
+            }
+        }
+    }
+
+    #[test]
+    fn single_degenerate_resample_is_an_error_not_a_panic() {
+        // Regression: with one resample, `resamples / 2` is 0, so a lone
+        // degenerate resample used to pass the "too few fits" check and
+        // hand an empty budget vector to the quantile code. Seeds 15 and
+        // 19 draw an all-2.0 resample from this sample.
+        let mut maxima = vec![1.0];
+        maxima.extend([2.0; 9]);
+        for seed in [15, 19] {
+            assert!(
+                oracle_budgets(&maxima, 50, 1e-9, 1, seed).is_empty(),
+                "seed {seed} must degenerate"
+            );
+            assert_eq!(
+                interval_from_maxima(&maxima, 50, 2.0, 1e-9, 0.95, 1, seed, 1),
+                Err(MbptaError::Stats(
+                    proxima_stats::StatsError::DegenerateSample
+                )),
+                "seed {seed}"
+            );
+        }
+        // A resample that does fit still yields a (point) interval.
+        let fitted = (0..64u64)
+            .find(|&seed| !oracle_budgets(&maxima, 50, 1e-9, 1, seed).is_empty())
+            .expect("some seed draws both values");
+        let ci = interval_from_maxima(&maxima, 50, 2.0, 1e-9, 0.95, 1, fitted, 1).unwrap();
+        assert_eq!(ci.resamples, 1);
+        assert_eq!(ci.lower.to_bits(), ci.upper.to_bits());
     }
 
     #[test]

@@ -1,4 +1,25 @@
 //! Parameter estimation for the extreme-value family.
+//!
+//! The production pWCET model is the Gumbel, fitted by [`fit_gumbel`]:
+//! a probability-weighted-moment (PWM) start refined by a
+//! maximum-likelihood fixed point. Its one implementation is
+//! [`GumbelKernel`], which works on a **tie-compressed** sample
+//! ([`TiedSample`]): the distinct values in ascending
+//! [`f64::total_cmp`] order, plus one value index per element in the
+//! original order. Block maxima of integer cycle counts repeat heavily
+//! (a few dozen distinct values among hundreds of maxima), so each MLE
+//! iteration evaluates `e^{−y/β}` once per distinct value present and
+//! then walks the index sequence to add the precomputed terms.
+//!
+//! The walk adds the same operands in the same order as a per-element
+//! loop over the materialized sample would, and the PWM start reads the
+//! same sorted sequence (a counting sort over the indices yields it), so
+//! μ and β are bit-identical to that loop — for tied and tie-free
+//! samples alike. The bootstrap in `proxima_mbpta::confidence` compresses
+//! the maxima once and fits every resample as a fresh index sequence
+//! over the same [`TiedSample`], reusing one kernel's scratch buffers.
+
+use std::cmp::Ordering;
 
 use crate::descriptive::pwm_sorted;
 use crate::dist::{ContinuousDistribution, Gev, Gpd, Gumbel};
@@ -8,10 +29,30 @@ use crate::special::{gamma, EULER_GAMMA};
 use crate::tests::{anderson_darling, ks_one_sample};
 use crate::StatsError;
 
+/// Fewest maxima a Gumbel fit accepts.
+const GUMBEL_MIN_MAXIMA: usize = 10;
+
+/// Fixed-point iterations the Gumbel MLE gets before falling back to the
+/// PWM estimate.
+const GUMBEL_MLE_MAX_ITERATIONS: usize = 200;
+
 fn sorted_copy(sample: &[f64]) -> Vec<f64> {
     let mut xs = sample.to_vec();
     xs.sort_by(|a, b| a.total_cmp(b));
     xs
+}
+
+/// The PWM step of every Gumbel fit, on an ascending-sorted sample:
+/// `β̂ = (2 b₁ − b₀)/ln 2`, `μ̂ = b₀ − γ β̂`.
+fn gumbel_pwm_sorted(sorted: &[f64]) -> Result<Gumbel, StatsError> {
+    let b0 = pwm_sorted(sorted, 0);
+    let b1 = pwm_sorted(sorted, 1);
+    let beta = (2.0 * b1 - b0) / std::f64::consts::LN_2;
+    if !(beta.is_finite() && beta > 0.0) {
+        return Err(StatsError::DegenerateSample);
+    }
+    let mu = b0 - EULER_GAMMA * beta;
+    Gumbel::new(mu, beta)
 }
 
 /// Fit a [`Gumbel`] distribution by probability-weighted moments
@@ -26,18 +67,11 @@ fn sorted_copy(sample: &[f64]) -> Vec<f64> {
 /// # Errors
 ///
 /// * [`StatsError::InsufficientData`] if fewer than 10 maxima;
+/// * [`StatsError::NonFiniteData`] if a maximum is NaN or infinite;
 /// * [`StatsError::DegenerateSample`] if all maxima are equal.
 pub fn fit_gumbel_pwm(maxima: &[f64]) -> Result<Gumbel, StatsError> {
-    check_len(maxima, 10)?;
-    let sorted = sorted_copy(maxima);
-    let b0 = pwm_sorted(&sorted, 0);
-    let b1 = pwm_sorted(&sorted, 1);
-    let beta = (2.0 * b1 - b0) / std::f64::consts::LN_2;
-    if !(beta.is_finite() && beta > 0.0) {
-        return Err(StatsError::DegenerateSample);
-    }
-    let mu = b0 - EULER_GAMMA * beta;
-    Gumbel::new(mu, beta)
+    check_len(maxima, GUMBEL_MIN_MAXIMA)?;
+    gumbel_pwm_sorted(&sorted_copy(maxima))
 }
 
 /// Fit a [`Gumbel`] distribution: PWM start, refined by maximum-likelihood
@@ -50,9 +84,14 @@ pub fn fit_gumbel_pwm(maxima: &[f64]) -> Result<Gumbel, StatsError> {
 /// iteration fails to converge the PWM estimate is returned (it is already
 /// consistent).
 ///
+/// This compresses `maxima` into a [`TiedSample`] and runs the
+/// [`GumbelKernel`] on it; callers fitting many resamples of one sample
+/// should compress once and drive the kernel directly.
+///
 /// # Errors
 ///
-/// Same as [`fit_gumbel_pwm`].
+/// Same as [`fit_gumbel_pwm`], in the same order; a [`Gumbel::new`]
+/// failure of the PWM start is returned as is.
 ///
 /// # Examples
 ///
@@ -73,42 +112,188 @@ pub fn fit_gumbel_pwm(maxima: &[f64]) -> Result<Gumbel, StatsError> {
 /// # }
 /// ```
 pub fn fit_gumbel(maxima: &[f64]) -> Result<Gumbel, StatsError> {
-    let pwm = fit_gumbel_pwm(maxima)?;
-    let n = maxima.len() as f64;
-    let mean: f64 = maxima.iter().sum::<f64>() / n;
-    // Work on mean-centered data y = x − x̄ so the exponentials stay tame;
-    // the common factor e^{−x̄/β} cancels in the MLE ratio, giving
-    // β_next = −Σ yᵢ e^{−yᵢ/β} / Σ e^{−yᵢ/β}.
-    let ys: Vec<f64> = maxima.iter().map(|&x| x - mean).collect();
-    let mut beta = pwm.beta();
-    let mut converged = false;
-    for _ in 0..200 {
-        let mut sum_e = 0.0;
-        let mut sum_ye = 0.0;
-        for &y in &ys {
-            let e = (-y / beta).exp();
-            sum_e += e;
-            sum_ye += y * e;
+    let sample = TiedSample::new(maxima);
+    GumbelKernel::default().fit(&sample, sample.indices())
+}
+
+/// A sample stored as its distinct values plus, per element, the index of
+/// its value: the input form of [`GumbelKernel`].
+///
+/// Values are distinct under [`f64::total_cmp`] and ascending in that
+/// order, so `-0.0` and `0.0` (and every NaN payload) keep separate
+/// entries and every element maps back to its exact bits.
+///
+/// # Examples
+///
+/// ```
+/// use proxima_stats::evt::TiedSample;
+///
+/// let sample = TiedSample::new(&[3.0, 1.0, 3.0, 2.0, 1.0]);
+/// assert_eq!(sample.values(), &[1.0, 2.0, 3.0]);
+/// assert_eq!(sample.indices(), &[2, 0, 2, 1, 0]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct TiedSample {
+    values: Vec<f64>,
+    indices: Vec<usize>,
+}
+
+impl TiedSample {
+    /// Compress `sample`: sort and deduplicate a copy, then look each
+    /// element up in it.
+    pub fn new(sample: &[f64]) -> Self {
+        let mut values = sample.to_vec();
+        values.sort_unstable_by(f64::total_cmp);
+        values.dedup_by(|a, b| a.total_cmp(b) == Ordering::Equal);
+        let indices = sample
+            .iter()
+            .map(|x| {
+                // Every element is in `values`, so the search always hits.
+                let (Ok(k) | Err(k)) = values.binary_search_by(|v| v.total_cmp(x));
+                k
+            })
+            .collect();
+        TiedSample { values, indices }
+    }
+
+    /// The distinct values, ascending in [`f64::total_cmp`] order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Per element, in the original order, the index of its value in
+    /// [`values`](Self::values).
+    pub fn indices(&self) -> &[usize] {
+        &self.indices
+    }
+}
+
+/// The Gumbel fit kernel behind [`fit_gumbel`], with scratch buffers that
+/// persist across calls: a kernel reused for many fits allocates only
+/// while its buffers grow.
+///
+/// Per MLE iteration it evaluates `e^{−yⱼ/β}` once per distinct value
+/// present and then adds the precomputed terms element by element in the
+/// original order — `iterations × (d exps + n adds)` where a per-element
+/// loop pays `iterations × n` exps — with bit-identical results.
+#[derive(Debug, Default)]
+pub struct GumbelKernel {
+    /// Per distinct value of the sample: its count and MLE terms.
+    slots: Vec<Slot>,
+    /// Indices of the slots with a non-zero count, ascending.
+    present: Vec<usize>,
+    /// The sample in ascending order, expanded from the slot counts.
+    sorted: Vec<f64>,
+}
+
+/// One distinct value's share of a [`GumbelKernel`] fit. Only slots with
+/// a non-zero count are written past `count` or read.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Elements holding the value.
+    count: usize,
+    /// The value, mean-centred: `y = v − x̄`.
+    y: f64,
+    /// `e^{−y/β}` at the current β.
+    e: f64,
+    /// `y · e^{−y/β}` at the current β.
+    ye: f64,
+}
+
+impl GumbelKernel {
+    /// Fit a [`Gumbel`] to the sample whose `i`-th element is
+    /// `sample.values()[draw[i]]`, bit-identical to [`fit_gumbel`] on that
+    /// sample materialized as a vector.
+    ///
+    /// `draw` may repeat or omit indices (a bootstrap resample is any
+    /// index sequence); only the values it reaches are checked and used.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`fit_gumbel`].
+    ///
+    /// # Panics
+    ///
+    /// If an index in `draw` is out of range for `sample.values()`.
+    pub fn fit(&mut self, sample: &TiedSample, draw: &[usize]) -> Result<Gumbel, StatsError> {
+        let n = draw.len();
+        if n < GUMBEL_MIN_MAXIMA {
+            return Err(StatsError::InsufficientData {
+                needed: GUMBEL_MIN_MAXIMA,
+                got: n,
+            });
         }
-        let next_beta = -sum_ye / sum_e;
-        let next_beta = if next_beta.is_finite() && next_beta > 0.0 {
-            next_beta
-        } else {
-            beta * 0.5
-        };
-        if (next_beta - beta).abs() <= 1e-10 * beta {
+        let values = sample.values();
+        self.slots.clear();
+        self.slots.resize(values.len(), Slot::default());
+        for &k in draw {
+            self.slots[k].count += 1;
+        }
+        self.present.clear();
+        self.present.reserve(values.len());
+        self.sorted.clear();
+        self.sorted.reserve(n);
+        for (j, (slot, &v)) in self.slots.iter().zip(values).enumerate() {
+            if slot.count > 0 {
+                if !v.is_finite() {
+                    return Err(StatsError::NonFiniteData);
+                }
+                self.present.push(j);
+                self.sorted.extend(std::iter::repeat_n(v, slot.count));
+            }
+        }
+        let pwm = gumbel_pwm_sorted(&self.sorted)?;
+
+        let nf = n as f64;
+        let mean: f64 = draw.iter().map(|&k| values[k]).sum::<f64>() / nf;
+        // Work on mean-centered data y = x − x̄ so the exponentials stay tame;
+        // the common factor e^{−x̄/β} cancels in the MLE ratio, giving
+        // β_next = −Σ yᵢ e^{−yᵢ/β} / Σ e^{−yᵢ/β}.
+        for &j in &self.present {
+            self.slots[j].y = values[j] - mean;
+        }
+        let mut beta = pwm.beta();
+        let mut converged = false;
+        for _ in 0..GUMBEL_MLE_MAX_ITERATIONS {
+            self.weigh(beta);
+            let mut sum_e = 0.0;
+            let mut sum_ye = 0.0;
+            for &k in draw {
+                let slot = &self.slots[k];
+                sum_e += slot.e;
+                sum_ye += slot.ye;
+            }
+            let next_beta = -sum_ye / sum_e;
+            let next_beta = if next_beta.is_finite() && next_beta > 0.0 {
+                next_beta
+            } else {
+                beta * 0.5
+            };
+            if (next_beta - beta).abs() <= 1e-10 * beta {
+                beta = next_beta;
+                converged = true;
+                break;
+            }
             beta = next_beta;
-            converged = true;
-            break;
         }
-        beta = next_beta;
+        if !converged {
+            return Ok(pwm);
+        }
+        self.weigh(beta);
+        let sum_e: f64 = draw.iter().map(|&k| self.slots[k].e).sum();
+        let mu = mean - beta * (sum_e / nf).ln();
+        Gumbel::new(mu, beta).or(Ok(pwm))
     }
-    if !converged {
-        return Ok(pwm);
+
+    /// Evaluate `e^{−y/β}` and `y e^{−y/β}` for every present distinct
+    /// value — the only `exp()` calls of an MLE iteration.
+    fn weigh(&mut self, beta: f64) {
+        for &j in &self.present {
+            let slot = &mut self.slots[j];
+            slot.e = (-slot.y / beta).exp();
+            slot.ye = slot.y * slot.e;
+        }
     }
-    let sum_e: f64 = ys.iter().map(|&y| (-y / beta).exp()).sum();
-    let mu = mean - beta * (sum_e / n).ln();
-    Gumbel::new(mu, beta).or(Ok(pwm))
 }
 
 /// Fit a [`Gev`] distribution by probability-weighted moments

@@ -12,6 +12,9 @@
 //! Fits use probability-weighted moments (Hosking et al.), with the Gumbel
 //! additionally refined by maximum-likelihood fixed-point iteration; both
 //! are standard for MBPTA-scale sample sizes (tens to hundreds of maxima).
+//! The Gumbel fit runs on a tie-compressed sample ([`TiedSample`],
+//! [`GumbelKernel`]): one `exp()` per distinct maximum per iteration,
+//! bit-identical to a per-element loop.
 
 mod blocks;
 mod cv;
@@ -19,4 +22,7 @@ mod fit;
 
 pub use blocks::{block_maxima, peaks_over_threshold, select_block_size, BlockSizeChoice};
 pub use cv::{cv_plot, fit_cv_tail, CvFit, CvPoint};
-pub use fit::{fit_gev, fit_gpd, fit_gumbel, fit_gumbel_pwm, goodness_of_fit, GofReport};
+pub use fit::{
+    fit_gev, fit_gpd, fit_gumbel, fit_gumbel_pwm, goodness_of_fit, GofReport, GumbelKernel,
+    TiedSample,
+};

@@ -178,7 +178,9 @@ impl StreamConfig {
     ///
     /// Returns [`MbptaError::InvalidConfig`] for a zero block size / refit
     /// period, a cutoff outside `(0, 1)`, a non-positive tolerance, fewer
-    /// than 2 minimum blocks, or a sketch epsilon outside `(0, 0.5)`.
+    /// than 2 minimum blocks, a sketch epsilon outside `(0, 0.5)`, or a
+    /// bootstrap with a level outside `(0, 1)` or zero resamples (which
+    /// would otherwise emit `ci: None` at every refit).
     pub fn validate(&self) -> Result<(), MbptaError> {
         if self.block_size == 0 {
             return Err(MbptaError::InvalidConfig {
@@ -209,6 +211,18 @@ impl StreamConfig {
             return Err(MbptaError::InvalidConfig {
                 what: "sketch epsilon must be in (0, 0.5)",
             });
+        }
+        if let Some(spec) = &self.bootstrap {
+            if !(spec.level > 0.0 && spec.level < 1.0) {
+                return Err(MbptaError::InvalidConfig {
+                    what: "bootstrap confidence level must be in (0, 1)",
+                });
+            }
+            if spec.resamples == 0 {
+                return Err(MbptaError::InvalidConfig {
+                    what: "bootstrap resamples must be positive",
+                });
+            }
         }
         Ok(())
     }
@@ -771,6 +785,32 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn bootstrap_spec_is_validated() {
+        let with = |level: f64, resamples: usize| StreamConfig {
+            bootstrap: Some(BootstrapSpec {
+                level,
+                resamples,
+                ..BootstrapSpec::default()
+            }),
+            ..StreamConfig::default()
+        };
+        for (level, resamples) in [(0.0, 200), (1.0, 200), (f64::NAN, 200), (0.95, 0)] {
+            let bad = with(level, resamples);
+            assert!(
+                matches!(bad.validate(), Err(MbptaError::InvalidConfig { .. })),
+                "level {level}, resamples {resamples}"
+            );
+            assert!(StreamAnalyzer::new(bad).is_err());
+        }
+        assert!(with(0.5, 1).validate().is_ok());
+        let off = StreamConfig {
+            bootstrap: None,
+            ..StreamConfig::default()
+        };
+        assert!(off.validate().is_ok());
     }
 
     #[test]

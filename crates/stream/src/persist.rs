@@ -42,6 +42,11 @@ pub const MAGIC_FEDERATED: [u8; 4] = *b"PXFA";
 /// any other validation can reject the blob.
 const MAX_MONITOR_CAPACITY: usize = 1 << 20;
 
+/// Most bootstrap resamples per snapshot the decoder accepts (the
+/// default is 200; this is over 300× that). Every refit runs this many
+/// Gumbel fits, so a crafted count must not stall the restored analyzer.
+const MAX_BOOTSTRAP_RESAMPLES: usize = 1 << 16;
+
 /// Serialize a [`StreamAnalyzer`] into a sealed, versioned checkpoint
 /// blob.
 pub fn save_analyzer(analyzer: &StreamAnalyzer) -> Vec<u8> {
@@ -374,6 +379,16 @@ impl Decode for StreamConfig {
         if config.monitor_window > MAX_MONITOR_CAPACITY {
             return Err(MbptaError::checkpoint(
                 "stream configuration monitor window exceeds the decoder bound",
+            ));
+        }
+        // Likewise for the bootstrap: any positive count is valid, but
+        // the decoder must not let one refit run 2⁴⁰ fits.
+        if config
+            .bootstrap
+            .is_some_and(|spec| spec.resamples > MAX_BOOTSTRAP_RESAMPLES)
+        {
+            return Err(MbptaError::checkpoint(
+                "stream configuration bootstrap resamples exceed the decoder bound",
             ));
         }
         Ok(config)
@@ -818,6 +833,66 @@ mod tests {
             KllSketch::decode(&mut r),
             Err(MbptaError::Checkpoint { .. })
         ));
+    }
+
+    /// Save an analyzer whose configuration was altered after
+    /// construction, and decode it back.
+    fn reload_with_bootstrap(spec: BootstrapSpec) -> Result<StreamAnalyzer, MbptaError> {
+        let mut analyzer = StreamAnalyzer::new(stream_config()).unwrap();
+        analyzer.extend(times(300, 7)).unwrap();
+        analyzer.config.bootstrap = Some(spec);
+        load_analyzer(&save_analyzer(&analyzer))
+    }
+
+    #[test]
+    fn bootstrap_level_outside_unit_interval_is_rejected_on_decode() {
+        for level in [0.0, 1.0, 1.5, -0.5, f64::NAN] {
+            let spec = BootstrapSpec {
+                level,
+                ..BootstrapSpec::default()
+            };
+            assert!(
+                matches!(
+                    reload_with_bootstrap(spec),
+                    Err(MbptaError::Checkpoint { .. })
+                ),
+                "level {level}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_bootstrap_resamples_are_rejected_on_decode() {
+        let spec = BootstrapSpec {
+            resamples: 0,
+            ..BootstrapSpec::default()
+        };
+        assert!(matches!(
+            reload_with_bootstrap(spec),
+            Err(MbptaError::Checkpoint { .. })
+        ));
+    }
+
+    #[test]
+    fn bootstrap_resamples_past_the_decoder_bound_are_rejected() {
+        for resamples in [MAX_BOOTSTRAP_RESAMPLES + 1, 1 << 40] {
+            let spec = BootstrapSpec {
+                resamples,
+                ..BootstrapSpec::default()
+            };
+            assert!(
+                matches!(
+                    reload_with_bootstrap(spec),
+                    Err(MbptaError::Checkpoint { .. })
+                ),
+                "resamples {resamples}"
+            );
+        }
+        let at_bound = BootstrapSpec {
+            resamples: MAX_BOOTSTRAP_RESAMPLES,
+            ..BootstrapSpec::default()
+        };
+        assert!(reload_with_bootstrap(at_bound).is_ok());
     }
 
     #[test]

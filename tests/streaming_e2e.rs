@@ -113,3 +113,75 @@ fn snapshot_stream_reports_suspect_iid_on_drifting_source() {
         "drift must trip the rolling iid monitor"
     );
 }
+
+/// Integer cycle counts `base + step·K` with `K` geometric: the tied
+/// shape of a time-randomized platform's measurements.
+fn tied_cycle_counts(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let mut k = 0u32;
+            while rng.gen::<f64>() >= 0.25 {
+                k += 1;
+            }
+            40_000.0 + 12.0 * f64::from(k)
+        })
+        .collect()
+}
+
+/// FNV-1a over the bits of every snapshot's `pwcet`, `ci.lower` and
+/// `ci.upper` (a tag byte marks a missing CI), finish snapshot included.
+fn snapshot_digest(times: &[f64]) -> (u64, usize) {
+    fn fold(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let mut analyzer = proxima::stream::StreamAnalyzer::new(StreamConfig {
+        block_size: 50,
+        refit_every_blocks: 5,
+        ..StreamConfig::default()
+    })
+    .expect("stream config");
+    let mut snapshots = analyzer.push_batch(times).expect("clean ingest");
+    snapshots.push(analyzer.finish().expect("final snapshot"));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut with_ci = 0;
+    for snap in &snapshots {
+        fold(&mut hash, &snap.pwcet.to_bits().to_le_bytes());
+        match snap.ci {
+            Some(ci) => {
+                with_ci += 1;
+                fold(&mut hash, &[1]);
+                fold(&mut hash, &ci.lower.to_bits().to_le_bytes());
+                fold(&mut hash, &ci.upper.to_bits().to_le_bytes());
+            }
+            None => fold(&mut hash, &[0]),
+        }
+    }
+    (hash, with_ci)
+}
+
+#[test]
+fn streamed_ci_bits_are_pinned() {
+    // The printed report rounds intervals to whole cycles, so only a
+    // bit-level digest catches drift in the fit or the bootstrap. The
+    // expected values were captured before the Gumbel fit moved onto the
+    // tie-compressed kernel; any change to them is a change of results.
+    let tied = tied_cycle_counts(6_000, 41);
+    let (digest, with_ci) = snapshot_digest(&tied);
+    assert!(with_ci >= 20, "tied channel: {with_ci} intervals");
+    assert_eq!(digest, TIED_DIGEST, "tied channel digest {digest:#018x}");
+
+    let continuous = campaign(6_000, 42);
+    let (digest, with_ci) = snapshot_digest(&continuous);
+    assert!(with_ci >= 20, "continuous channel: {with_ci} intervals");
+    assert_eq!(
+        digest, CONTINUOUS_DIGEST,
+        "continuous channel digest {digest:#018x}"
+    );
+}
+
+const TIED_DIGEST: u64 = 0xc6b5_7327_0afb_e657;
+const CONTINUOUS_DIGEST: u64 = 0xc2e5_ae0a_eff3_fdaf;
