@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxima_bench::{tvca_campaign, BASE_SEED};
 use proxima_mbpta::confidence::interval_from_maxima;
 use proxima_mbpta::evt_fit::fit_tail;
-use proxima_mbpta::{BlockSpec, MbptaConfig, Pipeline, Pwcet};
+use proxima_mbpta::{BlockSpec, MbptaConfig, Pwcet};
 use proxima_prng::{RandomSource, SplitMix64};
 use proxima_sim::PlatformConfig;
 use proxima_stats::evt::{block_maxima, fit_gumbel, fit_gumbel_pwm};
@@ -81,7 +81,7 @@ fn bench_fit(c: &mut Criterion) {
     }
     group.bench_function("full_pipeline_analyze", |b| {
         b.iter(|| {
-            Pipeline::new(MbptaConfig::default())
+            MbptaConfig::default()
                 .analyze(black_box(&times))
                 .expect("analysis")
         })

@@ -10,7 +10,7 @@
 //! same block size.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use proxima_mbpta::{BlockSpec, MbptaConfig, Pipeline};
+use proxima_mbpta::{BlockSpec, MbptaConfig};
 use proxima_stream::{StreamAnalyzer, StreamConfig};
 use std::hint::black_box;
 
@@ -47,7 +47,7 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
     let times = campaign(N, 3);
 
     // Acceptance guard: streaming and batch agree at the same block size.
-    let batch_budget = Pipeline::new(batch_config())
+    let batch_budget = batch_config()
         .analyze(&times)
         .expect("batch analysis")
         .budget_for(1e-12)
@@ -66,13 +66,7 @@ fn bench_streaming_vs_batch(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(N as u64));
     group.bench_function("batch_analyze_10k", |b| {
-        b.iter(|| {
-            black_box(
-                Pipeline::new(batch_config())
-                    .analyze(&times)
-                    .expect("batch"),
-            )
-        })
+        b.iter(|| black_box(batch_config().analyze(&times).expect("batch")))
     });
     group.bench_function("stream_ingest_refit_10k", |b| {
         b.iter(|| {

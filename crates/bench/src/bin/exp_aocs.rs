@@ -16,7 +16,7 @@ use proxima_bench::{fmt_cycles, trace_campaign, BASE_SEED};
 use proxima_mbpta::baseline::MbtaEstimate;
 use proxima_mbpta::paths::PerPathAnalysis;
 use proxima_mbpta::risk::ActivationRate;
-use proxima_mbpta::{Campaign, MbptaConfig, Pipeline};
+use proxima_mbpta::{Campaign, MbptaConfig};
 use proxima_sim::PlatformConfig;
 use proxima_workload::aocs::{Aocs, AocsConfig, AocsMode};
 
@@ -43,7 +43,7 @@ fn main() {
         .collect();
 
     // Gate evidence for the nominal path.
-    let tracking = Pipeline::new(MbptaConfig::default())
+    let tracking = MbptaConfig::default()
         .analyze(&labelled[0].1)
         .expect("tracking analysis");
     println!(

@@ -10,7 +10,7 @@
 use proxima_bench::{fmt_cycles, tvca_campaign, BASE_SEED, PAPER_RUNS};
 use proxima_mbpta::confidence::budget_interval;
 use proxima_mbpta::cv::analyze_cv;
-use proxima_mbpta::{MbptaConfig, Pipeline};
+use proxima_mbpta::MbptaConfig;
 use proxima_sim::PlatformConfig;
 use proxima_workload::tvca::ControlMode;
 
@@ -23,7 +23,7 @@ fn main() {
         BASE_SEED,
     );
     let config = MbptaConfig::default();
-    let bm = Pipeline::new(config.clone())
+    let bm = config
         .analyze(campaign.times())
         .expect("block-maxima analysis");
     let cv = analyze_cv(campaign.times(), &config).expect("cv analysis");

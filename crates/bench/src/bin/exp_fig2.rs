@@ -10,7 +10,7 @@
 //! ```
 
 use proxima_bench::{fmt_cycles, tvca_campaign, BASE_SEED, PAPER_RUNS};
-use proxima_mbpta::{render_pwcet_csv, render_survival_csv, MbptaConfig, Pipeline};
+use proxima_mbpta::{render_pwcet_csv, render_survival_csv, MbptaConfig};
 use proxima_sim::PlatformConfig;
 use proxima_stats::ecdf::Ecdf;
 use proxima_workload::tvca::ControlMode;
@@ -23,7 +23,7 @@ fn main() {
         PAPER_RUNS,
         BASE_SEED,
     );
-    let report = Pipeline::new(MbptaConfig::default())
+    let report = MbptaConfig::default()
         .analyze(campaign.times())
         .expect("MBPTA");
 

@@ -13,7 +13,7 @@
 
 use proxima_bench::{fmt_cycles, tvca_campaign, BASE_SEED, PAPER_RUNS};
 use proxima_mbpta::baseline::MbtaEstimate;
-use proxima_mbpta::{MbptaConfig, Pipeline};
+use proxima_mbpta::MbptaConfig;
 use proxima_sim::{Platform, PlatformConfig};
 use proxima_workload::tvca::{ControlMode, Scale, Tvca, TvcaConfig};
 
@@ -27,7 +27,7 @@ fn main() {
         PAPER_RUNS,
         BASE_SEED,
     );
-    let report = Pipeline::new(MbptaConfig::default())
+    let report = MbptaConfig::default()
         .analyze(rand_campaign.times())
         .expect("MBPTA");
     let rand_summary = rand_campaign.summary().expect("summary");

@@ -21,7 +21,7 @@
 //! ```
 
 use proxima_bench::{fmt_cycles, trace_campaign, BASE_SEED};
-use proxima_mbpta::{MbptaConfig, Pipeline};
+use proxima_mbpta::MbptaConfig;
 use proxima_sim::{FpuLatencyMode, Inst, PlatformConfig, ValueClass};
 use proxima_workload::kernels;
 use proxima_workload::trace::{DataObject, TraceBuilder};
@@ -69,14 +69,14 @@ fn main() {
     let operation_trace = guidance_trace(ValueClass::Worst);
     let operation = trace_campaign(variable_cfg, &operation_trace, runs, BASE_SEED + 999);
 
-    let forced_report = Pipeline::new(MbptaConfig::default())
+    let forced_report = MbptaConfig::default()
         .analyze(forced.times())
         .expect("MBPTA");
-    let variable_report = Pipeline::new(MbptaConfig::default())
+    let variable_report = MbptaConfig::default()
         .analyze(variable.times())
         .expect("MBPTA");
     // The distribution operation actually has (worst-class operands).
-    let operation_report = Pipeline::new(MbptaConfig::default())
+    let operation_report = MbptaConfig::default()
         .analyze(operation.times())
         .expect("MBPTA");
 

@@ -13,7 +13,7 @@
 //! ```
 
 use proxima_bench::{fmt_cycles, tvca_campaign, BASE_SEED};
-use proxima_mbpta::{MbptaConfig, Pipeline};
+use proxima_mbpta::MbptaConfig;
 use proxima_sim::bus::BusModel;
 use proxima_sim::PlatformConfig;
 use proxima_workload::tvca::ControlMode;
@@ -29,7 +29,7 @@ fn main() {
         config.bus = BusModel::leon3(interfering);
         let campaign = tvca_campaign(config, ControlMode::Nominal, 1500, BASE_SEED);
         let summary = campaign.summary().expect("summary");
-        match Pipeline::new(MbptaConfig::default()).analyze(campaign.times()) {
+        match MbptaConfig::default().analyze(campaign.times()) {
             Ok(report) => println!(
                 "{:<14}{:>14}{:>14}{:>12.3}{:>16}{:>16}",
                 interfering,

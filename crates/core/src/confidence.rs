@@ -70,14 +70,14 @@ impl BudgetInterval {
 ///
 /// ```
 /// use proxima_mbpta::confidence::budget_interval;
-/// use proxima_mbpta::{MbptaConfig, Pipeline};
+/// use proxima_mbpta::MbptaConfig;
 /// use rand::{Rng, SeedableRng};
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(8);
 /// let times: Vec<f64> = (0..2000)
 ///     .map(|_| 1e5 + (0..8).map(|_| rng.gen::<f64>()).sum::<f64>() * 100.0)
 ///     .collect();
-/// let report = Pipeline::new(MbptaConfig::default()).analyze(&times)?;
+/// let report = MbptaConfig::default().analyze(&times)?;
 /// let ci = budget_interval(&times, &report, 1e-12, 0.95, 200, 42)?;
 /// assert!(ci.lower <= ci.estimate && ci.estimate <= ci.upper);
 /// # Ok::<(), proxima_mbpta::MbptaError>(())
@@ -199,7 +199,6 @@ fn resample_budgets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::analyze_impl as analyze;
     use crate::MbptaConfig;
     use rand::{Rng, SeedableRng};
 
@@ -213,7 +212,7 @@ mod tests {
     #[test]
     fn interval_brackets_estimate() {
         let times = campaign(2000, 1);
-        let report = analyze(&times, &MbptaConfig::default()).unwrap();
+        let report = MbptaConfig::default().analyze(&times).unwrap();
         let ci = budget_interval(&times, &report, 1e-12, 0.95, 300, 7).unwrap();
         assert!(ci.lower <= ci.estimate);
         assert!(ci.estimate <= ci.upper);
@@ -225,7 +224,7 @@ mod tests {
         // Seed chosen to pass the 5%-level iid gate deterministically with
         // the vendored StdRng stream.
         let times = campaign(1500, 5);
-        let report = analyze(&times, &MbptaConfig::default()).unwrap();
+        let report = MbptaConfig::default().analyze(&times).unwrap();
         let a = budget_interval(&times, &report, 1e-9, 0.95, 200, 11).unwrap();
         let b = budget_interval(&times, &report, 1e-9, 0.95, 200, 11).unwrap();
         assert_eq!(a, b);
@@ -239,7 +238,7 @@ mod tests {
         // per-resample seeds come from the SplitMix64 stream, never from a
         // worker-local sequential RNG.
         let times = campaign(1500, 5);
-        let report = analyze(&times, &MbptaConfig::default()).unwrap();
+        let report = MbptaConfig::default().analyze(&times).unwrap();
         let serial = budget_interval_with_jobs(&times, &report, 1e-12, 0.95, 301, 13, 1).unwrap();
         for jobs in [2, 3, 8] {
             let parallel =
@@ -252,7 +251,7 @@ mod tests {
     fn wider_level_gives_wider_interval() {
         // Seed chosen to pass the 5%-level iid gate deterministically.
         let times = campaign(1500, 6);
-        let report = analyze(&times, &MbptaConfig::default()).unwrap();
+        let report = MbptaConfig::default().analyze(&times).unwrap();
         let ci90 = budget_interval(&times, &report, 1e-12, 0.90, 400, 5).unwrap();
         let ci99 = budget_interval(&times, &report, 1e-12, 0.99, 400, 5).unwrap();
         assert!(ci99.upper - ci99.lower >= ci90.upper - ci90.lower);
@@ -264,8 +263,8 @@ mod tests {
         // vendored StdRng stream.
         let small = campaign(800, 9);
         let large = campaign(3200, 9);
-        let rs = analyze(&small, &MbptaConfig::default()).unwrap();
-        let rl = analyze(&large, &MbptaConfig::default()).unwrap();
+        let rs = MbptaConfig::default().analyze(&small).unwrap();
+        let rl = MbptaConfig::default().analyze(&large).unwrap();
         let cis = budget_interval(&small, &rs, 1e-12, 0.95, 300, 9).unwrap();
         let cil = budget_interval(&large, &rl, 1e-12, 0.95, 300, 9).unwrap();
         assert!(
@@ -399,7 +398,7 @@ mod tests {
     #[test]
     fn invalid_parameters_rejected() {
         let times = campaign(800, 5);
-        let report = analyze(&times, &MbptaConfig::default()).unwrap();
+        let report = MbptaConfig::default().analyze(&times).unwrap();
         assert!(budget_interval(&times, &report, 1e-12, 0.0, 100, 1).is_err());
         assert!(budget_interval(&times, &report, 1e-12, 1.0, 100, 1).is_err());
         assert!(budget_interval(&times, &report, 1e-12, 0.95, 0, 1).is_err());

@@ -90,9 +90,9 @@ impl MbptaConfig {
     }
 }
 
-/// Builds a multi-channel [`AnalysisSession`]: pick the pipeline
-/// configuration, the snapshot cadence, and the worker-thread bound, then
-/// choose an engine.
+/// Builds a multi-channel [`AnalysisSession`] from the pipeline
+/// configuration it was started with ([`MbptaConfig::session`]): pick the
+/// snapshot cadence and the worker-thread bound, then choose an engine.
 ///
 /// * [`build_batch`](Self::build_batch) — one [`BatchEngine`] per channel
 ///   (whole-campaign analysis, the classic pipeline);
@@ -104,22 +104,6 @@ impl MbptaConfig {
 /// [`BatchEngine`]: crate::engine::BatchEngine
 ///
 /// # Examples
-///
-/// One-shot batch analysis of a single campaign:
-///
-/// ```
-/// use proxima_mbpta::MbptaConfig;
-/// use rand::{Rng, SeedableRng};
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let times: Vec<f64> = (0..1500)
-///     .map(|_| 2e5 + (0..6).map(|_| rng.gen::<f64>()).sum::<f64>() * 150.0)
-///     .collect();
-/// let verdict = MbptaConfig::default().session().analyze(&times)?;
-/// assert!(verdict.iid.acceptable());
-/// assert!(verdict.budget_for(1e-12)? > verdict.high_watermark());
-/// # Ok::<(), proxima_mbpta::MbptaError>(())
-/// ```
 ///
 /// A demultiplexing session over a tagged feed:
 ///
@@ -173,41 +157,6 @@ impl SessionBuilder {
     /// `MbptaConfig::default().session()`).
     pub fn new() -> Self {
         SessionBuilder::default()
-    }
-
-    /// Replace the whole pipeline configuration.
-    #[must_use]
-    pub fn config(mut self, config: MbptaConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Significance level of the i.i.d. gate and goodness-of-fit tests.
-    #[must_use]
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// Block-maxima block size policy.
-    #[must_use]
-    pub fn block(mut self, block: BlockSpec) -> Self {
-        self.config.block = block;
-        self
-    }
-
-    /// Minimum number of runs per channel before analysis is accepted.
-    #[must_use]
-    pub fn min_runs(mut self, min_runs: usize) -> Self {
-        self.config.min_runs = min_runs;
-        self
-    }
-
-    /// Whether a failed goodness-of-fit aborts a channel's analysis.
-    #[must_use]
-    pub fn strict_gof(mut self, strict: bool) -> Self {
-        self.config.strict_gof = strict;
-        self
     }
 
     /// Scheduler period: emit a snapshot every `every` measurements
@@ -266,29 +215,9 @@ impl SessionBuilder {
         &self.config
     }
 
-    /// The configured scheduler period.
-    pub fn snapshot_period(&self) -> usize {
-        self.snapshot_every
-    }
-
-    /// The configured auto-checkpoint cadence (`0` = disabled).
-    pub fn checkpoint_cadence(&self) -> usize {
-        self.checkpoint_every
-    }
-
     /// The configured estimate cutoff.
     pub fn target_cutoff(&self) -> f64 {
         self.target_p
-    }
-
-    /// The configured worker-thread bound.
-    pub fn job_bound(&self) -> usize {
-        self.jobs
-    }
-
-    /// Whether channels finish early at convergence.
-    pub fn early_finish_enabled(&self) -> bool {
-        self.early_finish
     }
 
     /// Build a session running one batch engine per channel.
@@ -319,37 +248,6 @@ impl SessionBuilder {
             self.jobs,
             self.early_finish,
         ))
-    }
-
-    /// One-shot convenience: analyse a single unnamed campaign through a
-    /// single-channel batch session and return its [`Verdict`].
-    ///
-    /// [`Verdict`]: crate::engine::Verdict
-    ///
-    /// # Errors
-    ///
-    /// Exactly the classic batch-analysis errors (i.i.d. rejection,
-    /// too-few runs, degenerate data, invalid configuration), unscoped.
-    pub fn analyze(self, times: &[f64]) -> Result<crate::engine::Verdict, crate::MbptaError> {
-        // A one-shot has no snapshot consumer: skip engine polling (and
-        // its intermediate prefix refits) entirely.
-        let mut session = self.snapshot_every(0).build_batch()?;
-        session.set_polling(false);
-        {
-            let mut channel = session.channel("campaign")?;
-            for &x in times {
-                channel.push(x);
-            }
-        }
-        session
-            .merge()
-            .into_channels()
-            .pop()
-            // proxima-lint: allow(no-lib-panic) -- the session was built a
-            // few lines up with exactly one channel, so pop() is Some.
-            .expect("single-channel session")
-            .outcome
-            .map_err(crate::MbptaError::into_unscoped)
     }
 }
 

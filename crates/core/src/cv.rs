@@ -1,6 +1,6 @@
 //! The MBPTA-CV analysis pipeline (Abella et al., TODAES 2017).
 //!
-//! An alternative to the block-maxima process of [`crate::analyze`]: the
+//! An alternative to the block-maxima process of [`MbptaConfig::analyze`](crate::MbptaConfig::analyze): the
 //! residual coefficient of variation selects the exceedance threshold, and
 //! an exponential tail (GPD with ξ = 0) is fitted over it. MBPTA-CV needs
 //! no block-size parameter and refuses heavy-looking tails by
@@ -51,7 +51,7 @@ impl CvReport {
 ///
 /// # Errors
 ///
-/// * the same gate errors as [`crate::analyze`];
+/// * the same gate errors as [`MbptaConfig::analyze`](crate::MbptaConfig::analyze);
 /// * [`MbptaError::Stats`] with `NoConvergence` if no threshold has an
 ///   exponential-compatible residual CV (heavy tail — the method refuses
 ///   rather than underestimates).
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn cv_and_block_maxima_agree_on_order_of_magnitude() {
         let times = campaign(3000, 2);
-        let bm = crate::pipeline::analyze_impl(&times, &MbptaConfig::default()).unwrap();
+        let bm = MbptaConfig::default().analyze(&times).unwrap();
         let cv = analyze_cv(&times, &MbptaConfig::default()).unwrap();
         let b_bm = bm.budget_for(1e-12).unwrap();
         let b_cv = cv.budget_for(1e-12).unwrap();

@@ -20,7 +20,7 @@ use crate::confidence::BudgetInterval;
 use crate::config::MbptaConfig;
 use crate::evt_fit::{fit_tail, EvtFit};
 use crate::iid::IidReport;
-use crate::pipeline::{analyze_impl, MbptaReport};
+use crate::pipeline::MbptaReport;
 use crate::pwcet::Pwcet;
 use crate::session::ChannelId;
 use crate::MbptaError;
@@ -435,7 +435,7 @@ const BATCH_STABLE: usize = 3;
 /// analysis on the same vector — the session acceptance tests assert
 /// this.
 ///
-/// [`analyze`]: crate::pipeline::Pipeline::analyze
+/// [`analyze`]: MbptaConfig::analyze
 #[derive(Debug, Clone)]
 pub struct BatchEngine {
     pub(crate) config: MbptaConfig,
@@ -452,7 +452,7 @@ pub struct BatchEngine {
 impl BatchEngine {
     /// An engine for `config`, tracking estimates at `target_p`. The
     /// configuration is assumed valid (the factory validates).
-    pub fn new(config: MbptaConfig, target_p: f64) -> Self {
+    pub(crate) fn new(config: MbptaConfig, target_p: f64) -> Self {
         BatchEngine {
             config,
             target_p,
@@ -464,11 +464,6 @@ impl BatchEngine {
             stable_run: 0,
             converged: false,
         }
-    }
-
-    /// The buffered measurements, in ingestion order.
-    pub fn times(&self) -> &[f64] {
-        &self.times
     }
 
     fn refit(&mut self) {
@@ -542,7 +537,7 @@ impl Engine for BatchEngine {
     }
 
     fn finish(&mut self) -> Result<Verdict, MbptaError> {
-        analyze_impl(&self.times, &self.config).map(Verdict::from_report)
+        self.config.analyze(&self.times).map(Verdict::from_report)
     }
 
     fn save_state(&self) -> Result<Vec<u8>, MbptaError> {
@@ -602,7 +597,7 @@ mod tests {
             engine.push(x).unwrap();
         }
         let verdict = engine.finish().unwrap();
-        let report = analyze_impl(&times, &config).unwrap();
+        let report = config.analyze(&times).unwrap();
         assert_eq!(verdict.clone().into_report().unwrap(), report);
         assert_eq!(verdict.provenance.engine, EngineKind::Batch);
         assert_eq!(verdict.summary.n, 2000);
@@ -644,7 +639,7 @@ mod tests {
 
     #[test]
     fn verdict_report_round_trip() {
-        let report = analyze_impl(&campaign(1500, 4), &MbptaConfig::default()).unwrap();
+        let report = MbptaConfig::default().analyze(&campaign(1500, 4)).unwrap();
         let verdict = Verdict::from_report(report.clone());
         assert!(verdict.iid.acceptable());
         assert_eq!(verdict.iid.label(), "passed");

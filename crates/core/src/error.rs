@@ -78,15 +78,6 @@ impl MbptaError {
     pub fn checkpoint(what: impl Into<String>) -> MbptaError {
         MbptaError::Checkpoint { what: what.into() }
     }
-
-    /// Strip a channel scope, returning the underlying error; non-channel
-    /// errors pass through unchanged.
-    pub fn into_unscoped(self) -> MbptaError {
-        match self {
-            MbptaError::Channel { source, .. } => source.into_unscoped(),
-            other => other,
-        }
-    }
 }
 
 impl fmt::Display for MbptaError {
@@ -160,11 +151,14 @@ mod tests {
         let e = MbptaError::channel_scoped(id.clone(), StatsError::NonFiniteData.into());
         assert!(e.to_string().contains("tenant-9"));
         assert!(std::error::Error::source(&e).is_some());
-        // Idempotent wrap, reversible unwrap.
+        // Idempotent wrap: the inner error is scoped exactly once.
         let rewrapped = MbptaError::channel_scoped(crate::session::ChannelId::new("other"), e);
         assert!(rewrapped.to_string().contains("tenant-9"));
+        let MbptaError::Channel { source, .. } = rewrapped else {
+            panic!("channel scope lost");
+        };
         assert!(matches!(
-            rewrapped.into_unscoped(),
+            *source,
             MbptaError::Stats(StatsError::NonFiniteData)
         ));
     }

@@ -25,14 +25,12 @@
 //! maximum observed execution time (*high watermark*) inflated by an
 //! engineering factor on the deterministic platform — is in [`baseline`].
 //!
-//! The public surface is session-oriented:
-//! [`MbptaConfig::session`] starts a [`SessionBuilder`], which builds an
-//! [`AnalysisSession`] demultiplexing a tagged
-//! measurement feed to one [`Engine`] per timing channel
-//! (per path / per core / per tenant) behind one result vocabulary
-//! ([`Verdict`]). [`Pipeline`] remains the one-shot
-//! object form; the `analyze`/`measure_and_analyze` free functions are
-//! deprecated shims over the session.
+//! One campaign is analysed with [`MbptaConfig::analyze`], which returns
+//! an [`MbptaReport`]. A feed of many timing channels (per path / per
+//! core / per tenant) goes through [`MbptaConfig::session`]: the
+//! [`SessionBuilder`] builds an [`AnalysisSession`] demultiplexing the
+//! tagged feed to one [`Engine`] per channel behind one result
+//! vocabulary ([`Verdict`]).
 //!
 //! # Examples
 //!
@@ -48,10 +46,10 @@
 //!     .map(|_| 100_000.0 + 500.0 * rng.gen::<f64>() + 200.0 * rng.gen::<f64>())
 //!     .collect();
 //!
-//! let verdict = MbptaConfig::default().session().analyze(&times)?;
-//! assert!(verdict.iid.acceptable());
-//! let budget = verdict.pwcet.budget_for(1e-12)?;
-//! assert!(budget > verdict.high_watermark());
+//! let report = MbptaConfig::default().analyze(&times)?;
+//! assert!(report.iid.passed);
+//! let budget = report.budget_for(1e-12)?;
+//! assert!(budget > report.high_watermark());
 //! # Ok::<(), proxima_mbpta::MbptaError>(())
 //! ```
 
@@ -60,7 +58,6 @@
 
 pub mod baseline;
 pub mod campaign;
-pub mod compat;
 pub mod confidence;
 pub mod convergence;
 pub mod cv;
@@ -81,13 +78,9 @@ mod report;
 
 pub use campaign::{Campaign, CampaignRunner};
 pub use config::{BlockSpec, MbptaConfig, SessionBuilder};
-pub use engine::{BatchEngine, BatchFactory, Engine, EngineEstimate, EngineFactory, Verdict};
+pub use engine::{BatchFactory, Engine, EngineEstimate, EngineFactory, Verdict};
 pub use error::MbptaError;
-// Every deprecated shim is defined (and tested) in [`compat`]; this is
-// the single re-export keeping the old import paths alive.
-#[allow(deprecated)]
-pub use compat::{analyze, measure_and_analyze};
-pub use pipeline::{MbptaReport, Pipeline};
+pub use pipeline::MbptaReport;
 pub use pwcet::Pwcet;
 pub use report::{render_pwcet_csv, render_report, render_survival_csv};
 pub use session::{AnalysisSession, ChannelHandle, ChannelId, SessionSnapshot, Tagged};

@@ -3,7 +3,7 @@
 //! maximum across paths").
 
 use crate::campaign::run_sharded;
-use crate::pipeline::{analyze_impl, MbptaReport};
+use crate::pipeline::MbptaReport;
 use crate::{MbptaConfig, MbptaError};
 
 /// One analysed path: its label and its MBPTA report.
@@ -86,7 +86,7 @@ impl PerPathAnalysis {
                 .map(|(label, times)| {
                     Ok(PathAnalysis {
                         label: label.clone(),
-                        report: analyze_impl(times, config)?,
+                        report: config.analyze(times)?,
                     })
                 })
                 .collect()

@@ -1249,7 +1249,20 @@ mod tests {
         let times: Vec<f64> = (0..1500)
             .map(|_| 1e5 + (0..8).map(|_| rng.gen::<f64>()).sum::<f64>() * 100.0)
             .collect();
-        let verdict = MbptaConfig::default().session().analyze(&times).unwrap();
+        let mut session = MbptaConfig::default().session().build_batch().unwrap();
+        {
+            let mut channel = session.channel("campaign").unwrap();
+            for &x in &times {
+                channel.push(x);
+            }
+        }
+        let verdict = session
+            .merge()
+            .into_channels()
+            .pop()
+            .unwrap()
+            .outcome
+            .unwrap();
         let mut w = Writer::new();
         verdict.encode(&mut w);
         let bytes = w.into_bytes();

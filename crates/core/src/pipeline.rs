@@ -1,9 +1,7 @@
 //! The end-to-end MBPTA pipeline.
 
-use proxima_sim::Inst;
 use proxima_stats::descriptive::Summary;
 
-use crate::campaign::CampaignRunner;
 use crate::config::MbptaConfig;
 use crate::evt_fit::{fit_tail, EvtFit};
 use crate::iid::{self, IidReport};
@@ -39,109 +37,60 @@ impl MbptaReport {
     }
 }
 
-/// The classic batch pipeline over measured execution times:
-/// i.i.d. gate → block maxima → Gumbel fit → pWCET. Shared by
-/// [`Pipeline::analyze`], the session's `BatchEngine`, and the deprecated
-/// [`analyze`](crate::compat::analyze) shim.
-pub(crate) fn analyze_impl(times: &[f64], config: &MbptaConfig) -> Result<MbptaReport, MbptaError> {
-    config.validate()?;
-    if times.len() < config.min_runs {
-        return Err(MbptaError::CampaignTooSmall {
-            needed: config.min_runs,
-            got: times.len(),
-        });
-    }
-    let campaign = Campaign::from_times(times.to_vec())?;
-    let campaign_summary = campaign.summary()?;
-    let iid = iid::validate_strict(campaign.times(), config.alpha, config.ljung_box_lags)?;
-    let fit = fit_tail(campaign.times(), &config.block)?;
-    if config.strict_gof && !fit.gof.ks.passes(config.alpha) {
-        return Err(MbptaError::PoorFit {
-            ks_p: fit.gof.ks.p_value,
-        });
-    }
-    let pwcet = Pwcet::new(fit.gumbel, fit.block_size);
-    Ok(MbptaReport {
-        campaign_summary,
-        iid,
-        fit,
-        pwcet,
-    })
-}
-
-/// A configured MBPTA pipeline — the object form of the deprecated
-/// [`analyze`](crate::compat::analyze) /
-/// [`measure_and_analyze`](crate::compat::measure_and_analyze) shims,
-/// and the anchor the streaming crate hangs its
-/// entry point on (`proxima_stream::PipelineStreamExt` adds
-/// `Pipeline::stream()`, returning an incremental analyzer that shares
-/// this pipeline's block size and significance level).
-///
-/// # Examples
-///
-/// ```
-/// use proxima_mbpta::{MbptaConfig, Pipeline};
-/// use rand::{Rng, SeedableRng};
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// let times: Vec<f64> = (0..1500)
-///     .map(|_| 2e5 + (0..6).map(|_| rng.gen::<f64>()).sum::<f64>() * 150.0)
-///     .collect();
-/// let report = Pipeline::new(MbptaConfig::default()).analyze(&times)?;
-/// assert!(report.budget_for(1e-9)? >= report.high_watermark());
-/// # Ok::<(), proxima_mbpta::MbptaError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Pipeline {
-    config: MbptaConfig,
-}
-
-impl Pipeline {
-    /// A pipeline running `config`.
-    pub fn new(config: MbptaConfig) -> Self {
-        Pipeline { config }
-    }
-
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &MbptaConfig {
-        &self.config
-    }
-
-    /// Run the batch analysis with this configuration (the supported
-    /// one-shot form).
+impl MbptaConfig {
+    /// Run the MBPTA pipeline over measured execution times:
+    /// i.i.d. gate → block maxima → Gumbel fit → pWCET. This is the one
+    /// batch entry point; a session's batch engine calls it on each
+    /// channel's buffered vector at finish.
     ///
     /// # Errors
     ///
-    /// * [`MbptaError::CampaignTooSmall`] below `config.min_runs`;
+    /// * [`MbptaError::InvalidConfig`] if the configuration is invalid;
+    /// * [`MbptaError::CampaignTooSmall`] below `min_runs`;
     /// * [`MbptaError::IidRejected`] if the i.i.d. gate fails — MBPTA is
     ///   not applicable (e.g. the platform is not randomized);
-    /// * [`MbptaError::PoorFit`] if `config.strict_gof` and the Gumbel
-    ///   is rejected by the KS goodness-of-fit;
+    /// * [`MbptaError::PoorFit`] if `strict_gof` and the Gumbel is
+    ///   rejected by the KS goodness-of-fit;
     /// * [`MbptaError::Stats`] for degenerate/insufficient data.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use proxima_mbpta::MbptaConfig;
+    /// use rand::{Rng, SeedableRng};
+    ///
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    /// let times: Vec<f64> = (0..1500)
+    ///     .map(|_| 2e5 + (0..6).map(|_| rng.gen::<f64>()).sum::<f64>() * 150.0)
+    ///     .collect();
+    /// let report = MbptaConfig::default().analyze(&times)?;
+    /// assert!(report.budget_for(1e-9)? >= report.high_watermark());
+    /// # Ok::<(), proxima_mbpta::MbptaError>(())
+    /// ```
     pub fn analyze(&self, times: &[f64]) -> Result<MbptaReport, MbptaError> {
-        analyze_impl(times, &self.config)
-    }
-
-    /// Measure with `runner` and analyze with this configuration.
-    ///
-    /// # Errors
-    ///
-    /// Anything [`CampaignRunner::run`] or [`Pipeline::analyze`] returns.
-    pub fn measure_and_analyze(
-        &self,
-        runner: &CampaignRunner,
-        trace: &[Inst],
-        runs: usize,
-        master_seed: u64,
-    ) -> Result<MbptaReport, MbptaError> {
-        let campaign = runner.run(trace, runs, master_seed)?;
-        analyze_impl(campaign.times(), &self.config)
-    }
-
-    /// Start building a multi-channel session from this pipeline's
-    /// configuration — equivalent to `self.config().clone().session()`.
-    pub fn session(&self) -> crate::config::SessionBuilder {
-        self.config.clone().session()
+        self.validate()?;
+        if times.len() < self.min_runs {
+            return Err(MbptaError::CampaignTooSmall {
+                needed: self.min_runs,
+                got: times.len(),
+            });
+        }
+        let campaign = Campaign::from_times(times.to_vec())?;
+        let campaign_summary = campaign.summary()?;
+        let iid = iid::validate_strict(campaign.times(), self.alpha, self.ljung_box_lags)?;
+        let fit = fit_tail(campaign.times(), &self.block)?;
+        if self.strict_gof && !fit.gof.ks.passes(self.alpha) {
+            return Err(MbptaError::PoorFit {
+                ks_p: fit.gof.ks.p_value,
+            });
+        }
+        let pwcet = Pwcet::new(fit.gumbel, fit.block_size);
+        Ok(MbptaReport {
+            campaign_summary,
+            iid,
+            fit,
+            pwcet,
+        })
     }
 }
 
@@ -149,10 +98,6 @@ impl Pipeline {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
-
-    fn analyze(times: &[f64], config: &MbptaConfig) -> Result<MbptaReport, MbptaError> {
-        Pipeline::new(config.clone()).analyze(times)
-    }
 
     fn rand_campaign(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -164,7 +109,7 @@ mod tests {
     #[test]
     fn pipeline_succeeds_on_iid_campaign() {
         let times = rand_campaign(3000, 1);
-        let r = analyze(&times, &MbptaConfig::default()).unwrap();
+        let r = MbptaConfig::default().analyze(&times).unwrap();
         assert!(r.iid.passed);
         assert_eq!(r.campaign_summary.n, 3000);
         assert!(r.budget_for(1e-12).unwrap() > r.high_watermark());
@@ -175,7 +120,7 @@ mod tests {
         // Figure 2's claim: the projection upper-bounds the observed tail
         // without being orders of magnitude away.
         let times = rand_campaign(3000, 2);
-        let r = analyze(&times, &MbptaConfig::default()).unwrap();
+        let r = MbptaConfig::default().analyze(&times).unwrap();
         let hwm = r.high_watermark();
         let spread = r.campaign_summary.max - r.campaign_summary.min;
         let b6 = r.budget_for(1e-6).unwrap();
@@ -194,7 +139,7 @@ mod tests {
             })
             .collect();
         assert!(matches!(
-            analyze(&times, &MbptaConfig::default()),
+            MbptaConfig::default().analyze(&times),
             Err(MbptaError::IidRejected { .. })
         ));
     }
@@ -203,7 +148,7 @@ mod tests {
     fn campaign_below_min_runs_rejected() {
         let times = rand_campaign(50, 4);
         assert!(matches!(
-            analyze(&times, &MbptaConfig::default()),
+            MbptaConfig::default().analyze(&times),
             Err(MbptaError::CampaignTooSmall { .. })
         ));
     }
@@ -211,7 +156,10 @@ mod tests {
     #[test]
     fn deterministic_times_error_not_panic() {
         let times = vec![1000.0; 500];
-        assert!(analyze(&times, &MbptaConfig::default()).is_err());
+        assert!(matches!(
+            MbptaConfig::default().analyze(&times),
+            Err(MbptaError::Stats(_))
+        ));
     }
 
     #[test]
@@ -232,8 +180,8 @@ mod tests {
         // Either the iid gate already rejects the alternation (KS on halves
         // passes since halves are identical; LB detects alternation) or the
         // GoF rejects in strict mode — assert strict fails somehow.
-        let lenient_result = analyze(&times, &lenient);
-        let strict_result = analyze(&times, &strict);
+        let lenient_result = lenient.analyze(&times);
+        let strict_result = strict.analyze(&times);
         if lenient_result.is_ok() {
             assert!(matches!(strict_result, Err(MbptaError::PoorFit { .. })));
         } else {
@@ -244,7 +192,7 @@ mod tests {
     #[test]
     fn report_budget_monotone_in_cutoff() {
         let times = rand_campaign(2000, 6);
-        let r = analyze(&times, &MbptaConfig::default()).unwrap();
+        let r = MbptaConfig::default().analyze(&times).unwrap();
         let b6 = r.budget_for(1e-6).unwrap();
         let b12 = r.budget_for(1e-12).unwrap();
         let b15 = r.budget_for(1e-15).unwrap();

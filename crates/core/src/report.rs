@@ -10,14 +10,14 @@ use crate::MbptaError;
 /// # Examples
 ///
 /// ```
-/// use proxima_mbpta::{render_report, MbptaConfig, Pipeline};
+/// use proxima_mbpta::{render_report, MbptaConfig};
 /// use rand::{Rng, SeedableRng};
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let times: Vec<f64> = (0..1000)
 ///     .map(|_| 1e5 + (0..8).map(|_| rng.gen::<f64>()).sum::<f64>() * 100.0)
 ///     .collect();
-/// let report = Pipeline::new(MbptaConfig::default()).analyze(&times)?;
+/// let report = MbptaConfig::default().analyze(&times)?;
 /// let text = render_report(&report);
 /// assert!(text.contains("Ljung-Box"));
 /// assert!(text.contains("1e-12"));
@@ -93,14 +93,14 @@ pub fn render_report(report: &MbptaReport) -> String {
 /// # Examples
 ///
 /// ```
-/// use proxima_mbpta::{render_pwcet_csv, MbptaConfig, Pipeline};
+/// use proxima_mbpta::{render_pwcet_csv, MbptaConfig};
 /// use rand::{Rng, SeedableRng};
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let times: Vec<f64> = (0..1000)
 ///     .map(|_| 1e5 + (0..8).map(|_| rng.gen::<f64>()).sum::<f64>() * 100.0)
 ///     .collect();
-/// let report = Pipeline::new(MbptaConfig::default()).analyze(&times)?;
+/// let report = MbptaConfig::default().analyze(&times)?;
 /// let csv = render_pwcet_csv(&report, &[1e-6, 1e-9, 1e-12])?;
 /// assert!(csv.starts_with("budget_cycles,exceedance_probability"));
 /// assert_eq!(csv.lines().count(), 4);
@@ -133,7 +133,6 @@ pub fn render_survival_csv(times: &[f64]) -> Result<String, MbptaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::analyze_impl as analyze;
     use crate::MbptaConfig;
     use rand::{Rng, SeedableRng};
 
@@ -142,7 +141,7 @@ mod tests {
         let times: Vec<f64> = (0..1500)
             .map(|_| 2e5 + (0..8).map(|_| rng.gen::<f64>()).sum::<f64>() * 120.0)
             .collect();
-        analyze(&times, &MbptaConfig::default()).unwrap()
+        MbptaConfig::default().analyze(&times).unwrap()
     }
 
     #[test]

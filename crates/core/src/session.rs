@@ -296,9 +296,9 @@ pub struct AnalysisSession<F: EngineFactory> {
     /// sessions — instead of running until [`merge`](Self::merge).
     early_finish: bool,
     /// When false the session never polls engines (no scheduled
-    /// snapshots, no convergence announcements) — the one-shot
-    /// [`SessionBuilder::analyze`](crate::config::SessionBuilder::analyze)
-    /// path, which has no snapshot consumer.
+    /// snapshots, no convergence announcements). New sessions poll; the
+    /// flag is part of the checkpoint format, so a restored session
+    /// keeps the value its blob records.
     polling: bool,
 }
 
@@ -329,13 +329,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
             early_finish,
             polling: true,
         }
-    }
-
-    /// Disable engine polling entirely (scheduled snapshots and
-    /// convergence announcements) — for one-shot ingestion with no
-    /// snapshot consumer.
-    pub(crate) fn set_polling(&mut self, enabled: bool) {
-        self.polling = enabled;
     }
 
     /// Total measurements ingested across all channels.
@@ -1390,7 +1383,6 @@ mod tests {
     use super::*;
     use crate::config::MbptaConfig;
     use crate::engine::{BatchFactory, EngineKind};
-    use crate::pipeline::analyze_impl;
     use rand::{Rng, SeedableRng};
 
     fn campaign(base: f64, n: usize, seed: u64) -> Vec<f64> {
@@ -1423,7 +1415,7 @@ mod tests {
         }
         let merged = session.merge();
         let verdict = merged.verdict("only").unwrap().as_ref().unwrap();
-        let report = analyze_impl(&times, &config).unwrap();
+        let report = config.analyze(&times).unwrap();
         assert_eq!(verdict.clone().into_report().unwrap(), report);
         assert_eq!(
             verdict.provenance.channel.as_ref().unwrap().as_str(),
@@ -1645,7 +1637,7 @@ mod tests {
         // dropped (and counted).
         assert_eq!(verdict.summary.n, frozen_at);
         assert_eq!(cv.dropped, 6000 - frozen_at);
-        let reference = analyze_impl(&feed[..frozen_at], &MbptaConfig::default()).unwrap();
+        let reference = MbptaConfig::default().analyze(&feed[..frozen_at]).unwrap();
         assert_eq!(verdict.clone().into_report().unwrap(), reference);
     }
 

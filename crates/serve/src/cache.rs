@@ -88,8 +88,8 @@ impl VerdictCache {
     ///
     /// "Older than" is strict: an entry inserted at tick `t` still
     /// answers a touch at tick `t + ttl` and is dropped by the first
-    /// touch at `t + ttl + 1` — see [`Self::expired`] for why the
-    /// boundary sits there.
+    /// touch at `t + ttl + 1`. A `get` right after an `insert` sees age
+    /// 1, so even `ttl = 1` answers it from the cache.
     pub fn with_ttl(capacity: usize, ttl: u64) -> Self {
         VerdictCache {
             capacity,

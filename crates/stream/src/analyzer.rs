@@ -2,7 +2,7 @@
 //! periodically, emit a stream of pWCET snapshots.
 //!
 //! [`StreamAnalyzer`] is the streaming counterpart of the batch
-//! [`analyze`](proxima_mbpta::analyze) pipeline. It holds **bounded state
+//! [`analyze`](proxima_mbpta::MbptaConfig::analyze) pipeline. It holds **bounded state
 //! only**:
 //!
 //! * a quantile [`Sketch`] for high-watermark / ECDF queries — the GK
@@ -1118,5 +1118,21 @@ mod tests {
         assert_eq!(s.rel_tol, c.rel_tol);
         assert_eq!(s.stable_snapshots, c.stable_checkpoints);
         assert_eq!(s.min_blocks, 20); // min_runs 500 / block 25
+    }
+
+    #[test]
+    fn from_mbpta_carries_block_and_alpha() {
+        let fixed = StreamConfig::from_mbpta(&MbptaConfig {
+            block: BlockSpec::Fixed(25),
+            alpha: 0.01,
+            ..MbptaConfig::default()
+        });
+        assert_eq!(fixed.block_size, 25);
+        assert_eq!(fixed.alpha, 0.01);
+        // An automatic spec falls back to its largest candidate.
+        assert_eq!(
+            StreamConfig::from_mbpta(&MbptaConfig::default()).block_size,
+            100
+        );
     }
 }

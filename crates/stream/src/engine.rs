@@ -9,8 +9,7 @@
 //! * [`StreamFactory`] creates one engine per session channel, all
 //!   sharing one [`StreamConfig`].
 //! * [`SessionStreamExt`] hangs `build_stream` / `build_stream_with` off
-//!   [`SessionBuilder`], mirroring how the deprecated
-//!   `PipelineStreamExt` extended `Pipeline`.
+//!   [`SessionBuilder`].
 //!
 //! The adapter adds nothing on the measurement path, so a single-channel
 //! streaming session is **bit-identical** to driving a bare

@@ -1,13 +1,13 @@
 //! Streaming MBPTA: online ingestion, sketch-based tail tracking, and
 //! incremental pWCET refit.
 //!
-//! The batch pipeline (`proxima_mbpta::analyze`) needs the full
+//! The batch pipeline (`MbptaConfig::analyze`) needs the full
 //! measurement vector in memory and answers only once the campaign ends.
 //! This crate analyses a campaign **while it runs**, in bounded memory:
 //!
 //! * [`StreamAnalyzer`] ingests measurements one at a time (or in
 //!   batches), maintains a quantile sketch — [GK](sketch::QuantileSketch)
-//!   or [KLL](kll::KllSketch), selected by [`SketchKind`](sketch::SketchKind)
+//!   or [KLL](kll::KllSketch), selected by [`SketchKind`]
 //!   — for high-watermark/ECDF queries, rolling i.i.d. diagnostics
 //!   ([`monitor::IidMonitor`]: online autocorrelation + runs-test
 //!   windows), and an incremental block-maxima buffer; every `K` new
@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
-pub mod compat;
 pub mod engine;
 pub mod federated;
 pub mod kll;
@@ -78,10 +77,6 @@ pub mod replay;
 pub mod sketch;
 
 pub use analyzer::{BootstrapSpec, PwcetSnapshot, StreamAnalyzer, StreamConfig};
-// Every deprecated shim is defined (and tested) in [`compat`]; this is
-// the single re-export keeping the old import path alive.
-#[allow(deprecated)]
-pub use compat::PipelineStreamExt;
 pub use engine::{SessionStreamExt, StreamEngine, StreamFactory};
 pub use federated::{
     FederatedAnalyzer, FederatedConfig, FederatedEngine, FederatedFactory, SessionFederatedExt,

@@ -79,8 +79,8 @@ impl TraceReplay {
         }
     }
 
-    /// Convenience: replay a TVCA path on the MBPTA-compliant platform —
-    /// the simulator-driven source of `mbpta stream --simulate`.
+    /// Convenience: replay a TVCA path on the MBPTA-compliant platform,
+    /// run by run, with the seeds `mbpta measure --jobs <j>` uses.
     pub fn tvca(mode: ControlMode, tvca_config: TvcaConfig, runs: usize, master_seed: u64) -> Self {
         let tvca = Tvca::new(tvca_config);
         TraceReplay::new(

@@ -11,7 +11,7 @@
 //!    streams.
 
 use proptest::prelude::*;
-use proxima_mbpta::{BlockSpec, MbptaConfig, Pipeline};
+use proxima_mbpta::{BlockSpec, MbptaConfig};
 use proxima_stream::{
     FederatedAnalyzer, FederatedConfig, QuantileSketch, StreamAnalyzer, StreamConfig,
 };
@@ -38,10 +38,10 @@ proptest! {
         let block = [25usize, 50, 100][block_idx];
         let n = 5_000;
         let times = campaign(n, seed);
-        let batch = Pipeline::new(MbptaConfig {
+        let batch = MbptaConfig {
             block: BlockSpec::Fixed(block),
             ..MbptaConfig::default()
-        })
+        }
         .analyze(&times);
         // Fixed seeds occasionally fail the 5%-level iid gate; agreement
         // is only defined where the batch pipeline accepts the campaign.

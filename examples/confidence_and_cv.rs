@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let campaign = Campaign::measure(&mut platform, &trace, 2000, 10_000_000)?;
 
     // Block-maxima analysis with a bootstrap interval around the estimate.
-    let report = Pipeline::new(MbptaConfig::default()).analyze(campaign.times())?;
+    let report = MbptaConfig::default().analyze(campaign.times())?;
     let ci = budget_interval(campaign.times(), &report, 1e-12, 0.95, 500, 42)?;
     println!("block-maxima pWCET@1e-12: {:.0} cycles", ci.estimate);
     println!(

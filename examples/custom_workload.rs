@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut platform = Platform::new(PlatformConfig::mbpta_compliant());
     let campaign = Campaign::measure(&mut platform, &trace, 1000, 42)?;
 
-    let report = Pipeline::new(MbptaConfig::default()).analyze(campaign.times())?;
+    let report = MbptaConfig::default().analyze(campaign.times())?;
     println!("{}", render_report(&report));
 
     // Verify the platform-side protocol made the campaign analysable.

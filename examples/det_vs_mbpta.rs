@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // RAND platform: the measurement campaign MBPTA consumes.
     let mut rand_platform = Platform::new(PlatformConfig::mbpta_compliant());
     let rand_campaign = Campaign::measure(&mut rand_platform, &trace, runs, 0)?;
-    let report = Pipeline::new(MbptaConfig::default()).analyze(rand_campaign.times())?;
+    let report = MbptaConfig::default().analyze(rand_campaign.times())?;
 
     // DET platform: seed-insensitive, so "the" observed time per layout.
     let mut det_platform = Platform::new(PlatformConfig::deterministic());

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let campaign = Campaign::measure(&mut platform, &trace, runs, 0)?;
 
     // The MBPTA pipeline: i.i.d. gate → block maxima → Gumbel → pWCET.
-    let report = Pipeline::new(MbptaConfig::default()).analyze(campaign.times())?;
+    let report = MbptaConfig::default().analyze(campaign.times())?;
     println!("{}", render_report(&report));
 
     // Compare with the industrial high-watermark practice.

@@ -8,7 +8,6 @@
 //! USAGE:
 //!   mbpta analyze <file> [--cutoff 1e-12] [--alpha 0.05] [--block N] [--cv] [--csv]
 //!   mbpta measure [--runs 3000] [--seed 10000000] [--jobs N] [--path nominal|...]
-//!   mbpta stream [<file>] [--target-p 1e-12] [--block 50] [--every 5] [--simulate] [...]
 //!   mbpta session [<file>] [--target-p 1e-12] [--batch] [--every 250] [--jobs N]
 //!                 [--simulate] [...]
 //!   mbpta serve [--addr 127.0.0.1:0] [--checkpoint ck.bin --checkpoint-every 1000] [...]
@@ -18,16 +17,16 @@
 //! ```
 //!
 //! `analyze` consumes a measurement file; `measure` generates one from the
-//! built-in simulated TVCA campaign; `stream` analyses a single
-//! measurement stream incrementally; `session` demultiplexes a **tagged**
-//! feed (`<channel> <time>` per line) to one analysis engine per channel
-//! — per path, per core, per tenant — and merges the per-channel verdicts
-//! into a program-level envelope. `stream` and `session` both run on the
-//! multi-channel `AnalysisSession` core. `serve` exposes that same core
-//! as a long-running framed-TCP service (`proxima-serve`); `call` is its
-//! command-line client; `shard` folds a measurement campaign into a
-//! sealed federated state blob that `call merge` ships to a server —
-//! state travels, raw measurements do not.
+//! built-in simulated TVCA campaign; `session` analyses a feed
+//! incrementally on the multi-channel `AnalysisSession` core. A feed line
+//! is either a bare measurement (channel `campaign`, the format `measure`
+//! prints) or a tagged `<channel> <time>` pair; `session` runs one
+//! analysis engine per channel — per path, per core, per tenant — and
+//! merges the per-channel verdicts into a program-level envelope. `serve`
+//! exposes that same core as a long-running framed-TCP service
+//! (`proxima-serve`); `call` is its command-line client; `shard` folds a
+//! measurement campaign into a sealed federated state blob that `call
+//! merge` ships to a server — state travels, raw measurements do not.
 
 use std::process::ExitCode;
 
@@ -35,9 +34,8 @@ use proxima::mbpta::cv::analyze_cv;
 use proxima::mbpta::engine::{BatchFactory, EngineFactory, EngineKind};
 use proxima::mbpta::persist;
 use proxima::prelude::*;
-use proxima::serve::cache::query_key;
-use proxima::serve::{Response, ServeClient, ServeConfig, Server, VerdictCache, WireSnapshot};
-use proxima::stream::replay::{ByteLines, LineSource, TraceReplay};
+use proxima::serve::{Response, ServeClient, ServeConfig, Server, WireSnapshot};
+use proxima::stream::replay::{ByteLines, LineSource};
 use proxima::stream::{FederatedFactory, SketchKind, StreamConfig, StreamFactory};
 
 const USAGE: &str = "\
@@ -46,10 +44,6 @@ mbpta - measurement-based probabilistic timing analysis
 USAGE:
   mbpta analyze <file> [--cutoff <p>] [--alpha <a>] [--block <n>] [--cv] [--csv]
   mbpta measure [--runs <n>] [--seed <s>] [--jobs <j>] [--path <name>]
-  mbpta stream [<file>] [--target-p <p>] [--block <n>] [--every <k>]
-               [--sketch <gk|kll>]
-               [--simulate] [--runs <n>] [--seed <s>] [--path <name>]
-               [--stop-on-converged]
   mbpta session [<file>] [--target-p <p>] [--block <n>] [--every <k>]
                 [--sketch <gk|kll>]
                 [--batch] [--shards <n>] [--jobs <j>] [--stop-on-converged]
@@ -79,14 +73,14 @@ COMMANDS:
   measure   print a synthetic TVCA campaign in that format (simulated
             MBPTA-compliant platform; paths: nominal, saturated-x,
             saturated-y, fault-recovery)
-  stream    incremental MBPTA over a single measurement stream: ingest
-            from <file>, stdin (no file argument), or the simulator
-            (--simulate); print a pWCET snapshot at every refit
-  session   multi-channel MBPTA over a *tagged* feed (`<channel> <time>`
-            or `<channel>,<time>` per line) from <file>, stdin, or the
-            simulator (--simulate: the four TVCA paths measured in one
-            thread pool); one engine per channel, merged envelope at the
-            end
+  session   incremental MBPTA over a feed from <file>, stdin (no file
+            argument), or the simulator (--simulate: the four TVCA paths
+            measured in one thread pool). A line is a bare measurement
+            (channel `campaign`) or a tagged `<channel> <time>` /
+            `<channel>,<time>` pair; one engine per channel, merged
+            envelope at the end. One live path:
+              mbpta measure --jobs 1 --path <name> | mbpta session
+                  --every 1 --stop-on-converged
   serve     long-running framed-TCP analysis service over the same
             session core: concurrent clients ingest tagged batches,
             query snapshots/verdicts (cached), merge sealed federated
@@ -116,27 +110,15 @@ OPTIONS (measure):
                  instead of the sequential per-run seeds
   --path <name>  TVCA execution path                            [nominal]
 
-OPTIONS (stream):
-  --target-p <p>       exceedance cutoff tracked by snapshots   [1e-12]
-  --block <n>          block size for block maxima              [50]
-  --every <k>          refit every <k> completed blocks         [5]
-  --sketch <gk|kll>    quantile-sketch algorithm: gk (tight
-                       deterministic rank bounds) or kll
-                       (smaller summaries under deep merges);
-                       both are bit-deterministic              [gk]
-  --simulate           measure the TVCA live instead of reading
-  --runs <n>           simulated runs (with --simulate)         [3000]
-  --seed <s>           simulation master seed                   [10000000]
-  --path <name>        TVCA execution path (with --simulate)    [nominal]
-  --stop-on-converged  stop ingesting once the estimate is stable
-
 OPTIONS (session):
   --target-p <p>       exceedance cutoff tracked by snapshots   [1e-12]
   --block <n>          block size for block maxima              [50]
   --every <k>          emit a snapshot every <k> measurements,
                        round-robin across channels (0 = off)    [250]
   --sketch <gk|kll>    quantile-sketch algorithm for the streaming
-                       engines (not valid with --batch); the report
+                       engines (not valid with --batch): gk (tight
+                       deterministic rank bounds) or kll (smaller
+                       summaries under deep merges); the report
                        stays bit-identical at every shard/job
                        count for both                           [gk]
   --batch              buffer per channel and analyse at the end
@@ -153,8 +135,6 @@ OPTIONS (session):
   --stop-on-converged  stop once every channel's estimate is stable;
                        converged channels finish early and free
                        their engine state immediately
-  --cache-stats        print verdict-cache hit/miss counters for the
-                       final summary to stderr
 
 OPTIONS (serve):
   --addr <host:port>     bind address (port 0 = OS-assigned)  [127.0.0.1:0]
@@ -241,7 +221,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("analyze") => analyze_cmd(&args[1..]),
         Some("measure") => measure_cmd(&args[1..]),
-        Some("stream") => stream_cmd(&args[1..]),
         Some("session") => session_cmd(&args[1..]),
         Some("serve") => serve_cmd(&args[1..]),
         Some("call") => call_cmd(&args[1..]),
@@ -282,37 +261,102 @@ fn parse_sketch(args: &[String]) -> Result<SketchKind, String> {
     }
 }
 
-/// Flags that take no value: an argument following one of these is a
-/// positional argument, not the flag's value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "--cv",
-    "--csv",
-    "--simulate",
-    "--stop-on-converged",
-    "--batch",
-    "--cache-stats",
+/// One verb's flags, each with whether it takes a value. Any other
+/// `--flag` is an error: a misspelt flag must neither pass silently nor
+/// swallow the next argument as its value.
+type Flags = &'static [(&'static str, bool)];
+
+const ANALYZE_FLAGS: Flags = &[
+    ("--cutoff", true),
+    ("--alpha", true),
+    ("--block", true),
+    ("--cv", false),
+    ("--csv", false),
 ];
 
-/// Every positional (non-flag) argument, in order (`call` takes several).
-fn positionals(args: &[String]) -> Vec<&str> {
-    args.iter()
-        .filter(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .map(String::as_str)
-        .collect()
-}
+const MEASURE_FLAGS: Flags = &[
+    ("--runs", true),
+    ("--seed", true),
+    ("--jobs", true),
+    ("--path", true),
+];
 
-/// `true` if `candidate` is the value of some value-taking `--flag` (so it
-/// is not the positional file argument).
-fn is_flag_value(args: &[String], candidate: &str) -> bool {
-    args.windows(2).any(|w| {
-        w[0].starts_with("--") && !BOOLEAN_FLAGS.contains(&w[0].as_str()) && w[1] == candidate
-    })
-}
+/// `--path` is listed only so `session --path` gets its pointed error.
+const SESSION_FLAGS: Flags = &[
+    ("--target-p", true),
+    ("--block", true),
+    ("--every", true),
+    ("--sketch", true),
+    ("--batch", false),
+    ("--shards", true),
+    ("--jobs", true),
+    ("--stop-on-converged", false),
+    ("--simulate", false),
+    ("--runs", true),
+    ("--seed", true),
+    ("--path", true),
+    ("--checkpoint", true),
+    ("--checkpoint-every", true),
+    ("--resume", true),
+    ("--crash-after", true),
+];
 
-/// The positional (non-flag) argument, if any.
-fn positional(args: &[String]) -> Option<&String> {
-    args.iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
+const SERVE_FLAGS: Flags = &[
+    ("--addr", true),
+    ("--target-p", true),
+    ("--block", true),
+    ("--every", true),
+    ("--sketch", true),
+    ("--workers", true),
+    ("--max-conns", true),
+    ("--jobs", true),
+    ("--cache-capacity", true),
+    ("--cache-ttl", true),
+    ("--checkpoint", true),
+    ("--checkpoint-every", true),
+    ("--resume", true),
+    ("--crash-after", true),
+];
+
+const CALL_FLAGS: Flags = &[
+    ("--skip", true),
+    ("--chunk", true),
+    ("--p", true),
+    ("--channel", true),
+];
+
+const SHARD_FLAGS: Flags = &[
+    ("--out", true),
+    ("--shards", true),
+    ("--target-p", true),
+    ("--block", true),
+    ("--sketch", true),
+    ("--simulate", false),
+    ("--runs", true),
+    ("--seed", true),
+    ("--path", true),
+];
+
+/// Check `args` against `verb`'s flag table and return the positional
+/// (non-flag) arguments, in order; a value-taking flag consumes the
+/// argument after it.
+fn positionals<'a>(verb: &str, flags: Flags, args: &'a [String]) -> Result<Vec<&'a str>, String> {
+    let mut found = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            found.push(arg.as_str());
+            continue;
+        }
+        match flags.iter().find(|(name, _)| name == arg) {
+            None => return Err(format!("unknown flag `{arg}` for {verb}")),
+            Some((_, true)) => {
+                rest.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            }
+            Some((_, false)) => {}
+        }
+    }
+    Ok(found)
 }
 
 fn parse_tvca_mode(path: &str) -> Result<ControlMode, String> {
@@ -325,9 +369,9 @@ fn parse_tvca_mode(path: &str) -> Result<ControlMode, String> {
     }
 }
 
-/// The simulated trace source shared by `measure`, `stream --simulate`
-/// and `session --simulate`: runs/seed/path flags plus the TVCA trace of
-/// the chosen path on the MBPTA-compliant platform.
+/// The simulated trace source shared by `measure` and `shard --simulate`:
+/// runs/seed/path flags plus the TVCA trace of the chosen path on the
+/// MBPTA-compliant platform.
 struct SimSource {
     runs: usize,
     seed: u64,
@@ -336,7 +380,7 @@ struct SimSource {
 }
 
 /// Shared `--runs`/`--seed` parsing for every simulate-capable
-/// subcommand (`measure`, `stream --simulate`, `session --simulate`).
+/// subcommand (`measure`, `session --simulate`, `shard --simulate`).
 fn sim_params(args: &[String], default_runs: usize) -> Result<(usize, u64), String> {
     let runs: usize = parse_flag(args, "--runs", default_runs)?;
     let seed: u64 = parse_flag(args, "--seed", 10_000_000u64)?;
@@ -347,32 +391,18 @@ impl SimSource {
     fn from_args(args: &[String], default_runs: usize) -> Result<Self, String> {
         let (runs, seed) = sim_params(args, default_runs)?;
         let mode = parse_tvca_mode(flag_value(args, "--path")?.unwrap_or("nominal"))?;
-        Ok(SimSource::new(runs, seed, mode))
-    }
-
-    fn new(runs: usize, seed: u64, mode: ControlMode) -> Self {
-        let tvca = Tvca::new(TvcaConfig::default());
-        SimSource {
+        Ok(SimSource {
             runs,
             seed,
             mode,
-            trace: tvca.trace(mode),
-        }
-    }
-
-    /// Stream the campaign run by run (the `stream --simulate` source).
-    fn replay(&self) -> TraceReplay {
-        TraceReplay::new(
-            PlatformConfig::mbpta_compliant(),
-            self.trace.clone(),
-            self.runs,
-            self.seed,
-        )
+            trace: Tvca::new(TvcaConfig::default()).trace(mode),
+        })
     }
 }
 
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
-    let file = positional(args).ok_or("analyze needs a measurement file")?;
+    let pos = positionals("analyze", ANALYZE_FLAGS, args)?;
+    let file = *pos.first().ok_or("analyze needs a measurement file")?;
     let cutoff: f64 = parse_flag(args, "--cutoff", 1e-12)?;
     let alpha: f64 = parse_flag(args, "--alpha", 0.05)?;
     let use_cv = args.iter().any(|a| a == "--cv");
@@ -405,7 +435,7 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
         let budget = report.budget_for(cutoff).map_err(|e| e.to_string())?;
         println!("pWCET @ {cutoff:e}: {budget:.0}");
     } else {
-        let report = Pipeline::new(config)
+        let report = config
             .analyze(campaign.times())
             .map_err(|e| e.to_string())?;
         print!("{}", render_report(&report));
@@ -422,6 +452,7 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn measure_cmd(args: &[String]) -> Result<(), String> {
+    positionals("measure", MEASURE_FLAGS, args)?;
     let sim = SimSource::from_args(args, 3000)?;
     let jobs = flag_value(args, "--jobs")?
         .map(|raw| {
@@ -452,13 +483,19 @@ fn measure_cmd(args: &[String]) -> Result<(), String> {
             format!("# runs={} base_seed={}", sim.runs, sim.seed),
         )
     };
-    println!(
-        "# TVCA path `{}` on the simulated MBPTA-compliant platform",
-        sim.mode
-    );
-    println!("{seed_line}");
-    campaign.write_to(std::io::stdout().lock()).or_else(|e| {
-        // A downstream consumer closing early (`measure | stream
+    let print = || -> std::io::Result<()> {
+        use std::io::Write;
+        let mut out = std::io::stdout().lock();
+        writeln!(
+            out,
+            "# TVCA path `{}` on the simulated MBPTA-compliant platform",
+            sim.mode
+        )?;
+        writeln!(out, "{seed_line}")?;
+        campaign.write_to(out)
+    };
+    print().or_else(|e| {
+        // A downstream consumer closing early (`measure | session
         // --stop-on-converged`, `measure | head`) is a normal way for
         // this pipeline to end, not a measurement failure.
         if e.kind() == std::io::ErrorKind::BrokenPipe {
@@ -472,11 +509,7 @@ fn measure_cmd(args: &[String]) -> Result<(), String> {
 /// One printed line per estimate, compact enough to tail live. Unlike
 /// `println!`, a closed stdout surfaces as an error the caller can treat
 /// as end-of-interest, not a panic.
-fn print_estimate(
-    channel: Option<&ChannelId>,
-    target_p: f64,
-    est: &EngineEstimate,
-) -> std::io::Result<()> {
+fn print_estimate(channel: &ChannelId, target_p: f64, est: &EngineEstimate) -> std::io::Result<()> {
     use std::io::Write;
     let delta = est
         .convergence_delta
@@ -484,10 +517,9 @@ fn print_estimate(
     let ci = est.ci.map_or("-".to_string(), |ci| {
         format!("[{:.0}, {:.0}]", ci.lower, ci.upper)
     });
-    let channel = channel.map_or(String::new(), |c| format!("channel={c} "));
     writeln!(
         std::io::stdout().lock(),
-        "snapshot {channel}n={} blocks={} pwcet@{target_p:e}={:.0} ci={ci} delta={delta} hwm={:.0} iid={} {}",
+        "snapshot channel={channel} n={} blocks={} pwcet@{target_p:e}={:.0} ci={ci} delta={delta} hwm={:.0} iid={} {}",
         est.n,
         est.blocks.unwrap_or(0),
         est.pwcet,
@@ -499,166 +531,12 @@ fn print_estimate(
 
 /// `Ok(false)` when stdout closed (downstream `| head`): a normal way for
 /// a live tail to end.
-fn emit_estimate(
-    channel: Option<&ChannelId>,
-    target_p: f64,
-    est: &EngineEstimate,
-) -> Result<bool, String> {
+fn emit_estimate(channel: &ChannelId, target_p: f64, est: &EngineEstimate) -> Result<bool, String> {
     match print_estimate(channel, target_p, est) {
         Ok(()) => Ok(true),
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
         Err(e) => Err(e.to_string()),
     }
-}
-
-fn stream_cmd(args: &[String]) -> Result<(), String> {
-    let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
-    let block: usize = parse_flag(args, "--block", 50)?;
-    let every: usize = parse_flag(args, "--every", 5)?;
-    let sketch = parse_sketch(args)?;
-    let simulate = args.iter().any(|a| a == "--simulate");
-    let stop_on_converged = args.iter().any(|a| a == "--stop-on-converged");
-    if !simulate {
-        // Silently dropping these would leave the user blocked on stdin
-        // wondering why their flags did nothing.
-        for flag in ["--runs", "--seed", "--path"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!("{flag} requires --simulate"));
-            }
-        }
-    }
-
-    let config = StreamConfig {
-        block_size: block,
-        refit_every_blocks: every,
-        target_p,
-        sketch,
-        ..StreamConfig::default()
-    };
-    // A single-channel session over the streaming engine: polled every
-    // measurement, the scheduler re-emits exactly the analyzer's refit
-    // snapshots.
-    let mut session = MbptaConfig::default()
-        .session()
-        .snapshot_every(1)
-        .build_stream_with(config) // `config` already carries target_p
-        .map_err(|e| e.to_string())?;
-
-    let source: Box<dyn Iterator<Item = Result<f64, String>>> = if simulate {
-        let sim = SimSource::from_args(args, 3000)?;
-        eprintln!(
-            "streaming {} simulated runs of TVCA path `{}` (seed {})",
-            sim.runs, sim.mode, sim.seed
-        );
-        Box::new(sim.replay().map(Ok))
-    } else {
-        match positional(args) {
-            Some(file) => {
-                let f =
-                    std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;
-                Box::new(
-                    LineSource::new(std::io::BufReader::new(f))
-                        .map(|r| r.map_err(|e| e.to_string())),
-                )
-            }
-            None => Box::new(
-                LineSource::new(std::io::BufReader::new(std::io::stdin()))
-                    .map(|r| r.map_err(|e| e.to_string())),
-            ),
-        }
-    };
-
-    let channel = ChannelId::new("stream");
-    let mut snapshots = 0usize;
-    let mut converged_at: Option<usize> = None;
-    if stop_on_converged {
-        // Convergence-gated stopping is measurement-granular — the feed
-        // must stop at exactly the converging measurement — so this mode
-        // keeps the per-item path.
-        for x in source {
-            let snap = session
-                .push(Tagged::new(channel.clone(), x?))
-                .map_err(|e| e.to_string())?;
-            if let Some(snap) = snap {
-                snapshots += 1;
-                if snap.estimate.converged && converged_at.is_none() {
-                    converged_at = Some(snap.estimate.n);
-                }
-                if !emit_estimate(None, target_p, &snap.estimate)? {
-                    return Ok(());
-                }
-                if snap.estimate.converged {
-                    break;
-                }
-            }
-        }
-    } else {
-        // Bulk path: chunk the feed through `push_batch`, which is
-        // bit-identical to the per-item loop (same snapshots, same final
-        // state) but amortizes sketch and scheduler maintenance.
-        let mut source = source;
-        let mut chunk: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
-        let mut feed_err: Option<String> = None;
-        let mut ended = false;
-        while !ended {
-            chunk.clear();
-            while chunk.len() < FEED_CHUNK {
-                match source.next() {
-                    Some(Ok(x)) => chunk.push(x),
-                    Some(Err(e)) => {
-                        feed_err = Some(e);
-                        ended = true;
-                        break;
-                    }
-                    None => {
-                        ended = true;
-                        break;
-                    }
-                }
-            }
-            let snaps = session
-                .push_batch(channel.clone(), &chunk)
-                .map_err(|e| e.to_string())?;
-            for snap in snaps {
-                snapshots += 1;
-                if snap.estimate.converged && converged_at.is_none() {
-                    converged_at = Some(snap.estimate.n);
-                }
-                if !emit_estimate(None, target_p, &snap.estimate)? {
-                    return Ok(());
-                }
-            }
-            if let Some(e) = feed_err {
-                // Measurements before the bad line are already analysed
-                // and their snapshots printed — same as the per-item loop.
-                return Err(e);
-            }
-        }
-    }
-    let merged = session.merge();
-    let verdict = merged
-        .verdict(channel.as_str())
-        .expect("single-channel session")
-        .as_ref()
-        .map_err(|e| e.to_string())?;
-    {
-        use std::io::Write;
-        let result = writeln!(
-            std::io::stdout().lock(),
-            "final n={} blocks={} pwcet@{target_p:e}={:.0} hwm={:.0} snapshots={snapshots} converged={}",
-            verdict.provenance.n,
-            verdict.fit.n_maxima,
-            verdict.budget_for(target_p).map_err(|e| e.to_string())?,
-            verdict.high_watermark(),
-            converged_at.map_or("no".to_string(), |at| format!("at n={at}")),
-        );
-        match result {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Ok(())
 }
 
 /// The four TVCA paths, as session channels.
@@ -811,8 +689,10 @@ fn checkpoint_spec(args: &[String]) -> Result<Option<(String, usize)>, String> {
 }
 
 fn session_cmd(args: &[String]) -> Result<(), String> {
+    let file = positionals("session", SESSION_FLAGS, args)?
+        .first()
+        .copied();
     let jobs: usize = parse_flag(args, "--jobs", 0)?;
-    let cache_stats = args.iter().any(|a| a == "--cache-stats");
     let ckpt = checkpoint_spec(args)?;
     let crash_after: Option<usize> = flag_value(args, "--crash-after")?
         .map(|raw| {
@@ -848,14 +728,13 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
         let (params, consumed, blob) = read_checkpoint(resume_path)?;
         eprintln!("resuming from {resume_path}: {consumed} measurements already analysed",);
         return run_session(
-            args,
+            file,
             &params,
             jobs,
             consumed,
             Some(&blob),
             ckpt.as_ref(),
             crash_after,
-            cache_stats,
         );
     }
 
@@ -908,7 +787,7 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--path") {
         return Err(
             "--path is not valid for session (all TVCA paths are measured as channels; \
-             use `stream --simulate --path <name>` for a single path)"
+             use `mbpta measure --path <name> | mbpta session` for a single path)"
                 .into(),
         );
     }
@@ -933,24 +812,15 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
             None
         },
     };
-    run_session(
-        args,
-        &params,
-        jobs,
-        0,
-        None,
-        ckpt.as_ref(),
-        crash_after,
-        cache_stats,
-    )
+    run_session(file, &params, jobs, 0, None, ckpt.as_ref(), crash_after)
 }
 
 /// Build the tagged feed a session analyses — the simulated four-path
-/// TVCA campaign when `params.sim` is set, a tagged file/stdin otherwise
-/// — skipping the first `consumed` measurements (already analysed by a
+/// TVCA campaign when `params.sim` is set, `file` (or stdin) otherwise —
+/// skipping the first `consumed` measurements (already analysed by a
 /// checkpointed run being resumed).
 fn session_feed(
-    args: &[String],
+    file: Option<&str>,
     params: &SessionParams,
     jobs: usize,
     consumed: usize,
@@ -985,7 +855,7 @@ fn session_feed(
         }
         Ok(Box::new(tagged.into_iter().map(Ok).skip(consumed)))
     } else {
-        let reader: Box<dyn std::io::BufRead> = match positional(args) {
+        let reader: Box<dyn std::io::BufRead> = match file {
             Some(file) => Box::new(std::io::BufReader::new(
                 std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?,
             )),
@@ -1016,16 +886,15 @@ fn restore_session<F: EngineFactory>(
 /// by `params` and drive the feed through it.
 #[allow(clippy::too_many_arguments)]
 fn run_session(
-    args: &[String],
+    file: Option<&str>,
     params: &SessionParams,
     jobs: usize,
     consumed: usize,
     resume_blob: Option<&[u8]>,
     ckpt: Option<&(String, usize)>,
     crash_after: Option<usize>,
-    cache_stats: bool,
 ) -> Result<(), String> {
-    let feed = session_feed(args, params, jobs, consumed)?;
+    let feed = session_feed(file, params, jobs, consumed)?;
     // The checkpoint cadence lives on the session itself (satellite of
     // PR 7): `until_checkpoint`/`checkpoint_due` drive both this CLI and
     // the `serve` subsystem from the same counter.
@@ -1060,7 +929,7 @@ fn run_session(
                 Some(blob) => restore_session(factory, blob, jobs, cadence)?,
                 None => builder.build_with(factory).map_err(|e| e.to_string())?,
             };
-            drive_session(session, feed, params, ckpt, crash_after, cache_stats)
+            drive_session(session, feed, params, ckpt, crash_after)
         }
         EngineKind::Federated => {
             // Federated: each channel routed to per-shard analyzers
@@ -1077,7 +946,7 @@ fn run_session(
                 Some(blob) => restore_session(factory, blob, jobs, cadence)?,
                 None => builder.build_with(factory).map_err(|e| e.to_string())?,
             };
-            drive_session(session, feed, params, ckpt, crash_after, cache_stats)
+            drive_session(session, feed, params, ckpt, crash_after)
         }
         EngineKind::Stream => {
             let factory = StreamFactory::new(stream_config).map_err(|e| e.to_string())?;
@@ -1085,7 +954,7 @@ fn run_session(
                 Some(blob) => restore_session(factory, blob, jobs, cadence)?,
                 None => builder.build_with(factory).map_err(|e| e.to_string())?,
             };
-            drive_session(session, feed, params, ckpt, crash_after, cache_stats)
+            drive_session(session, feed, params, ckpt, crash_after)
         }
         // `EngineKind` is #[non_exhaustive]: a kind added by a future
         // library version has no CLI wiring here yet.
@@ -1098,11 +967,17 @@ fn run_session(
 /// to keep live tails responsive on slow feeds.
 const FEED_CHUNK: usize = 4096;
 
-/// Parse a tagged-line reader (`<channel> <time>`, blank lines and `#`
-/// comments skipped) into a feed. Zero-copy: each line is parsed as a
-/// byte slice straight out of the reader's buffer ([`ByteLines`]), with
-/// no intermediate `String` per line.
+/// The channel of a feed line that carries no tag.
+const UNTAGGED_CHANNEL: &str = "campaign";
+
+/// Parse a feed reader into tagged measurements. A line is a bare
+/// measurement (the format `measure` prints), which goes to channel
+/// `campaign`, or a tagged `<channel> <time>` / `<channel>,<time>` pair;
+/// blank lines and `#` comments are skipped. Zero-copy: each line is
+/// parsed as a byte slice straight out of the reader's buffer
+/// ([`ByteLines`]), with no intermediate `String` per line.
 fn tagged_lines(reader: impl std::io::BufRead) -> impl Iterator<Item = Result<Tagged, String>> {
+    let untagged = ChannelId::new(UNTAGGED_CHANNEL);
     let mut lines = ByteLines::new(reader);
     std::iter::from_fn(move || loop {
         match lines.next_line(|line_no, bytes| {
@@ -1112,6 +987,15 @@ fn tagged_lines(reader: impl std::io::BufRead) -> impl Iterator<Item = Result<Ta
             }
             Some(match std::str::from_utf8(trimmed) {
                 Err(_) => Err(format!("bad tagged line {line_no}: not valid UTF-8")),
+                Ok(text) if !text.contains(|c: char| c == ',' || c.is_whitespace()) => text
+                    .parse::<f64>()
+                    .map(|time| Tagged::new(untagged.clone(), time))
+                    .map_err(|_| {
+                        format!(
+                            "bad tagged line {line_no} `{text}`: \
+                             neither a measurement nor `<channel> <time>`"
+                        )
+                    }),
                 Ok(text) => text
                     .parse::<Tagged>()
                     .map_err(|e| format!("bad tagged line {line_no} `{text}`: {e}")),
@@ -1157,7 +1041,7 @@ fn feed_run<F: EngineFactory>(
             .push_batch(channel.clone(), chunk)
             .map_err(|e| e.to_string())?;
         for snap in snaps {
-            if !emit_estimate(Some(&snap.channel), params.target_p, &snap.estimate)? {
+            if !emit_estimate(&snap.channel, params.target_p, &snap.estimate)? {
                 return Ok(false);
             }
         }
@@ -1196,7 +1080,6 @@ fn drive_session<F: EngineFactory>(
     params: &SessionParams,
     ckpt: Option<&(String, usize)>,
     crash_after: Option<usize>,
-    cache_stats: bool,
 ) -> Result<(), String> {
     let target_p = params.target_p;
     let stop_on_converged = params.stop_on_converged;
@@ -1204,7 +1087,7 @@ fn drive_session<F: EngineFactory>(
         for tagged in feed {
             let snap = session.push(tagged?).map_err(|e| e.to_string())?;
             if let Some(snap) = snap {
-                if !emit_estimate(Some(&snap.channel), target_p, &snap.estimate)? {
+                if !emit_estimate(&snap.channel, target_p, &snap.estimate)? {
                     return Ok(());
                 }
                 if snap.estimate.converged && session.all_converged() {
@@ -1277,132 +1160,10 @@ fn drive_session<F: EngineFactory>(
     }
     let total = session.len();
     let merged = session.merge();
-
-    // Satellite of PR 7: the summary answers every budget question
-    // through the same fingerprint-keyed cache discipline the `serve`
-    // subsystem uses ([`proxima::serve::cache`]). Keys fold in the
-    // session configuration (the encoded `SessionParams`), the channel,
-    // its analysed count and the probability — so the envelope pass
-    // below re-reads the per-channel budgets as O(1) hits instead of
-    // re-walking each fitted tail. Output is byte-identical to the
-    // uncached path; `--cache-stats` reports the accounting on stderr.
-    let fingerprint = {
-        let mut w = persist::Writer::new();
-        params.encode(&mut w);
-        persist::fnv1a(&w.into_bytes())
-    };
-    let mut cache = VerdictCache::new(64);
-    let budget_at = |cache: &mut VerdictCache, channel: &ChannelId, v: &Verdict| -> Option<f64> {
-        let key = query_key(
-            fingerprint,
-            3,
-            channel.as_str(),
-            v.provenance.n as u64,
-            target_p.to_bits(),
-        );
-        if let Some(bytes) = cache.get(key) {
-            if let Ok(raw) = <[u8; 8]>::try_from(bytes.as_slice()) {
-                return Some(f64::from_le_bytes(raw));
-            }
-        }
-        let budget = v.budget_for(target_p).ok()?;
-        cache.insert(key, budget.to_le_bytes().to_vec());
-        Some(budget)
-    };
-
-    use std::io::Write;
-    let mut out = std::io::stdout().lock();
-    // The summary closure mutably borrows `cache`; scoping it releases
-    // the borrow before the stderr counter dump below.
-    let summary_result = {
-        let mut print_summary = || -> std::io::Result<()> {
-            writeln!(
-                out,
-                "session total={total} channels={}",
-                merged.channels().len()
-            )?;
-            for cv in merged.channels() {
-                match &cv.outcome {
-                    Ok(v) => writeln!(
-                        out,
-                        "channel {} n={} engine={} pwcet@{target_p:e}={:.0} hwm={:.0} iid={}{}",
-                        cv.channel,
-                        v.provenance.n,
-                        v.provenance.engine,
-                        budget_at(&mut cache, &cv.channel, v).unwrap_or(f64::NAN),
-                        v.high_watermark(),
-                        v.iid.label(),
-                        match v.provenance.converged {
-                            Some(true) => " CONVERGED",
-                            Some(false) => " settling",
-                            None => "",
-                        },
-                    )?,
-                    Err(e) => writeln!(
-                        out,
-                        "channel {} FAILED: {e}{}",
-                        cv.channel,
-                        if cv.dropped > 0 {
-                            format!(" ({} measurements dropped)", cv.dropped)
-                        } else {
-                            String::new()
-                        },
-                    )?,
-                }
-            }
-            // The envelope is the worst cached budget — every lookup below
-            // was primed by the per-channel lines above, so this pass is all
-            // cache hits. Semantics mirror `SessionVerdict::envelope_budget`
-            // exactly (first strict maximum wins; any budget error defers to
-            // the library call so the message construction is identical).
-            let envelope = {
-                let mut best: Option<(&ChannelId, f64)> = None;
-                let mut complete = true;
-                for (id, v) in merged.ok_channels() {
-                    match budget_at(&mut cache, id, v) {
-                        Some(budget) => {
-                            if best.is_none_or(|(_, cur)| budget > cur) {
-                                best = Some((id, budget));
-                            }
-                        }
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    }
-                }
-                match best {
-                    Some(found) if complete => Ok(found),
-                    _ => merged.envelope_budget(target_p),
-                }
-            };
-            match envelope {
-                Ok((worst, budget)) => writeln!(
-                    out,
-                    "envelope pwcet@{target_p:e}={budget:.0} (worst channel: {worst}) hwm={:.0}",
-                    merged.high_watermark(),
-                ),
-                Err(e) => writeln!(out, "envelope UNAVAILABLE: {e}"),
-            }
-        };
-        print_summary()
-    };
-    match summary_result {
+    match print_summary(total, &merged, target_p) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
         Err(e) => return Err(e.to_string()),
-    }
-    if cache_stats {
-        // Stderr only: the determinism batteries diff stdout.
-        eprintln!(
-            "cache stats: hits={} misses={} insertions={} evictions={} len={} capacity={}",
-            cache.hits(),
-            cache.misses(),
-            cache.insertions(),
-            cache.evictions(),
-            cache.len(),
-            cache.capacity(),
-        );
     }
     if !merged.all_ok() {
         return Err(format!(
@@ -1414,9 +1175,60 @@ fn drive_session<F: EngineFactory>(
     Ok(())
 }
 
+/// Print the merged session: a total line, one line per channel and the
+/// program-level envelope (the first channel with the strictly largest
+/// budget).
+fn print_summary(total: usize, merged: &SessionVerdict, target_p: f64) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    writeln!(
+        out,
+        "session total={total} channels={}",
+        merged.channels().len()
+    )?;
+    for cv in merged.channels() {
+        match &cv.outcome {
+            Ok(v) => writeln!(
+                out,
+                "channel {} n={} engine={} pwcet@{target_p:e}={:.0} hwm={:.0} iid={}{}",
+                cv.channel,
+                v.provenance.n,
+                v.provenance.engine,
+                v.budget_for(target_p).unwrap_or(f64::NAN),
+                v.high_watermark(),
+                v.iid.label(),
+                match v.provenance.converged {
+                    Some(true) => " CONVERGED",
+                    Some(false) => " settling",
+                    None => "",
+                },
+            )?,
+            Err(e) => writeln!(
+                out,
+                "channel {} FAILED: {e}{}",
+                cv.channel,
+                if cv.dropped > 0 {
+                    format!(" ({} measurements dropped)", cv.dropped)
+                } else {
+                    String::new()
+                },
+            )?,
+        }
+    }
+    match merged.envelope_budget(target_p) {
+        Ok((worst, budget)) => writeln!(
+            out,
+            "envelope pwcet@{target_p:e}={budget:.0} (worst channel: {worst}) hwm={:.0}",
+            merged.high_watermark(),
+        ),
+        Err(e) => writeln!(out, "envelope UNAVAILABLE: {e}"),
+    }
+}
+
 /// `mbpta serve`: bind (or resume) the framed-TCP analysis service and
 /// run its accept loop until a SHUTDOWN frame arrives.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
+    positionals("serve", SERVE_FLAGS, args)?;
     let addr = flag_value(args, "--addr")?.unwrap_or("127.0.0.1:0");
     let jobs: usize = parse_flag(args, "--jobs", 0)?;
     let max_conns: usize = parse_flag(args, "--max-conns", 0)?;
@@ -1523,7 +1335,7 @@ fn print_wire_snapshot(snap: &WireSnapshot) {
 /// `mbpta call`: one request/response exchange with a running server
 /// (`ingest` streams many frames over the one connection).
 fn call_cmd(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
+    let pos = positionals("call", CALL_FLAGS, args)?;
     let (addr, verb, rest) = match pos.as_slice() {
         [addr, verb, rest @ ..] => (*addr, *verb, rest),
         _ => {
@@ -1716,6 +1528,7 @@ fn call_cmd(args: &[String]) -> Result<(), String> {
 /// state blob for `call merge` — the shard ships folded analyzer state,
 /// never raw measurements.
 fn shard_cmd(args: &[String]) -> Result<(), String> {
+    let file = positionals("shard", SHARD_FLAGS, args)?.first().copied();
     let out = flag_value(args, "--out")?.ok_or("shard needs --out <blob>")?;
     let shards: usize = parse_flag(args, "--shards", 1)?;
     let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
@@ -1755,7 +1568,7 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         fed
     } else {
         let mut fed = FederatedAnalyzer::new(config).map_err(|e| e.to_string())?;
-        let source: Box<dyn Iterator<Item = Result<f64, String>>> = match positional(args) {
+        let source: Box<dyn Iterator<Item = Result<f64, String>>> = match file {
             Some(file) => {
                 let f =
                     std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;

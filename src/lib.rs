@@ -36,10 +36,10 @@
 //! let trace = tvca.trace(ControlMode::Nominal);
 //! let campaign = Campaign::measure(&mut platform, &trace, 300, 0)?;
 //!
-//! // 3. MBPTA: i.i.d. gate, EVT fit, pWCET (one-shot session).
-//! let verdict = MbptaConfig::default().session().analyze(campaign.times())?;
-//! let budget = verdict.budget_for(1e-12)?;
-//! assert!(budget > verdict.high_watermark());
+//! // 3. MBPTA: i.i.d. gate, EVT fit, pWCET.
+//! let report = MbptaConfig::default().analyze(campaign.times())?;
+//! let budget = report.budget_for(1e-12)?;
+//! assert!(budget > report.high_watermark());
 //! # Ok::<(), proxima::mbpta::MbptaError>(())
 //! ```
 //!
@@ -63,19 +63,13 @@ pub use proxima_workload as workload;
 
 /// The most common imports in one place.
 pub mod prelude {
-    // The deprecated shims stay importable from the prelude; they are
-    // all defined in the `compat` module of their crate
-    // (`proxima_mbpta::compat`, `proxima_stream::compat`), which is the
-    // single place the deprecation surface is maintained.
-    #[allow(deprecated)]
-    pub use deprecated_shims::*;
     pub use proxima_mbpta::persist::{Decode, Encode};
     pub use proxima_mbpta::session::SessionVerdict;
     pub use proxima_mbpta::{
         baseline::MbtaEstimate, confidence::budget_interval, cv::analyze_cv, render_report,
         AnalysisSession, BlockSpec, Campaign, CampaignRunner, ChannelHandle, ChannelId,
-        EngineEstimate, MbptaConfig, MbptaReport, Pipeline, Pwcet, SessionBuilder, SessionSnapshot,
-        Tagged, Verdict,
+        EngineEstimate, MbptaConfig, MbptaReport, Pwcet, SessionBuilder, SessionSnapshot, Tagged,
+        Verdict,
     };
     pub use proxima_prng::{Mwc64, PrngKind, RandomSource};
     pub use proxima_sim::{Inst, InstKind, Platform, PlatformConfig};
@@ -90,14 +84,6 @@ pub mod prelude {
     };
     pub use proxima_workload::bench_suite::Benchmark;
     pub use proxima_workload::tvca::{ControlMode, Scale, Tvca, TvcaConfig};
-
-    /// The deprecated entry points, grouped so the prelude needs exactly
-    /// one `#[allow(deprecated)]` no matter how many shims exist.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        pub use proxima_mbpta::compat::{analyze, measure_and_analyze};
-        pub use proxima_stream::compat::PipelineStreamExt;
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,5 @@
 //! The AOCS second case study (experiment E5 as assertions).
 
-// Deliberately exercises the deprecated pre-session API: these tests
-// double as regression coverage for the `analyze`/`PipelineStreamExt`
-// shims, which must stay behaviourally identical to the session path.
-#![allow(deprecated)]
-
-use proxima::mbpta::{analyze, MbptaConfig};
 use proxima::prelude::*;
 use proxima::workload::aocs::{Aocs, AocsConfig, AocsMode};
 
@@ -23,7 +17,7 @@ fn campaign(mode: AocsMode, runs: usize, base: u64) -> Vec<f64> {
 #[test]
 fn aocs_tracking_passes_the_gate_and_fits() {
     let times = campaign(AocsMode::Tracking, 800, 10_000_000);
-    let report = analyze(&times, &MbptaConfig::default()).expect("analysis");
+    let report = MbptaConfig::default().analyze(&times).expect("analysis");
     assert!(report.iid.passed);
     let b = report.budget_for(1e-12).expect("budget");
     assert!(b > report.high_watermark());
@@ -48,7 +42,7 @@ fn safe_mode_is_constant_time() {
         times.iter().all(|&t| t == times[0]),
         "safe mode must be constant"
     );
-    assert!(analyze(&times, &MbptaConfig::default()).is_err());
+    assert!(MbptaConfig::default().analyze(&times).is_err());
 }
 
 #[test]

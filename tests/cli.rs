@@ -3,7 +3,7 @@
 //! Uses `CARGO_BIN_EXE_mbpta`, which Cargo points at the freshly built
 //! binary when running integration tests of the defining package.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mbpta() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mbpta"))
@@ -66,28 +66,34 @@ fn measure_then_analyze_pipeline() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("MBPTA-CV"));
 }
 
-#[test]
-fn stream_from_file_emits_snapshots_and_final() {
-    // measure → file → stream: incremental analysis of a recorded
-    // campaign.
+/// Write `measure --runs <runs>` output (an untagged measurement file) to
+/// the shared test directory.
+fn measured_file(name: &str, runs: &str) -> std::path::PathBuf {
     let out = mbpta()
-        .args(["measure", "--runs", "600", "--seed", "10000000"])
+        .args(["measure", "--runs", runs, "--seed", "10000000"])
         .output()
         .expect("spawn");
     assert!(out.status.success());
     let dir = std::env::temp_dir().join("proxima_cli_test");
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let file = dir.join("stream_campaign.txt");
+    let file = dir.join(name);
     std::fs::write(&file, &out.stdout).expect("write campaign");
+    file
+}
 
+#[test]
+fn stream_from_file_emits_snapshots_and_final() {
+    // measure → file → session: incremental analysis of a recorded,
+    // untagged campaign on the `campaign` channel.
+    let file = measured_file("stream_campaign.txt", "600");
     let out = mbpta()
         .args([
-            "stream",
+            "session",
             file.to_str().expect("utf8 path"),
             "--block",
             "25",
             "--every",
-            "4",
+            "1",
             "--target-p",
             "1e-9",
         ])
@@ -99,34 +105,34 @@ fn stream_from_file_emits_snapshots_and_final() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("snapshot n="), "{text}");
+    assert!(text.contains("snapshot channel=campaign n="), "{text}");
     assert!(text.contains("pwcet@1e-9"), "{text}");
-    assert!(text.contains("final n=600"), "{text}");
+    assert!(text.contains("channel campaign n=600"), "{text}");
 }
 
 #[test]
 fn stream_simulate_runs_live() {
+    // One simulated path analysed live: `measure | session`.
+    let mut measure = mbpta()
+        .args(["measure", "--jobs", "1", "--runs", "400"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn measure");
+    let feed = measure.stdout.take().expect("measure stdout");
     let out = mbpta()
-        .args([
-            "stream",
-            "--simulate",
-            "--runs",
-            "400",
-            "--block",
-            "25",
-            "--every",
-            "4",
-        ])
+        .args(["session", "--block", "25", "--every", "1"])
+        .stdin(Stdio::from(feed))
         .output()
-        .expect("spawn");
+        .expect("spawn session");
+    assert!(measure.wait().expect("wait measure").success());
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("snapshot n="), "{text}");
-    assert!(text.contains("final n=400"), "{text}");
+    assert!(text.contains("snapshot channel=campaign n="), "{text}");
+    assert!(text.contains("channel campaign n=400"), "{text}");
 }
 
 #[test]
@@ -136,11 +142,61 @@ fn stream_too_short_input_fails_cleanly() {
     let file = dir.join("short.txt");
     std::fs::write(&file, "100\n101\n102\n").expect("write");
     let out = mbpta()
-        .args(["stream", file.to_str().expect("utf8 path")])
+        .args(["session", file.to_str().expect("utf8 path")])
         .output()
         .expect("spawn");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("too small"));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("channel campaign FAILED"), "{text}");
+    assert!(text.contains("too small"), "{text}");
+}
+
+#[test]
+fn untagged_file_equals_its_campaign_tagged_copy() {
+    // A bare measurement line is shorthand for `campaign <time>`.
+    let file = measured_file("untagged_campaign.txt", "1200");
+    let tagged: String = std::fs::read_to_string(&file)
+        .expect("read campaign")
+        .lines()
+        .map(|l| {
+            if l.starts_with('#') {
+                format!("{l}\n")
+            } else {
+                format!("campaign {l}\n")
+            }
+        })
+        .collect();
+    let tagged_file = file.with_file_name("tagged_campaign.txt");
+    std::fs::write(&tagged_file, tagged).expect("write tagged copy");
+    let run = |path: &std::path::Path| {
+        let out = mbpta()
+            .args(["session", path.to_str().expect("utf8 path"), "--every", "1"])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let untagged = run(&file);
+    assert!(String::from_utf8_lossy(&untagged).contains("snapshot channel=campaign"));
+    assert_eq!(untagged, run(&tagged_file));
+}
+
+#[test]
+fn measure_exits_cleanly_when_the_reader_goes_away() {
+    // `measure | session --stop-on-converged` (or `| head`) closes the
+    // pipe early: the producer must exit 0, not panic on EPIPE.
+    let mut measure = mbpta()
+        .args(["measure", "--runs", "3000"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    drop(measure.stdout.take());
+    let status = measure.wait().expect("wait");
+    assert!(status.success(), "{status}");
 }
 
 /// Build a 3-channel tagged file by relabelling a measured campaign
@@ -418,11 +474,53 @@ fn session_rejects_conflicting_flag_combos() {
         // --path never applied to sessions.
         (
             &["session", "--simulate", "--path", "nominal"],
-            "--path is not valid",
+            "--path is not valid for session (all TVCA paths are measured as channels; \
+             use `mbpta measure --path <name> | mbpta session`",
         ),
     ];
     for (args, expected) in table {
         let out = mbpta().args(*args).output().expect("spawn");
+        assert!(
+            !out.status.success(),
+            "`{}` unexpectedly succeeded",
+            args.join(" ")
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(expected),
+            "`{}` stderr missing `{expected}`:\n{stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn unknown_flags_and_commands_are_rejected() {
+    // Every verb checks its arguments against its own flag table: a
+    // misspelt or removed flag fails and is named, instead of being
+    // ignored or swallowing the next argument as its value.
+    let file = measured_file("unknown_flag_feed.txt", "600");
+    let f = file.to_str().expect("utf8 path");
+    let table: &[(&[&str], &str)] = &[
+        (
+            &["session", "--cache-stats"],
+            "unknown flag `--cache-stats`",
+        ),
+        (&["analyze", f, "--cutof", "1e-9"], "unknown flag `--cutof`"),
+        (&["session", f, "--shard", "4"], "unknown flag `--shard`"),
+        (
+            &["session", "--stop-on-convergence", f],
+            "unknown flag `--stop-on-convergence`",
+        ),
+        (&["session", f, "--every"], "--every needs a value"),
+        (&["stream", f], "unknown command"),
+    ];
+    for (args, expected) in table {
+        let out = mbpta()
+            .args(*args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn");
         assert!(
             !out.status.success(),
             "`{}` unexpectedly succeeded",

@@ -35,10 +35,10 @@ fn sharded_sessions_agree_with_single_stream_on_every_tvca_path() {
 
         // The batch pipeline on the same fixed block is the paper-side
         // reference; the stream-vs-batch bound carries over to shards.
-        let batch = Pipeline::new(MbptaConfig {
+        let batch = MbptaConfig {
             block: BlockSpec::Fixed(25),
             ..MbptaConfig::default()
-        })
+        }
         .analyze(&times)
         .expect("batch analysis");
         let batch_budget = batch.budget_for(1e-12).expect("budget");

@@ -1,11 +1,5 @@
 //! Multicore bus-contention behaviour (experiment A8 as assertions).
 
-// Deliberately exercises the deprecated pre-session API: these tests
-// double as regression coverage for the `analyze`/`PipelineStreamExt`
-// shims, which must stay behaviourally identical to the session path.
-#![allow(deprecated)]
-
-use proxima::mbpta::{analyze, MbptaConfig};
 use proxima::prelude::*;
 use proxima::sim::bus::BusModel;
 
@@ -38,7 +32,9 @@ fn contended_campaign_remains_analysable() {
     // Randomized arbitration keeps the campaign i.i.d.: the full MBPTA
     // pipeline must run under worst contention.
     let times = contended_campaign(3, 600);
-    let report = analyze(&times, &MbptaConfig::default()).expect("analysis under contention");
+    let report = MbptaConfig::default()
+        .analyze(&times)
+        .expect("analysis under contention");
     assert!(report.iid.passed);
     let b = report.budget_for(1e-12).expect("budget");
     assert!(b > report.high_watermark());
@@ -56,8 +52,12 @@ fn contention_increment_is_bounded() {
 
 #[test]
 fn contended_pwcet_dominates_uncontended() {
-    let uncontended = analyze(&contended_campaign(0, 600), &MbptaConfig::default()).unwrap();
-    let contended = analyze(&contended_campaign(3, 600), &MbptaConfig::default()).unwrap();
+    let uncontended = MbptaConfig::default()
+        .analyze(&contended_campaign(0, 600))
+        .unwrap();
+    let contended = MbptaConfig::default()
+        .analyze(&contended_campaign(3, 600))
+        .unwrap();
     let b0 = uncontended.budget_for(1e-12).unwrap();
     let b3 = contended.budget_for(1e-12).unwrap();
     assert!(b3 > b0, "contention must raise the pWCET ({b0} vs {b3})");

@@ -1,15 +1,11 @@
-//! Acceptance tests of the multi-channel `AnalysisSession` API (PR 3's
-//! tentpole): a session ingesting a 3-channel tagged feed produces, per
-//! channel, verdicts **bit-identical** to running the batch pipeline /
+//! Acceptance tests of the multi-channel `AnalysisSession` API: a
+//! session ingesting a 3-channel tagged feed produces, per channel,
+//! verdicts **bit-identical** to running the batch pipeline /
 //! `StreamAnalyzer` on each channel's measurements alone — at every
-//! `jobs` setting and under any interleaving — and the deprecated shims
-//! stay equivalent to the session path.
-//!
-//! Deliberately exercises the deprecated pre-session API in the shim
-//! equivalence tests.
-#![allow(deprecated)]
+//! `jobs` setting and under any interleaving.
 
 use proptest::prelude::*;
+use proxima::mbpta::MbptaError;
 use proxima::prelude::*;
 use proxima::stream::StreamConfig;
 use rand::{Rng, SeedableRng};
@@ -66,13 +62,13 @@ fn batch_session_bit_identical_to_bare_analyze_at_every_jobs() {
                 .expect("channel present")
                 .as_ref()
                 .unwrap();
-            let report = analyze(times, &config).expect("bare analysis");
+            let report = config.analyze(times).expect("bare analysis");
             // Bit-identical: the full report round-trips through the
             // verdict, pWCET parameters included.
             assert_eq!(
                 verdict.clone().into_report().unwrap(),
                 report,
-                "jobs={jobs} channel={name} diverged from bare analyze()"
+                "jobs={jobs} channel={name} diverged from bare config.analyze()"
             );
             assert_eq!(
                 verdict.budget_for(1e-12).unwrap(),
@@ -184,47 +180,16 @@ fn adversarial_interleavings_yield_identical_verdicts() {
 }
 
 #[test]
-fn deprecated_analyze_shim_equals_session_and_pipeline() {
-    // Seed chosen to pass the 5%-level i.i.d. gate (fixed seeds keep CI
-    // stable against the gate's 5% false-rejection rate).
-    let times = campaign(1e5, 1500, 1);
-    let config = MbptaConfig::default();
-    let shim = analyze(&times, &config).expect("shim analysis");
-    let object = Pipeline::new(config.clone())
-        .analyze(&times)
-        .expect("pipeline");
-    let verdict = config.clone().session().analyze(&times).expect("session");
-    assert_eq!(shim, object);
-    assert_eq!(verdict.into_report().unwrap(), shim);
-    // Error semantics survive the shim: the session unwraps its channel
-    // scope, so callers still match on the original variants.
-    let constant = vec![500.0; 600];
-    assert!(matches!(
-        analyze(&constant, &config),
-        Err(proxima::mbpta::MbptaError::Stats(_))
-    ));
-    let short = campaign(1e5, 50, 5);
-    assert!(matches!(
-        analyze(&short, &config),
-        Err(proxima::mbpta::MbptaError::CampaignTooSmall { .. })
-    ));
-}
-
-#[test]
-fn deprecated_stream_ext_shim_equals_stream_session() {
+fn single_channel_stream_session_equals_bare_stream_analyzer() {
     let times = campaign(1e5, 3000, 6);
     let stream_config = StreamConfig {
         block_size: 25,
         refit_every_blocks: 4,
         ..StreamConfig::default()
     };
-    // Old way: Pipeline::stream_with.
-    let mut old = Pipeline::default()
-        .stream_with(stream_config.clone())
-        .expect("shim analyzer");
-    old.extend(times.iter().copied()).unwrap();
-    let old_final = old.finish().unwrap();
-    // New way: single-channel streaming session.
+    let mut bare = StreamAnalyzer::new(stream_config.clone()).expect("bare analyzer");
+    bare.extend(times.iter().copied()).unwrap();
+    let bare_final = bare.finish().unwrap();
     let mut session = MbptaConfig::default()
         .session()
         .build_stream_with(stream_config)
@@ -234,8 +199,8 @@ fn deprecated_stream_ext_shim_equals_stream_session() {
     }
     let merged = session.merge();
     let verdict = merged.verdict("only").unwrap().as_ref().unwrap();
-    assert_eq!(verdict.pwcet, old_final.distribution);
-    assert_eq!(verdict.summary.high_watermark, old_final.high_watermark);
+    assert_eq!(verdict.pwcet, bare_final.distribution);
+    assert_eq!(verdict.summary.high_watermark, bare_final.high_watermark);
 }
 
 #[test]
@@ -267,7 +232,7 @@ fn pooled_measurement_feeds_session_like_standalone_campaigns() {
             .unwrap()
             .as_ref()
             .unwrap();
-        let standalone = Pipeline::new(config.clone())
+        let standalone = config
             .analyze(campaign.times())
             .expect("standalone analysis");
         assert_eq!(verdict.clone().into_report().unwrap(), standalone);
@@ -285,13 +250,17 @@ proptest! {
     ) {
         let times = campaign(base, n, seed);
         let config = MbptaConfig::default();
-        let session_outcome = config.clone().session().analyze(&times);
-        let bare_outcome = analyze(&times, &config);
+        // Snapshots off: the property is about the final verdict.
+        let mut session = config.clone().session().snapshot_every(0).build_batch().unwrap();
+        session.extend(times.iter().map(|&x| Tagged::new("campaign", x))).unwrap();
+        let session_outcome = session.merge().into_channels().pop().unwrap().outcome;
+        let bare_outcome = config.analyze(&times);
         match (session_outcome, bare_outcome) {
             (Ok(verdict), Ok(report)) => {
                 prop_assert_eq!(verdict.into_report().unwrap(), report);
             }
-            (Err(se), Err(be)) => prop_assert_eq!(se, be),
+            // The session scopes a channel's error to the channel.
+            (Err(MbptaError::Channel { source, .. }), Err(be)) => prop_assert_eq!(*source, be),
             (s, b) => prop_assert!(
                 false,
                 "outcomes diverged: session={s:?} bare={b:?}"
