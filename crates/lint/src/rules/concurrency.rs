@@ -1,24 +1,23 @@
-//! Rule keeping thread creation confined to the two sanctioned worker
-//! pools, so concurrency (and with it, scheduling nondeterminism) can
+//! Rule keeping thread creation confined to the sanctioned worker
+//! pool, so concurrency (and with it, scheduling nondeterminism) can
 //! only enter the system through code designed for bit-identical
 //! fan-out/fold.
 
 use super::{LintContext, Rule};
 use crate::source::{Finding, SourceFile};
 
-/// The only library files allowed to create threads: the campaign
-/// measurement pool and the serve shard worker pool. Both fold their
-/// results in a deterministic order, so thread scheduling cannot leak
-/// into any answer. Everything else must route work through them (or
-/// carry a justified `allow` — the serve accept loop's connection
-/// fan-out does).
-const SANCTIONED: [&str; 2] = ["crates/core/src/campaign.rs", "crates/serve/src/shard.rs"];
+/// The only library file allowed to create threads: the campaign
+/// measurement pool, which folds its results in run order, so thread
+/// scheduling cannot leak into any answer. Everything else must route
+/// work through it (or carry a justified `allow` — the serve accept
+/// loop's connection fan-out does).
+const SANCTIONED: [&str; 1] = ["crates/core/src/campaign.rs"];
 
 /// `no-thread-spawn-outside-sharding`: `thread::spawn` / `thread::scope`
-/// outside the campaign engine and the serve worker pool. Ad-hoc
-/// threads are where "bit-identical at any `--jobs` / `--workers`"
-/// guarantees go to die: results folded in completion order, shared
-/// state mutated off the mailbox discipline, panics nobody joins.
+/// outside the campaign engine. Ad-hoc threads are where "bit-identical
+/// at any `--jobs` / `--workers`" guarantees go to die: results folded
+/// in completion order, shared state mutated outside its lock, panics
+/// nobody joins.
 pub struct NoThreadSpawnOutsideSharding;
 
 impl Rule for NoThreadSpawnOutsideSharding {
@@ -27,9 +26,8 @@ impl Rule for NoThreadSpawnOutsideSharding {
     }
 
     fn explain(&self) -> &'static str {
-        "thread::spawn/scope outside the campaign pool and the serve \
-         shard pool; route parallelism through a deterministic worker \
-         pool instead"
+        "thread::spawn/scope outside the campaign pool; route \
+         parallelism through a deterministic worker pool instead"
     }
 
     fn check(&self, files: &[SourceFile], _ctx: &LintContext, out: &mut Vec<Finding>) {
@@ -48,9 +46,9 @@ impl Rule for NoThreadSpawnOutsideSharding {
                             path: file.path.clone(),
                             line: idx + 1,
                             message: format!(
-                                "`{needle}` outside the sanctioned worker pools; \
-                                 parallel work must go through the campaign or serve \
-                                 shard pool so its fold order stays deterministic"
+                                "`{needle}` outside the sanctioned worker pool; \
+                                 parallel work must go through the campaign pool so \
+                                 its fold order stays deterministic"
                             ),
                         });
                     }

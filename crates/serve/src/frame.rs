@@ -432,7 +432,7 @@ pub struct ServerStats {
     pub cache_expirations: u64,
     /// Connections refused by admission control with a `Busy` frame.
     pub busy_rejections: u64,
-    /// Analysis worker threads the session is partitioned across.
+    /// Analysis workers the session's channels are partitioned across.
     pub workers: u64,
     /// Per-worker counters, in worker order (format v2).
     pub shards: Vec<ShardStats>,

@@ -13,11 +13,11 @@
 //!   corrupt input maps to typed errors and poisons only its own
 //!   connection.
 //! * [`server`] — the service: a hand-rolled `std::net` accept loop,
-//!   one thread per connection, and a channel-partitioned worker pool
-//!   behind them — each of `--workers N` analysis threads owns its own
-//!   session shard and response cache, channels route to workers by
-//!   name hash, and bounded mailboxes turn overload into backpressure
-//!   instead of drops. Past `--max-conns` the accept loop answers a
+//!   one thread per connection, and `--workers N` channel partitions
+//!   behind them — each worker owns its own session shard and response
+//!   cache behind one mutex, channels route to workers by name hash,
+//!   and a busy worker blocks its callers (backpressure) instead of
+//!   dropping requests. Past `--max-conns` the accept loop answers a
 //!   typed `Busy` frame. INGEST streams tagged batches in,
 //!   SNAPSHOT/VERDICT answer from per-worker fingerprint-keyed caches
 //!   (the envelope verdict fans out and folds per-worker partials),

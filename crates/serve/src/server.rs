@@ -1,13 +1,13 @@
 //! The analysis service: a framed-TCP front end over a **sharded**
 //! session core.
 //!
-//! The server partitions channels across `workers` analysis threads
+//! The server partitions channels across `workers` analysis workers
 //! (the private `shard` module): each worker owns its own
 //! `AnalysisSession<StreamFactory>`, verdict cache and latest-snapshot
-//! map, and a channel's owner is FNV-1a of its tag mod the worker
-//! count. Connection threads talk to workers through bounded mailboxes
-//! — a slow worker blocks its senders (backpressure) instead of
-//! dropping or reordering requests. Ingest frames append through the
+//! map behind one mutex, and a channel's owner is FNV-1a of its tag
+//! mod the worker count. Connection threads lock the owning worker and
+//! call it directly — a busy worker blocks its callers (backpressure)
+//! instead of dropping requests. Ingest frames append through the
 //! same `push_batch` hot path the CLI feeder uses; SNAPSHOT answers
 //! from the owner's latest emitted estimate; VERDICT finalizes a
 //! **clone** of the owner's session (or fans out and folds per-worker
@@ -37,20 +37,20 @@
 //! Everything is hand-rolled on `std::net` — no async runtime, no
 //! external dependencies, fully offline-safe.
 
+use std::collections::BTreeMap;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use proxima_mbpta::persist::{self, Decode, Encode, Reader, Writer};
 use proxima_mbpta::{AnalysisSession, BlockSpec, MbptaConfig};
 use proxima_stream::{SessionStreamExt, StreamConfig, StreamFactory};
 
-use crate::cache::{config_fingerprint, VerdictCache};
 use crate::frame::{read_frame, write_frame, Request, Response, ServerStats};
-use crate::shard::{repartition, ShardedSession, WorkerContext, WorkerSeed};
+use crate::shard::{repartition, ShardedSession};
 
 /// Magic for the server's checkpoint **manifest**: `PXSV`
 /// ("proxima server"). The manifest carries the serve parameters, the
@@ -80,15 +80,15 @@ pub struct ServeConfig {
     /// their worker (`0` disables expiry). Logical ticks, never wall
     /// clock — see [`crate::cache`].
     pub cache_ttl: u64,
-    /// Analysis worker threads; channels are partitioned across them
-    /// by name hash. Must be at least 1. Responses are bit-identical
-    /// at any value.
+    /// Analysis workers: channels are partitioned across them by name
+    /// hash, and each worker serves its requests one at a time. Must be
+    /// at least 1. Responses are bit-identical at any value.
     pub workers: usize,
     /// Concurrent connection bound; past it new connections get a
     /// typed `Busy` frame (`0` = unlimited).
     pub max_conns: usize,
     /// Threads for finalize fan-out inside each worker's session (`0`
-    /// = sequential; results are identical either way).
+    /// = all cores; results are identical at any value).
     pub jobs: usize,
     /// Abort the process once the session holds at least this many
     /// measurements — crash-injection for restart drills; never set it
@@ -136,8 +136,7 @@ pub enum ServeError {
     Config(String),
     /// Socket or checkpoint-file I/O failed.
     Io(String),
-    /// The analysis core rejected a request, blob, or checkpoint — or
-    /// an analysis worker is gone.
+    /// The analysis core rejected a request, blob, or checkpoint.
     Analysis(String),
     /// A shared-state mutex was poisoned: a connection thread panicked
     /// while holding it, so the protected state cannot be trusted. The
@@ -189,8 +188,11 @@ struct Shared {
     config: ServeConfig,
     counters: Counters,
     shutdown: AtomicBool,
-    /// Connections currently being served (admission control).
-    active_conns: AtomicU64,
+    /// A second handle of every connection being served, keyed by its
+    /// connection number. Its size is the admission-control load, and
+    /// shutdown closes each read side so an idle client cannot keep
+    /// the server alive.
+    open_conns: Mutex<BTreeMap<u64, TcpStream>>,
     checkpoint: Mutex<CheckpointCursor>,
     addr: SocketAddr,
 }
@@ -218,7 +220,6 @@ struct Counters {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    workers: Vec<thread::JoinHandle<()>>,
 }
 
 /// Acquire a shared-state mutex, surfacing poison as a typed
@@ -232,6 +233,16 @@ pub(crate) fn lock<'a, T>(
     what: &'static str,
 ) -> Result<MutexGuard<'a, T>, ServeError> {
     m.lock().map_err(|_| ServeError::Poisoned(what))
+}
+
+/// The open-connection map. Its critical sections only insert, remove,
+/// count or shut down handles — none of which panics — so poison can
+/// never guard a half-applied update and is ignored.
+fn open_conns(shared: &Shared) -> MutexGuard<'_, BTreeMap<u64, TcpStream>> {
+    shared
+        .open_conns
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A fresh worker session: the session scheduler stays off
@@ -252,10 +263,6 @@ fn new_worker_session(config: &ServeConfig) -> Result<AnalysisSession<StreamFact
     .build_stream_with(config.stream.clone())?)
 }
 
-fn fresh_cache(config: &ServeConfig) -> VerdictCache {
-    VerdictCache::with_ttl(config.cache_capacity, config.cache_ttl)
-}
-
 impl Server {
     /// Bind a fresh sharded session on `addr` (use port 0 to let the
     /// OS pick; read the port back from [`local_addr`](Self::local_addr)).
@@ -267,17 +274,13 @@ impl Server {
     /// failure.
     pub fn bind(addr: &str, config: ServeConfig) -> Result<Server, ServeError> {
         validate(&config)?;
-        let mut seeds = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            seeds.push(WorkerSeed {
-                session: new_worker_session(&config)?,
-                cache: fresh_cache(&config),
-            });
-        }
+        let sessions = (0..config.workers)
+            .map(|_| new_worker_session(&config))
+            .collect::<Result<_, _>>()?;
         Server::start(
             addr,
             config,
-            seeds,
+            sessions,
             Vec::new(),
             0,
             CheckpointCursor {
@@ -376,17 +379,10 @@ impl Server {
         } else {
             repartition(&sessions, target, || new_worker_session(&config))?
         };
-        let seeds = sessions
-            .into_iter()
-            .map(|session| WorkerSeed {
-                session,
-                cache: fresh_cache(&config),
-            })
-            .collect();
         Server::start(
             addr,
             config,
-            seeds,
+            sessions,
             order,
             total,
             CheckpointCursor {
@@ -399,7 +395,7 @@ impl Server {
     fn start(
         addr: &str,
         config: ServeConfig,
-        seeds: Vec<WorkerSeed>,
+        sessions: Vec<AnalysisSession<StreamFactory>>,
         channel_order: Vec<String>,
         total: u64,
         cursor: CheckpointCursor,
@@ -407,28 +403,16 @@ impl Server {
         let listener = TcpListener::bind(addr)
             .map_err(|e| ServeError::Io(format!("cannot bind {addr}: {e}")))?;
         let addr = listener.local_addr()?;
-        // Anything that changes what a query would answer goes into the
-        // fingerprint; progress counters go into each key instead.
-        let ctx = WorkerContext {
-            stream: config.stream.clone(),
-            snapshot_every: config.snapshot_every,
-            fingerprint: config_fingerprint(&[&config.stream, &config.snapshot_every]),
-        };
-        let (sharded, workers) = ShardedSession::spawn(seeds, channel_order, total, &ctx);
         let shared = Arc::new(Shared {
-            sharded,
+            sharded: ShardedSession::new(sessions, channel_order, total, &config),
             config,
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
-            active_conns: AtomicU64::new(0),
+            open_conns: Mutex::new(BTreeMap::new()),
             checkpoint: Mutex::new(cursor),
             addr,
         });
-        Ok(Server {
-            listener,
-            shared,
-            workers,
-        })
+        Ok(Server { listener, shared })
     }
 
     /// The bound address (resolves port 0).
@@ -436,20 +420,17 @@ impl Server {
         self.shared.addr
     }
 
-    /// Run the accept loop until a client sends `Shutdown`. In-flight
-    /// connections drain and the analysis workers join before this
-    /// returns.
+    /// Run the accept loop until a client sends `Shutdown`. Open
+    /// connections then stop reading: a request in flight still gets
+    /// its answer, an idle connection is closed, and every connection
+    /// thread joins before this returns.
     ///
     /// # Errors
     ///
     /// Currently infallible; the `Result` reserves room for fatal
     /// accept-loop failures.
     pub fn run(self) -> Result<(), ServeError> {
-        let Server {
-            listener,
-            shared,
-            workers,
-        } = self;
+        let Server { listener, shared } = self;
         let mut handles: Vec<thread::JoinHandle<()>> = Vec::new();
         for conn in listener.incoming() {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -462,39 +443,41 @@ impl Server {
             // Admission control: past the bound, answer a typed Busy
             // farewell instead of queueing work we cannot serve soon.
             // Only the accept loop admits, so load-then-admit is
-            // race-free; connection threads only ever decrement.
+            // race-free; connection threads only ever remove themselves.
             let limit = shared.config.max_conns as u64;
-            if limit > 0 {
-                let active = shared.active_conns.load(Ordering::SeqCst);
-                if active >= limit {
-                    shared
-                        .counters
-                        .busy_rejections
-                        .fetch_add(1, Ordering::SeqCst);
-                    reject_busy(stream, active, limit);
-                    continue;
-                }
+            let active = open_conns(&shared).len() as u64;
+            if limit > 0 && active >= limit {
+                shared
+                    .counters
+                    .busy_rejections
+                    .fetch_add(1, Ordering::SeqCst);
+                reject_busy(stream, active, limit);
+                continue;
             }
-            shared.counters.connections.fetch_add(1, Ordering::SeqCst);
-            shared.active_conns.fetch_add(1, Ordering::SeqCst);
+            let id = shared.counters.connections.fetch_add(1, Ordering::SeqCst);
+            let Ok(handle) = stream.try_clone() else {
+                continue;
+            };
+            open_conns(&shared).insert(id, handle);
             let shared = Arc::clone(&shared);
             handles.retain(|h| !h.is_finished());
             // proxima-lint: allow(no-thread-spawn-outside-sharding) -- connection
-            // fan-out of the serve front end; analysis work still runs
-            // only on the sharded worker pool.
+            // fan-out of the serve front end; analysis runs under the
+            // owning worker's lock, and answers depend only on each
+            // channel's own feed.
             handles.push(thread::spawn(move || {
                 serve_connection(stream, &shared);
-                shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+                open_conns(&shared).remove(&id);
             }));
+        }
+        // An idle connection blocks in `read_frame` until its client
+        // hangs up; closing the read side ends it now, and a request
+        // in flight still writes its answer.
+        for conn in open_conns(&shared).values() {
+            let _ = conn.shutdown(Shutdown::Read);
         }
         for handle in handles {
             let _ = handle.join();
-        }
-        // Dropping the dispatcher closes every mailbox; workers drain
-        // and exit.
-        drop(shared);
-        for worker in workers {
-            let _ = worker.join();
         }
         Ok(())
     }
@@ -530,11 +513,8 @@ fn reject_busy(stream: TcpStream, active: u64, limit: u64) {
 
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = BufReader::new(&stream);
+    let mut writer = BufWriter::new(&stream);
     loop {
         match read_frame(&mut reader) {
             // Peer hung up cleanly between frames.
@@ -597,7 +577,7 @@ fn handle(shared: &Shared, request: Request) -> (Vec<u8>, bool) {
     match request {
         Request::Ingest { channel, values } => {
             counters.frames_ingest.fetch_add(1, Ordering::SeqCst);
-            (handle_ingest(shared, &channel, values), false)
+            (handle_ingest(shared, &channel, &values), false)
         }
         Request::Snapshot { channel } => {
             counters.frames_snapshot.fetch_add(1, Ordering::SeqCst);
@@ -617,7 +597,7 @@ fn handle(shared: &Shared, request: Request) -> (Vec<u8>, bool) {
         }
         Request::Merge { channel, blob } => {
             counters.frames_merge.fetch_add(1, Ordering::SeqCst);
-            (handle_merge(shared, &channel, blob), false)
+            (handle_merge(shared, &channel, &blob), false)
         }
         Request::Checkpoint => {
             counters.frames_admin.fetch_add(1, Ordering::SeqCst);
@@ -661,7 +641,7 @@ fn error_response(message: impl Into<String>) -> Vec<u8> {
     .encode()
 }
 
-fn handle_ingest(shared: &Shared, channel: &str, values: Vec<f64>) -> Vec<u8> {
+fn handle_ingest(shared: &Shared, channel: &str, values: &[f64]) -> Vec<u8> {
     let reply = match shared.sharded.ingest(channel, values) {
         Ok(reply) => reply,
         Err(e) => return error_response(e.to_string()),
@@ -677,7 +657,7 @@ fn handle_ingest(shared: &Shared, channel: &str, values: Vec<f64>) -> Vec<u8> {
     .encode()
 }
 
-fn handle_merge(shared: &Shared, channel: &str, blob: Vec<u8>) -> Vec<u8> {
+fn handle_merge(shared: &Shared, channel: &str, blob: &[u8]) -> Vec<u8> {
     let reply = match shared.sharded.merge(channel, blob) {
         Ok(reply) => reply,
         Err(e) => return error_response(e.to_string()),
@@ -1193,6 +1173,24 @@ mod tests {
         for file in generations {
             let _ = std::fs::remove_file(dir.join(file));
         }
+    }
+
+    #[test]
+    fn shutdown_closes_idle_connections() {
+        let (addr, handle) = start(ServeConfig::default());
+        let idle = TcpStream::connect(addr).unwrap();
+        let mut client = ServeClient::connect(addr).unwrap();
+        // Served, so the accept loop has taken the idle socket too.
+        client.stats().unwrap();
+        client.shutdown().unwrap();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || tx.send(handle.join()));
+        let joined = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("an idle connection must not keep the server running");
+        joined.unwrap().unwrap();
+        drop(idle);
     }
 
     #[test]

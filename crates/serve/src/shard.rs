@@ -2,18 +2,25 @@
 //!
 //! One mutex-guarded session serializes every request; the federated
 //! fold already proves channels are independent, so the serve layer
-//! partitions them instead. A [`ShardedSession`] owns N **worker
-//! threads**, each holding its own [`AnalysisSession`], its own
-//! [`VerdictCache`] and its own latest-snapshot map. A channel's owner
-//! is a pure function of its name — FNV-1a of the tag mod the worker
-//! count ([`owner_of`]) — so two requests contend only when they touch
-//! channels that hash to the same worker.
+//! partitions them instead. A [`ShardedSession`] owns N **workers**,
+//! each behind its own mutex and holding its own [`AnalysisSession`],
+//! its own [`VerdictCache`] and its own latest-snapshot map. A
+//! channel's owner is a pure function of its name — FNV-1a of the tag
+//! mod the worker count ([`owner_of`]) — so two requests contend only
+//! when they touch channels that hash to the same worker.
 //!
-//! Connection handlers talk to workers through **bounded mailboxes**
-//! (`std::sync::mpsc::sync_channel` of depth [`MAILBOX_DEPTH`]). A full
-//! mailbox blocks the sender — backpressure propagates to the TCP
-//! connection, and no request is ever dropped or reordered within a
-//! worker. Each request carries its own rendezvous reply channel.
+//! Connection threads lock the owning worker and call it directly.
+//! Requests to one worker run one at a time: a busy worker blocks its
+//! callers — backpressure propagates to the TCP connection, and no
+//! request is ever dropped.
+//!
+//! # Lock discipline
+//!
+//! A thread holding a worker lock takes no other lock. Requests that
+//! span every worker (the envelope VERDICT, STATS and the checkpoint)
+//! lock the workers one at a time in index order; the checkpoint may
+//! hold its cursor while it does. A poisoned worker lock answers
+//! [`ServeError::Poisoned`].
 //!
 //! # The worker-count invariance contract
 //!
@@ -39,22 +46,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
-use std::thread;
+use std::sync::{Mutex, MutexGuard};
 
 use proxima_mbpta::engine::Engine as _;
 use proxima_mbpta::persist::{self, Decode, Encode, Reader, Writer};
 use proxima_mbpta::{AnalysisSession, Verdict};
 use proxima_stream::{StreamConfig, StreamEngine, StreamFactory};
 
-use crate::cache::{query_key, VerdictCache};
+use crate::cache::{config_fingerprint, query_key, VerdictCache};
 use crate::frame::{Response, ShardStats, WireSnapshot};
-use crate::server::{lock, ServeError};
-
-/// Bound on each worker's request mailbox. A full mailbox blocks the
-/// sending connection thread (backpressure), it never drops requests.
-pub const MAILBOX_DEPTH: usize = 32;
+use crate::server::{lock, ServeConfig, ServeError};
 
 /// Cache-key kinds (folded into [`query_key`]).
 const KIND_SNAPSHOT: u8 = 2;
@@ -72,28 +73,9 @@ pub(crate) fn owner_of(channel: &str, workers: usize) -> usize {
     (persist::fnv1a(channel.as_bytes()) % workers as u64) as usize
 }
 
-fn worker_gone(index: usize) -> ServeError {
-    ServeError::Analysis(format!(
-        "analysis worker {index} is unavailable (panicked or shut down)"
-    ))
-}
-
-/// Everything a worker thread needs beyond its session.
-#[derive(Clone)]
-pub(crate) struct WorkerContext {
-    /// Streaming-engine knobs, for adopting federated blobs.
-    pub stream: StreamConfig,
-    /// Serve-layer per-channel snapshot cadence (0 = announcements
-    /// only).
-    pub snapshot_every: usize,
-    /// Analysis-configuration fingerprint folded into cache keys.
-    pub fingerprint: u64,
-}
-
-/// One worker's starting state.
-pub(crate) struct WorkerSeed {
-    pub session: AnalysisSession<StreamFactory>,
-    pub cache: VerdictCache,
+/// Lock one worker, surfacing poison as a typed error.
+fn lock_worker(worker: &Mutex<Worker>) -> Result<MutexGuard<'_, Worker>, ServeError> {
+    lock(worker, "analysis worker")
 }
 
 /// What an ingest did, from the owning worker's point of view.
@@ -110,43 +92,6 @@ struct IngestOutcome {
 struct MergeOutcome {
     channel_len: u64,
     delta: u64,
-}
-
-/// A request in a worker's mailbox. Every variant carries a rendezvous
-/// reply sender; the worker never initiates communication.
-enum Job {
-    Ingest {
-        channel: String,
-        values: Vec<f64>,
-        reply: SyncSender<Result<IngestOutcome, ServeError>>,
-    },
-    Merge {
-        channel: String,
-        blob: Vec<u8>,
-        reply: SyncSender<Result<MergeOutcome, ServeError>>,
-    },
-    /// Reply: the full encoded [`Response::Snapshot`].
-    Snapshot {
-        channel: String,
-        reply: SyncSender<Vec<u8>>,
-    },
-    /// Reply: the full encoded [`Response::Verdicts`] for one channel.
-    VerdictChannel {
-        channel: String,
-        p: f64,
-        reply: SyncSender<Vec<u8>>,
-    },
-    /// Reply: the worker's encoded all-channel verdict partial.
-    VerdictAll {
-        reply: SyncSender<Vec<u8>>,
-    },
-    Stats {
-        reply: SyncSender<ShardStats>,
-    },
-    /// Reply: the worker session's sealed checkpoint blob.
-    Checkpoint {
-        reply: SyncSender<Result<Vec<u8>, ServeError>>,
-    },
 }
 
 /// Global first-seen channel order plus a membership set, guarded by
@@ -169,10 +114,10 @@ pub(crate) struct MergeReply {
     pub total: u64,
 }
 
-/// The channel-partitioned session engine: N workers behind bounded
-/// mailboxes, one global channel registry, one global total.
+/// The channel-partitioned session engine: N mutex-guarded workers,
+/// one global channel registry, one global total.
 pub(crate) struct ShardedSession {
-    senders: Vec<SyncSender<Job>>,
+    workers: Vec<Mutex<Worker>>,
     registry: Mutex<Registry>,
     /// Session-wide measurement count (sum of worker deltas). The
     /// single source for every `total` a response reports.
@@ -181,53 +126,46 @@ pub(crate) struct ShardedSession {
 }
 
 impl ShardedSession {
-    /// Spawn one worker thread per seed and return the dispatcher plus
-    /// the worker join handles (joined by the server after the accept
-    /// loop drains; workers exit when the dispatcher drops).
-    pub(crate) fn spawn(
-        seeds: Vec<WorkerSeed>,
+    /// One worker per session, each with a fresh cache sized by
+    /// `config`; `channel_order` and `total` seed the global registry
+    /// and counter.
+    pub(crate) fn new(
+        sessions: Vec<AnalysisSession<StreamFactory>>,
         channel_order: Vec<String>,
         total: u64,
-        ctx: &WorkerContext,
-    ) -> (ShardedSession, Vec<thread::JoinHandle<()>>) {
-        let mut senders = Vec::with_capacity(seeds.len());
-        let mut handles = Vec::with_capacity(seeds.len());
-        for seed in seeds {
-            let (tx, rx) = sync_channel::<Job>(MAILBOX_DEPTH);
-            let mut worker = Worker {
-                session: seed.session,
-                cache: seed.cache,
-                latest: HashMap::new(),
-                stream: ctx.stream.clone(),
-                snapshot_every: ctx.snapshot_every,
-                fingerprint: ctx.fingerprint,
-            };
-            senders.push(tx);
-            handles.push(thread::spawn(move || worker.run(&rx)));
-        }
+        config: &ServeConfig,
+    ) -> ShardedSession {
+        // Anything that changes what a query would answer goes into the
+        // fingerprint; progress counters go into each key instead.
+        let fingerprint = config_fingerprint(&[&config.stream, &config.snapshot_every]);
+        let workers = sessions
+            .into_iter()
+            .map(|session| {
+                Mutex::new(Worker {
+                    session,
+                    cache: VerdictCache::with_ttl(config.cache_capacity, config.cache_ttl),
+                    latest: HashMap::new(),
+                    stream: config.stream.clone(),
+                    snapshot_every: config.snapshot_every,
+                    fingerprint,
+                })
+            })
+            .collect();
         let known = channel_order.iter().cloned().collect();
-        let sharded = ShardedSession {
-            senders,
+        ShardedSession {
+            workers,
             registry: Mutex::new(Registry {
                 order: channel_order,
                 known,
             }),
             total: AtomicU64::new(total),
             last_checkpoint_at: AtomicU64::new(total),
-        };
-        (sharded, handles)
+        }
     }
 
-    fn owner(&self, channel: &str) -> usize {
-        owner_of(channel, self.senders.len())
-    }
-
-    /// Send one job to worker `index`; the mailbox bound makes this
-    /// block (never drop) when the worker is behind.
-    fn send(&self, index: usize, job: Job) -> Result<(), ServeError> {
-        self.senders[index]
-            .send(job)
-            .map_err(|_| worker_gone(index))
+    /// Lock the worker that owns `channel`.
+    fn owner(&self, channel: &str) -> Result<MutexGuard<'_, Worker>, ServeError> {
+        lock_worker(&self.workers[owner_of(channel, self.workers.len())])
     }
 
     fn record_channel(&self, channel: &str) -> Result<(), ServeError> {
@@ -240,22 +178,8 @@ impl ShardedSession {
 
     /// Route an ingest to the channel's owner and fold its delta into
     /// the global total.
-    pub(crate) fn ingest(
-        &self,
-        channel: &str,
-        values: Vec<f64>,
-    ) -> Result<IngestReply, ServeError> {
-        let index = self.owner(channel);
-        let (tx, rx) = sync_channel(1);
-        self.send(
-            index,
-            Job::Ingest {
-                channel: channel.to_string(),
-                values,
-                reply: tx,
-            },
-        )?;
-        let outcome = rx.recv().map_err(|_| worker_gone(index))??;
+    pub(crate) fn ingest(&self, channel: &str, values: &[f64]) -> Result<IngestReply, ServeError> {
+        let outcome = self.owner(channel)?.ingest(channel, values)?;
         if outcome.new_channel {
             self.record_channel(channel)?;
         }
@@ -268,18 +192,8 @@ impl ShardedSession {
     }
 
     /// Route a federated-blob adoption to the channel's owner.
-    pub(crate) fn merge(&self, channel: &str, blob: Vec<u8>) -> Result<MergeReply, ServeError> {
-        let index = self.owner(channel);
-        let (tx, rx) = sync_channel(1);
-        self.send(
-            index,
-            Job::Merge {
-                channel: channel.to_string(),
-                blob,
-                reply: tx,
-            },
-        )?;
-        let outcome = rx.recv().map_err(|_| worker_gone(index))??;
+    pub(crate) fn merge(&self, channel: &str, blob: &[u8]) -> Result<MergeReply, ServeError> {
+        let outcome = self.owner(channel)?.merge(channel, blob)?;
         self.record_channel(channel)?;
         let before = self.total.fetch_add(outcome.delta, Ordering::SeqCst);
         Ok(MergeReply {
@@ -291,90 +205,45 @@ impl ShardedSession {
     /// Answer a snapshot query from the owning worker's latest map and
     /// cache. Returns the encoded response.
     pub(crate) fn snapshot(&self, channel: &str) -> Result<Vec<u8>, ServeError> {
-        let index = self.owner(channel);
-        let (tx, rx) = sync_channel(1);
-        self.send(
-            index,
-            Job::Snapshot {
-                channel: channel.to_string(),
-                reply: tx,
-            },
-        )?;
-        rx.recv().map_err(|_| worker_gone(index))
+        Ok(self.owner(channel)?.snapshot(channel))
     }
 
     /// Answer a verdict query: routed to the owner for one channel,
     /// fanned out and folded for the envelope. Returns the encoded
     /// response.
     pub(crate) fn verdict(&self, p: f64, channel: Option<&str>) -> Result<Vec<u8>, ServeError> {
-        match channel {
-            Some(name) => {
-                let known = lock(&self.registry, "channel registry")?
-                    .known
-                    .contains(name);
-                if !known {
-                    return Err(ServeError::Analysis(format!("unknown channel `{name}`")));
-                }
-                let index = self.owner(name);
-                let (tx, rx) = sync_channel(1);
-                self.send(
-                    index,
-                    Job::VerdictChannel {
-                        channel: name.to_string(),
-                        p,
-                        reply: tx,
-                    },
-                )?;
-                rx.recv().map_err(|_| worker_gone(index))
+        if let Some(name) = channel {
+            let known = lock(&self.registry, "channel registry")?
+                .known
+                .contains(name);
+            if !known {
+                return Err(ServeError::Analysis(format!("unknown channel `{name}`")));
             }
-            None => {
-                // Fan out first, then collect: workers finalize their
-                // partials concurrently.
-                let mut replies = Vec::with_capacity(self.senders.len());
-                for index in 0..self.senders.len() {
-                    let (tx, rx) = sync_channel(1);
-                    self.send(index, Job::VerdictAll { reply: tx })?;
-                    replies.push(rx);
-                }
-                let mut partials = Vec::with_capacity(replies.len());
-                for (index, rx) in replies.into_iter().enumerate() {
-                    let bytes = rx.recv().map_err(|_| worker_gone(index))?;
-                    partials.push(decode_partial(&bytes)?);
-                }
-                let order = lock(&self.registry, "channel registry")?.order.clone();
-                Ok(fold_verdicts(p, &order, partials).encode())
-            }
+            return Ok(self.owner(name)?.verdict_channel(name, p));
         }
+        let mut partials = Vec::with_capacity(self.workers.len());
+        for worker in &self.workers {
+            let bytes = lock_worker(worker)?.verdict_partial();
+            partials.push(decode_partial(&bytes)?);
+        }
+        let order = lock(&self.registry, "channel registry")?.order.clone();
+        Ok(fold_verdicts(p, &order, partials).encode())
     }
 
     /// Per-worker counters, in worker order.
     pub(crate) fn shard_stats(&self) -> Result<Vec<ShardStats>, ServeError> {
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for index in 0..self.senders.len() {
-            let (tx, rx) = sync_channel(1);
-            self.send(index, Job::Stats { reply: tx })?;
-            replies.push(rx);
-        }
-        let mut stats = Vec::with_capacity(replies.len());
-        for (index, rx) in replies.into_iter().enumerate() {
-            stats.push(rx.recv().map_err(|_| worker_gone(index))?);
-        }
-        Ok(stats)
+        self.workers
+            .iter()
+            .map(|worker| Ok(lock_worker(worker)?.stats()))
+            .collect()
     }
 
     /// One sealed session blob per worker, in worker order.
     pub(crate) fn checkpoint_blobs(&self) -> Result<Vec<Vec<u8>>, ServeError> {
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for index in 0..self.senders.len() {
-            let (tx, rx) = sync_channel(1);
-            self.send(index, Job::Checkpoint { reply: tx })?;
-            replies.push(rx);
-        }
-        let mut blobs = Vec::with_capacity(replies.len());
-        for (index, rx) in replies.into_iter().enumerate() {
-            blobs.push(rx.recv().map_err(|_| worker_gone(index))??);
-        }
-        Ok(blobs)
+        self.workers
+            .iter()
+            .map(|worker| Ok(lock_worker(worker)?.session.checkpoint()?))
+            .collect()
     }
 
     /// Global first-seen channel order (for the checkpoint manifest).
@@ -485,12 +354,13 @@ fn decode_partial(bytes: &[u8]) -> Result<Vec<ChannelPartial>, ServeError> {
     Ok(channels)
 }
 
-/// Fold per-worker partials into the all-channel verdict response,
-/// replicating `SessionVerdict::envelope_budget` exactly: channels in
-/// global first-seen order, the envelope the maximum budget over ok
-/// channels (strict `>`, so ties keep the earlier channel), the first
-/// budget error aborting the scan, and the no-ok-channel fallback
-/// reporting the first channel's error.
+/// Fold per-worker partials into a verdict response (the all-channel
+/// envelope, or one channel's own answer), replicating
+/// `SessionVerdict::envelope_budget` exactly: channels in global
+/// first-seen order, the envelope the maximum budget over ok channels
+/// (strict `>`, so ties keep the earlier channel), the first budget
+/// error aborting the scan, and the no-ok-channel fallback reporting
+/// the first channel's error.
 fn fold_verdicts(
     p: f64,
     order: &[String],
@@ -549,8 +419,9 @@ fn fold_verdicts(
     }
 }
 
-/// One worker: an owned session, cache and latest-snapshot map, driven
-/// by its mailbox until every sender is gone.
+/// One worker: an owned session, cache and latest-snapshot map. It
+/// lives behind its own mutex in [`ShardedSession`], so its methods
+/// run one request at a time.
 struct Worker {
     session: AnalysisSession<StreamFactory>,
     cache: VerdictCache,
@@ -564,42 +435,6 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(&mut self, mailbox: &Receiver<Job>) {
-        while let Ok(job) = mailbox.recv() {
-            match job {
-                Job::Ingest {
-                    channel,
-                    values,
-                    reply,
-                } => {
-                    let _ = reply.send(self.ingest(&channel, &values));
-                }
-                Job::Merge {
-                    channel,
-                    blob,
-                    reply,
-                } => {
-                    let _ = reply.send(self.merge(&channel, &blob));
-                }
-                Job::Snapshot { channel, reply } => {
-                    let _ = reply.send(self.snapshot(&channel));
-                }
-                Job::VerdictChannel { channel, p, reply } => {
-                    let _ = reply.send(self.verdict_channel(&channel, p));
-                }
-                Job::VerdictAll { reply } => {
-                    let _ = reply.send(self.verdict_partial());
-                }
-                Job::Stats { reply } => {
-                    let _ = reply.send(self.stats());
-                }
-                Job::Checkpoint { reply } => {
-                    let _ = reply.send(self.session.checkpoint().map_err(ServeError::from));
-                }
-            }
-        }
-    }
-
     /// The channel's accepted count, 0 for a channel this worker has
     /// never seen. (`AnalysisSession::channel` would *create* the
     /// channel, hence the membership check first.)
@@ -721,21 +556,12 @@ impl Worker {
             }
             .encode();
         };
-        let channels = vec![(
-            channel.to_string(),
-            outcome.clone().map_err(|e| e.to_string()),
-        )];
-        let envelope = channels[0]
-            .1
-            .as_ref()
-            .map_err(Clone::clone)
-            .and_then(|verdict| verdict.budget_for(p).map_err(|e| e.to_string()))
-            .map(|budget| (channel.to_string(), budget));
-        let response = Response::Verdicts {
+        let outcome = outcome.clone().map_err(|e| e.to_string());
+        let response = fold_verdicts(
             p,
-            channels,
-            envelope,
-        }
+            &[channel.to_string()],
+            vec![vec![(channel.to_string(), outcome)]],
+        )
         .encode();
         self.cache.insert(key, response.clone());
         response
@@ -846,6 +672,32 @@ mod tests {
             panic!("fold produced a non-verdict response");
         };
         assert_eq!(envelope.unwrap_err(), "first failed");
+    }
+
+    /// The one-channel VERDICT goes through the same fold: its
+    /// envelope is the channel's own budget, budget error or channel
+    /// error, exactly as the single-session scan reports them.
+    #[test]
+    fn fold_of_a_single_channel_is_that_channels_outcome() {
+        let one = |p: f64, outcome: Result<Verdict, String>| {
+            let order = ["solo".to_string()];
+            match fold_verdicts(p, &order, vec![vec![("solo".to_string(), outcome)]]) {
+                Response::Verdicts { envelope, .. } => envelope,
+                other => panic!("fold produced {other:?}"),
+            }
+        };
+
+        let (winner, budget) = one(1e-12, Ok(sample_verdict(150.0))).unwrap();
+        assert_eq!(winner, "solo");
+        let direct = sample_verdict(150.0).budget_for(1e-12).unwrap();
+        assert_eq!(budget.to_bits(), direct.to_bits(), "budget is bit-exact");
+
+        let failed = one(1e-12, Err("solo failed".to_string()));
+        assert_eq!(failed.unwrap_err(), "solo failed");
+
+        let budget_error = sample_verdict(150.0).budget_for(2.0).unwrap_err();
+        let envelope = one(2.0, Ok(sample_verdict(150.0)));
+        assert_eq!(envelope.unwrap_err(), budget_error.to_string());
     }
 
     #[test]

@@ -142,10 +142,11 @@ OPTIONS (serve):
   --block <n>            block size for block maxima          [50]
   --every <k>            per-channel snapshot cadence         [250]
   --sketch <gk|kll>      quantile-sketch algorithm            [gk]
-  --workers <w>          analysis worker threads; channels are
+  --workers <w>          analysis workers; channels are
                          partitioned across workers by name hash,
-                         and every response is bit-identical at
-                         every worker count                   [1]
+                         each worker serves one request at a
+                         time, and every response is bit-identical
+                         at every worker count                [1]
   --max-conns <n>        concurrent-connection bound; excess
                          connections get a typed BUSY frame
                          (0 = unbounded)                      [0]

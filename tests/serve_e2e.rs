@@ -4,9 +4,11 @@
 //! What must hold, per the service's contract:
 //!
 //! * **Soak**: ≥200 concurrent client connections interleaving
-//!   INGEST / SNAPSHOT / STATS / MERGE frames leave the server with
-//!   exactly the expected deterministic counters (no wall-clock
-//!   assertions), bounded cache occupancy, and per-channel verdicts
+//!   INGEST / SNAPSHOT / STATS / MERGE frames — while a few more loop
+//!   the requests that lock every worker (envelope VERDICT, STATS,
+//!   CHECKPOINT) — leave the server with exactly the expected
+//!   deterministic counters (no wall-clock assertions), bounded cache
+//!   occupancy, no error frame, and per-channel verdicts
 //!   **bit-identical** to an offline [`AnalysisSession`] replay of the
 //!   same per-channel feeds.
 //! * **Isolation**: hostile bytes on one connection close only that
@@ -22,6 +24,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use proxima::mbpta::engine::Engine;
@@ -146,23 +149,66 @@ const INGEST_CLIENTS: usize = 200;
 const MERGE_CLIENTS: usize = 8;
 const PER_CHANNEL: usize = 550;
 const PER_SHARD_CHANNEL: usize = 600;
+/// Clients that loop the all-worker requests during the feed, each for
+/// at least [`MIN_SPAN_ROUNDS`] rounds and until every feeder is done.
+const SPAN_CLIENTS: usize = 3;
+const MIN_SPAN_ROUNDS: usize = 2;
+
+/// Counts a feeder out when its thread ends, panics included, so the
+/// spanning clients never wait on a feeder that died.
+struct Feeding<'a>(&'a AtomicUsize);
+
+impl Drop for Feeding<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// One soak round at `workers` analysis workers: ≥200 concurrent
 /// connections interleaving INGEST, SNAPSHOT, STATS, VERDICT and MERGE,
-/// with the deterministic counters balanced exactly afterwards. Returns
-/// the final envelope verdict for cross-run diffing.
+/// plus [`SPAN_CLIENTS`] looping envelope VERDICT, STATS and CHECKPOINT
+/// while auto-checkpoints fire, with the deterministic counters
+/// balanced exactly afterwards. Returns the final envelope verdict for
+/// cross-run diffing.
 fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
+    let dir = std::env::temp_dir().join("proxima_serve_e2e");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let stem = format!("soak_{}_w{workers}.ck", std::process::id());
     let config = ServeConfig {
         workers,
+        checkpoint_path: Some(dir.join(&stem)),
+        checkpoint_every: 5000,
         ..serve_config()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
     let handle = server.spawn();
 
-    thread::scope(|s| {
+    let feeding = AtomicUsize::new(INGEST_CLIENTS + MERGE_CLIENTS);
+    let span_rounds: usize = thread::scope(|s| {
+        let feeding = &feeding;
+        let spanners: Vec<_> = (0..SPAN_CLIENTS)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut client = connect(addr);
+                    let mut rounds = 0;
+                    while rounds < MIN_SPAN_ROUNDS || feeding.load(Ordering::SeqCst) > 0 {
+                        let (wire, _) =
+                            verdict_map(client.verdict(1e-12, None).expect("envelope verdict"));
+                        assert!(wire.len() <= INGEST_CLIENTS + MERGE_CLIENTS);
+                        let stats = client.stats().expect("stats");
+                        assert!(stats.cache_len <= stats.cache_capacity);
+                        assert_eq!(stats.shards.len(), workers);
+                        assert!(client.checkpoint().expect("checkpoint") > 0);
+                        rounds += 1;
+                    }
+                    rounds
+                })
+            })
+            .collect();
         for i in 0..INGEST_CLIENTS {
             s.spawn(move || {
+                let _feeding = Feeding(feeding);
                 let mut client = connect(addr);
                 let name = format!("ch-{i:03}");
                 let values = feed(i as u64, PER_CHANNEL);
@@ -185,12 +231,17 @@ fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
         }
         for (i, blob) in blobs.iter().enumerate() {
             s.spawn(move || {
+                let _feeding = Feeding(feeding);
                 let mut client = connect(addr);
                 let name = format!("fed-{i}");
                 let (channel_len, _) = client.merge(&name, blob).expect("merge");
                 assert_eq!(channel_len as usize, PER_SHARD_CHANNEL);
             });
         }
+        spanners
+            .into_iter()
+            .map(|h| h.join().expect("spanning client"))
+            .sum()
     });
 
     // Deterministic counter balance: every measurement accounted for,
@@ -204,8 +255,18 @@ fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
     assert_eq!(stats.channels as usize, INGEST_CLIENTS + MERGE_CLIENTS);
     assert_eq!(stats.frames_ingest as usize, 2 * INGEST_CLIENTS);
     assert_eq!(stats.frames_snapshot as usize, INGEST_CLIENTS);
-    assert_eq!(stats.frames_verdict as usize, INGEST_CLIENTS.div_ceil(25));
+    assert_eq!(
+        stats.frames_verdict as usize,
+        INGEST_CLIENTS.div_ceil(25) + span_rounds
+    );
     assert_eq!(stats.frames_merge as usize, MERGE_CLIENTS);
+    // One STATS per feeder, a STATS and a CHECKPOINT per spanning
+    // round, and this STATS.
+    assert_eq!(
+        stats.frames_admin as usize,
+        INGEST_CLIENTS + 2 * span_rounds + 1
+    );
+    assert!(stats.checkpoints_written as usize >= span_rounds);
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.workers as usize, workers);
     assert_eq!(stats.shards.len(), workers);
@@ -220,6 +281,14 @@ fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
     assert_eq!(wire.len(), INGEST_CLIENTS + MERGE_CLIENTS);
     client.shutdown().expect("shutdown");
     handle.join().unwrap().unwrap();
+
+    // The checkpoint is a family of sibling files (manifest + one
+    // sealed blob per worker) — sweep them all.
+    for entry in std::fs::read_dir(&dir).expect("read_dir").flatten() {
+        if entry.file_name().to_string_lossy().starts_with(&stem) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
     (wire, wire_envelope)
 }
 
