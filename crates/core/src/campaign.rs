@@ -31,8 +31,10 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`MbptaError::Stats`] if the sample is empty or contains
-    /// non-finite values.
+    /// Returns [`MbptaError::Stats`] if the sample is empty, or for its
+    /// first value that is not a possible execution time:
+    /// [`StatsError::NonFiniteData`] for NaN or ±∞,
+    /// [`StatsError::InvalidArgument`] for a negative time.
     pub fn from_times(times: Vec<f64>) -> Result<Self, MbptaError> {
         if times.is_empty() {
             return Err(MbptaError::Stats(StatsError::InsufficientData {
@@ -40,51 +42,21 @@ impl Campaign {
                 got: 0,
             }));
         }
-        if times.iter().any(|t| !t.is_finite() || *t < 0.0) {
-            return Err(MbptaError::Stats(StatsError::NonFiniteData));
+        for &t in &times {
+            if !t.is_finite() {
+                return Err(MbptaError::Stats(StatsError::NonFiniteData));
+            }
+            if t < 0.0 {
+                return Err(MbptaError::Stats(StatsError::InvalidArgument {
+                    what: "execution time is negative",
+                }));
+            }
         }
         Ok(Campaign { times })
     }
 
-    /// Read a campaign from a reader: one execution time per line (blank
-    /// lines and `#` comments skipped) — the interchange format of
-    /// measurement rigs and of the `mbpta` CLI. Pass `&mut reader` if you
-    /// need the reader back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::Stats`] for unparsable lines (reported as
-    /// non-finite data) or an empty file.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use proxima_mbpta::Campaign;
-    ///
-    /// let data = "# cycles\n100\n105.5\n\n103\n";
-    /// let c = Campaign::from_reader(data.as_bytes())?;
-    /// assert_eq!(c.len(), 3);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn from_reader<R: std::io::Read>(reader: R) -> Result<Self, MbptaError> {
-        use std::io::BufRead;
-        let buf = std::io::BufReader::new(reader);
-        let mut times = Vec::new();
-        for line in buf.lines() {
-            let line = line.map_err(|_| MbptaError::Stats(StatsError::NonFiniteData))?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let value: f64 = line
-                .parse()
-                .map_err(|_| MbptaError::Stats(StatsError::NonFiniteData))?;
-            times.push(value);
-        }
-        Campaign::from_times(times)
-    }
-
-    /// Write the campaign in the same one-time-per-line format.
+    /// Write the campaign in the one-time-per-line interchange format of
+    /// measurement rigs and the `mbpta` CLI.
     ///
     /// # Errors
     ///
@@ -412,8 +384,15 @@ mod tests {
     #[test]
     fn construction_validates() {
         assert!(Campaign::from_times(vec![]).is_err());
-        assert!(Campaign::from_times(vec![f64::NAN]).is_err());
-        assert!(Campaign::from_times(vec![-1.0]).is_err());
+        assert_eq!(
+            Campaign::from_times(vec![1.0, f64::NAN, -1.0]),
+            Err(MbptaError::Stats(StatsError::NonFiniteData))
+        );
+        let negative = Campaign::from_times(vec![1.0, -3.0, f64::NAN]).unwrap_err();
+        assert_eq!(
+            negative.to_string(),
+            "statistics error: invalid argument: execution time is negative"
+        );
         assert!(Campaign::from_times(vec![1.0, 2.0]).is_ok());
     }
 
@@ -441,28 +420,6 @@ mod tests {
         assert_eq!(p.times(), &[1.0, 2.0]);
         assert!(c.prefix(5).is_err());
         assert!(c.prefix(0).is_err());
-    }
-
-    #[test]
-    fn reader_round_trip() {
-        let c = Campaign::from_times(vec![100.0, 105.5, 103.0]).unwrap();
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        let back = Campaign::from_reader(buf.as_slice()).unwrap();
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn reader_skips_comments_and_blanks() {
-        let text = "# header\n\n1\n  2.5 \n# mid\n3\n";
-        let c = Campaign::from_reader(text.as_bytes()).unwrap();
-        assert_eq!(c.times(), &[1.0, 2.5, 3.0]);
-    }
-
-    #[test]
-    fn reader_rejects_garbage_and_empty() {
-        assert!(Campaign::from_reader("abc\n".as_bytes()).is_err());
-        assert!(Campaign::from_reader("# only comments\n".as_bytes()).is_err());
     }
 
     fn striding_loads(n: usize) -> Vec<Inst> {

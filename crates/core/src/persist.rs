@@ -64,8 +64,8 @@ use crate::MbptaError;
 /// worker (sharded serve core).
 ///
 /// Version 3: `StreamConfig` grew the sketch-kind byte and the analyzer
-/// sketch record became kind-tagged (`Sketch`: GK or the new KLL
-/// summary with its persisted compaction-coin counter).
+/// sketch record became kind-tagged (`Sketch`). GK (tag 0) is the only
+/// sketch left; tag 1, a second sketch since removed, fails to decode.
 ///
 /// Bumping this without regenerating the golden fixtures breaks the
 /// crash-resume battery: rerun with PROXIMA_REGEN_FIXTURES=1 and commit

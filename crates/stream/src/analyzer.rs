@@ -2,17 +2,17 @@
 //! periodically, emit a stream of pWCET snapshots.
 //!
 //! [`StreamAnalyzer`] is the streaming counterpart of the batch
-//! [`analyze`](proxima_mbpta::MbptaConfig::analyze) pipeline. It holds **bounded state
-//! only**:
+//! [`analyze`](proxima_mbpta::MbptaConfig::analyze) pipeline. It never
+//! holds the measurements themselves; its state is:
 //!
-//! * a quantile [`Sketch`] for high-watermark / ECDF queries — the GK
-//!   summary ([`QuantileSketch`], `O((1/ε)·log(εn))`) or the KLL summary
-//!   ([`crate::kll::KllSketch`], `O(1/ε)`), selected by
-//!   [`StreamConfig::sketch`];
+//! * a GK quantile [`Sketch`] ([`QuantileSketch`], `O((1/ε)·log(εn))`),
+//!   whose exact side statistics give the high watermark and the mean;
 //! * an [`IidMonitor`] window — `O(W)`;
 //! * the running maximum of the current block — `O(1)`;
 //! * the block-maxima buffer the Gumbel is refitted on — `O(n/B)`, the
 //!   same vector the batch pipeline extracts, grown one entry per block.
+//!   It is the one part that grows with the stream: 8 bytes per block,
+//!   so `8/B` bytes per measurement.
 //!
 //! Every `refit_every_blocks` completed blocks it refits the Gumbel
 //! (`fit_gumbel`, PWM + MLE — the exact fitting path of
@@ -118,9 +118,8 @@ pub struct StreamConfig {
     pub monitor_window: usize,
     /// Rank-error bound of the quantile sketch.
     pub sketch_epsilon: f64,
-    /// Which quantile-sketch algorithm to maintain (`--sketch {gk,kll}`):
-    /// GK for a deterministic worst-case bound, KLL for smaller
-    /// summaries whose error does not grow with federation depth.
+    /// The quantile-sketch algorithm. GK is the only one; the field is
+    /// the sketch-kind byte that checkpoint format v3 records.
     pub sketch: SketchKind,
     /// Per-snapshot bootstrap interval; `None` skips the bootstrap.
     pub bootstrap: Option<BootstrapSpec>,
@@ -226,6 +225,20 @@ impl StreamConfig {
         }
         Ok(())
     }
+}
+
+/// Reject what the measurement protocol cannot produce: NaN or ±∞
+/// ([`StatsError::NonFiniteData`]) and negative execution times.
+fn check_measurement(x: f64) -> Result<(), StatsError> {
+    if !x.is_finite() {
+        return Err(StatsError::NonFiniteData);
+    }
+    if x < 0.0 {
+        return Err(StatsError::InvalidArgument {
+            what: "execution time is negative",
+        });
+    }
+    Ok(())
 }
 
 /// Pin a batch block policy to the fixed size streaming requires: a fixed
@@ -362,8 +375,7 @@ impl StreamAnalyzer {
         self.sketch.max()
     }
 
-    /// The bounded-memory quantile sketch, for ECDF / quantile queries
-    /// over everything ingested so far.
+    /// The quantile sketch over everything ingested so far.
     pub fn sketch(&self) -> &Sketch {
         &self.sketch
     }
@@ -413,13 +425,12 @@ impl StreamAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns [`MbptaError::Stats`] for a non-finite or negative value
-    /// (the measurement protocol cannot produce those; a corrupted stream
-    /// must not silently skew the tail).
+    /// Returns [`MbptaError::Stats`] for a value the measurement protocol
+    /// cannot produce (a corrupted stream must not silently skew the
+    /// tail): [`StatsError::NonFiniteData`] for NaN or ±∞,
+    /// [`StatsError::InvalidArgument`] for a negative execution time.
     pub fn push(&mut self, x: f64) -> Result<Option<PwcetSnapshot>, MbptaError> {
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbptaError::Stats(StatsError::NonFiniteData));
-        }
+        check_measurement(x).map_err(MbptaError::Stats)?;
         self.n += 1;
         self.sketch.insert(x);
         self.monitor.push(x);
@@ -476,8 +487,9 @@ impl StreamAnalyzer {
     /// # Errors
     ///
     /// Same as [`Self::push`]: ingestion stops at the first non-finite or
-    /// negative value. Everything before the bad value is ingested,
-    /// leaving the analyzer exactly where the itemized loop would stop.
+    /// negative value and returns that value's error. Everything before
+    /// it is ingested, leaving the analyzer exactly where the itemized
+    /// loop would stop.
     ///
     /// # Examples
     ///
@@ -495,9 +507,9 @@ impl StreamAnalyzer {
     /// # Ok::<(), proxima_mbpta::MbptaError>(())
     /// ```
     pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<PwcetSnapshot>, MbptaError> {
-        let (valid, bad) = match xs.iter().position(|&x| !x.is_finite() || x < 0.0) {
-            Some(i) => (&xs[..i], true),
-            None => (xs, false),
+        let (valid, bad) = match xs.iter().position(|&x| check_measurement(x).is_err()) {
+            Some(i) => (&xs[..i], check_measurement(xs[i]).err()),
+            None => (xs, None),
         };
         let mut out = Vec::new();
         let mut i = 0usize;
@@ -513,10 +525,10 @@ impl StreamAnalyzer {
                 }
             }
         }
-        if bad {
-            return Err(MbptaError::Stats(StatsError::NonFiniteData));
+        match bad {
+            Some(e) => Err(MbptaError::Stats(e)),
+            None => Ok(out),
         }
-        Ok(out)
     }
 
     /// Measurements until the next refit checkpoint fires, given the
@@ -567,11 +579,10 @@ impl StreamAnalyzer {
     /// after ingesting this analyzer's measurements followed by
     /// `other`'s.
     ///
-    /// * the quantile sketches merge under their algorithm's federated
-    ///   guarantee — the `ε₁+ε₂` additive rank bound for GK
-    ///   ([`QuantileSketch::merge`]), depth-independent error for KLL
-    ///   ([`crate::kll::KllSketch::merge`]) — and count, sum and the
-    ///   high watermark stay exact either way;
+    /// * the quantile sketches merge with the `ε₁+ε₂` additive rank
+    ///   bound ([`QuantileSketch::merge`]); the count and the high
+    ///   watermark stay exact, while the sum re-associates, so the mean
+    ///   can differ from the single stream's in its last bits;
     /// * the block-maxima buffers concatenate, and `other`'s trailing
     ///   partial block carries over — so when `other` started at a block
     ///   boundary the merged buffer is **bit-identical** to the single
@@ -604,11 +615,7 @@ impl StreamAnalyzer {
                 what: "stream merge requires the left analyzer to sit on a block boundary",
             });
         }
-        // Config equality above implies equal sketch kinds, so this can
-        // only be Ok — but the kind check stays typed, not assumed.
-        self.sketch
-            .merge(&other.sketch)
-            .map_err(MbptaError::Stats)?;
+        self.sketch.merge(&other.sketch);
         self.monitor.merge(&other.monitor);
         self.maxima.extend_from_slice(&other.maxima);
         self.current_block_max = other.current_block_max;
@@ -837,22 +844,31 @@ mod tests {
 
     #[test]
     fn push_batch_stops_at_first_bad_value_like_itemized() {
-        let mut stream = times(1_234, 22);
-        stream.push(f64::NAN);
-        stream.extend(times(100, 23));
-        let mut itemized = StreamAnalyzer::new(fixed_config(25, 4)).unwrap();
-        assert!(itemized.extend(stream.iter().copied()).is_err());
-        let mut batched = StreamAnalyzer::new(fixed_config(25, 4)).unwrap();
-        assert!(batched.push_batch(&stream).is_err());
-        // Both ingested exactly the prefix before the bad value.
-        assert_eq!(batched.len(), 1_234);
-        assert_eq!(
-            crate::persist::save_analyzer(&batched),
-            crate::persist::save_analyzer(&itemized)
-        );
-        // A negative measurement is rejected the same way.
-        assert!(batched.push_batch(&[1.0, -3.0]).is_err());
-        assert_eq!(batched.len(), 1_235);
+        let negative = MbptaError::Stats(StatsError::InvalidArgument {
+            what: "execution time is negative",
+        });
+        for (bad, expected) in [
+            (f64::NAN, MbptaError::Stats(StatsError::NonFiniteData)),
+            (-3.0, negative),
+        ] {
+            let mut stream = times(1_234, 22);
+            stream.push(bad);
+            // A later bad value of the other kind must not win.
+            stream.push(if bad.is_nan() { -1.0 } else { f64::INFINITY });
+            stream.extend(times(100, 23));
+            let mut itemized = StreamAnalyzer::new(fixed_config(25, 4)).unwrap();
+            let itemized_err = itemized.extend(stream.iter().copied()).unwrap_err();
+            let mut batched = StreamAnalyzer::new(fixed_config(25, 4)).unwrap();
+            let batched_err = batched.push_batch(&stream).unwrap_err();
+            assert_eq!(itemized_err, expected, "{bad}");
+            assert_eq!(batched_err, expected, "{bad}");
+            // Both ingested exactly the prefix before the bad value.
+            assert_eq!(batched.len(), 1_234);
+            assert_eq!(
+                crate::persist::save_analyzer(&batched),
+                crate::persist::save_analyzer(&itemized)
+            );
+        }
     }
 
     #[test]
@@ -1046,9 +1062,17 @@ mod tests {
     #[test]
     fn rejects_bad_measurements() {
         let mut a = StreamAnalyzer::new(StreamConfig::default()).unwrap();
-        assert!(a.push(f64::NAN).is_err());
-        assert!(a.push(f64::INFINITY).is_err());
-        assert!(a.push(-1.0).is_err());
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                a.push(x).unwrap_err(),
+                MbptaError::Stats(StatsError::NonFiniteData)
+            );
+        }
+        let negative = a.push(-1.0).unwrap_err();
+        assert!(
+            negative.to_string().contains("execution time is negative"),
+            "{negative}"
+        );
         assert!(a.push(100.0).unwrap().is_none());
         assert_eq!(a.len(), 1);
     }

@@ -88,7 +88,7 @@ fn estimate_from_snapshot(snap: &PwcetSnapshot) -> EngineEstimate {
     }
 }
 
-/// A bounded-memory streaming engine for one session channel: wraps a
+/// A streaming engine for one session channel: wraps a
 /// [`StreamAnalyzer`] and speaks the session's [`Engine`] contract.
 #[derive(Debug, Clone)]
 pub struct StreamEngine {
@@ -254,8 +254,8 @@ impl EngineFactory for StreamFactory {
 /// [`SessionBuilder`] (the batch crate cannot depend on this one; through
 /// the facade prelude these read as builder methods).
 pub trait SessionStreamExt: Sized {
-    /// Build a session running one bounded-memory streaming engine per
-    /// channel, deriving the [`StreamConfig`] from the builder's batch
+    /// Build a session running one streaming engine per channel,
+    /// deriving the [`StreamConfig`] from the builder's batch
     /// configuration ([`StreamConfig::from_mbpta`]) and its target
     /// cutoff.
     ///

@@ -5,9 +5,9 @@
 //! measurement host, per thread, per trace partition — and no single
 //! observer sees every measurement. The federated quantile-estimation
 //! shape solves this without centralizing the raw stream: every shard
-//! maintains its own bounded [`StreamAnalyzer`] state (quantile sketch,
-//! rolling i.i.d. window, block-maxima buffer), and a coordinator folds
-//! the shard states at finish time:
+//! maintains its own [`StreamAnalyzer`] state (quantile sketch, rolling
+//! i.i.d. window, block-maxima buffer), and a coordinator folds the
+//! shard states at finish time:
 //!
 //! * sketches merge with the additive `ε₁+ε₂` rank-error guarantee
 //!   ([`QuantileSketch::merge`](crate::sketch::QuantileSketch::merge)) —

@@ -1,18 +1,19 @@
-//! Streaming MBPTA: online ingestion, sketch-based tail tracking, and
+//! Streaming MBPTA: online ingestion, rolling i.i.d. diagnostics, and
 //! incremental pWCET refit.
 //!
 //! The batch pipeline (`MbptaConfig::analyze`) needs the full
 //! measurement vector in memory and answers only once the campaign ends.
-//! This crate analyses a campaign **while it runs**, in bounded memory:
+//! This crate analyses a campaign **while it runs**, keeping one block
+//! maximum per `B` measurements instead of the measurements themselves:
 //!
 //! * [`StreamAnalyzer`] ingests measurements one at a time (or in
-//!   batches), maintains a quantile sketch — [GK](sketch::QuantileSketch)
-//!   or [KLL](kll::KllSketch), selected by [`SketchKind`]
-//!   — for high-watermark/ECDF queries, rolling i.i.d. diagnostics
-//!   ([`monitor::IidMonitor`]: online autocorrelation + runs-test
-//!   windows), and an incremental block-maxima buffer; every `K` new
-//!   blocks it refits the Gumbel tail and emits a [`PwcetSnapshot`] until
-//!   the batch convergence criterion stabilizes.
+//!   batches), maintains a [GK quantile sketch](sketch::QuantileSketch)
+//!   whose exact side statistics supply the high watermark and mean,
+//!   rolling i.i.d. diagnostics ([`monitor::IidMonitor`]: online
+//!   autocorrelation + runs-test windows), and an incremental
+//!   block-maxima buffer; every `K` new blocks it refits the Gumbel tail
+//!   and emits a [`PwcetSnapshot`] until the batch convergence criterion
+//!   stabilizes.
 //! * [`replay::TraceReplay`] streams a simulated platform run-by-run with
 //!   the same SplitMix64 per-run seeds as the batch campaign engine, and
 //!   [`replay::LineSource`] streams the measurement-file format — so both
@@ -20,7 +21,7 @@
 //! * [`engine::StreamEngine`] plugs the analyzer into the multi-channel
 //!   session core ([`proxima_mbpta::session`]):
 //!   `config.session().build_stream()` (via [`SessionStreamExt`]) serves
-//!   one bounded-memory engine per timing channel.
+//!   one streaming engine per timing channel.
 //! * The analyzer state is **mergeable** — quantile sketch
 //!   ([`QuantileSketch::merge`](sketch::QuantileSketch::merge), `ε₁+ε₂`
 //!   rank error), block-maxima buffer and rolling i.i.d. window all fold
@@ -70,7 +71,6 @@
 pub mod analyzer;
 pub mod engine;
 pub mod federated;
-pub mod kll;
 pub mod monitor;
 pub mod persist;
 pub mod replay;
@@ -81,7 +81,6 @@ pub use engine::{SessionStreamExt, StreamEngine, StreamFactory};
 pub use federated::{
     FederatedAnalyzer, FederatedConfig, FederatedEngine, FederatedFactory, SessionFederatedExt,
 };
-pub use kll::KllSketch;
 pub use monitor::{IidHealth, IidMonitor, IidStatus};
 pub use replay::{ByteLines, LineSource, LineSourceError, TraceReplay};
 pub use sketch::{QuantileSketch, Sketch, SketchKind};

@@ -1,6 +1,6 @@
-//! Checkpoint codecs for the streaming state: the quantile sketches
-//! ([`QuantileSketch`], [`KllSketch`] and the kind-tagged [`Sketch`]
-//! dispatch), [`IidMonitor`], the block-maxima buffer,
+//! Checkpoint codecs for the streaming state: the quantile sketch
+//! ([`QuantileSketch`] inside its kind-tagged [`Sketch`] record),
+//! [`IidMonitor`], the block-maxima buffer,
 //! [`StreamAnalyzer`] and [`FederatedAnalyzer`] (one record per shard).
 //!
 //! The wire format is `proxima_mbpta::persist` — a hand-rolled,
@@ -26,7 +26,6 @@ use proxima_mbpta::MbptaError;
 
 use crate::analyzer::{BootstrapSpec, PwcetSnapshot, StreamAnalyzer, StreamConfig};
 use crate::federated::{FederatedAnalyzer, FederatedConfig};
-use crate::kll::KllSketch;
 use crate::monitor::{IidHealth, IidMonitor, IidStatus};
 use crate::sketch::{QuantileSketch, Sketch, SketchKind, Tuple};
 
@@ -150,87 +149,10 @@ impl Decode for QuantileSketch {
     }
 }
 
-impl Encode for KllSketch {
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.epsilon);
-        w.u64(self.n);
-        w.f64(self.min);
-        w.f64(self.max);
-        w.f64(self.sum);
-        // The coin counter is state: a restored sketch must continue
-        // the exact deterministic flip stream of the original.
-        w.u64(self.coins_used);
-        w.usize(self.compactors.len());
-        for level in &self.compactors {
-            w.usize(level.len());
-            for &x in level {
-                w.f64(x);
-            }
-        }
-    }
-}
-
-impl Decode for KllSketch {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, MbptaError> {
-        let epsilon = r.f64()?;
-        // Re-validate through the public constructor: a corrupt epsilon
-        // must not produce a sketch whose derived `k` misbehaves.
-        let mut sketch = KllSketch::new(epsilon)
-            .map_err(|e| MbptaError::checkpoint(format!("invalid sketch state: {e}")))?;
-        sketch.n = r.u64()?;
-        sketch.min = r.f64()?;
-        sketch.max = r.f64()?;
-        sketch.sum = r.f64()?;
-        sketch.coins_used = r.u64()?;
-        let levels = r.usize()?;
-        // Level `h` needs 2^h promoted observations to exist, so more
-        // than 64 levels is unreachable for any u64 count — and the
-        // bound keeps a crafted count from driving allocations.
-        if levels == 0 || levels > 64 {
-            return Err(MbptaError::checkpoint(
-                "kll sketch level count outside the reachable range",
-            ));
-        }
-        sketch.compactors.clear();
-        for _ in 0..levels {
-            let len = r.usize()?;
-            // Each item is 8 payload bytes; a length claiming more
-            // items than remaining bytes is a truncation/corruption.
-            if len > r.remaining() {
-                return Err(MbptaError::checkpoint(
-                    "kll level length exceeds the remaining payload",
-                ));
-            }
-            let mut level = Vec::with_capacity(len);
-            for _ in 0..len {
-                level.push(r.f64()?);
-            }
-            sketch.compactors.push(level);
-        }
-        // Compaction conserves weight exactly: Σ len_h·2^h == n for
-        // every reachable state. A mismatch means the bytes do not
-        // describe a sketch (decoding must never silently misparse).
-        if sketch.stored_weight() != u128::from(sketch.n) {
-            return Err(MbptaError::checkpoint(
-                "kll stored weight does not sum to its observation count",
-            ));
-        }
-        // And every reachable state respects the capacity schedule with
-        // a non-empty top level; the insert path assumes both.
-        if !sketch.shape_is_canonical() {
-            return Err(MbptaError::checkpoint(
-                "kll compactor shape is not a reachable sketch state",
-            ));
-        }
-        Ok(sketch)
-    }
-}
-
 impl Encode for SketchKind {
     fn encode(&self, w: &mut Writer) {
         w.u8(match self {
             SketchKind::Gk => 0,
-            SketchKind::Kll => 1,
         });
     }
 }
@@ -239,7 +161,11 @@ impl Decode for SketchKind {
     fn decode(r: &mut Reader<'_>) -> Result<Self, MbptaError> {
         match r.u8()? {
             0 => Ok(SketchKind::Gk),
-            1 => Ok(SketchKind::Kll),
+            // Written by builds that still had a second sketch; its
+            // record layout is gone, so refuse rather than misparse.
+            1 => Err(MbptaError::checkpoint(
+                "sketch kind tag 1 (KLL) is no longer supported; GK is the only sketch",
+            )),
             other => Err(MbptaError::checkpoint(format!(
                 "unknown sketch kind tag {other}"
             ))),
@@ -249,19 +175,15 @@ impl Decode for SketchKind {
 
 impl Encode for Sketch {
     fn encode(&self, w: &mut Writer) {
-        self.kind().encode(w);
-        match self {
-            Sketch::Gk(s) => s.encode(w),
-            Sketch::Kll(s) => s.encode(w),
-        }
+        SketchKind::Gk.encode(w);
+        self.0.encode(w);
     }
 }
 
 impl Decode for Sketch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, MbptaError> {
         match SketchKind::decode(r)? {
-            SketchKind::Gk => QuantileSketch::decode(r).map(Sketch::Gk),
-            SketchKind::Kll => KllSketch::decode(r).map(Sketch::Kll),
+            SketchKind::Gk => QuantileSketch::decode(r).map(Sketch),
         }
     }
 }
@@ -499,13 +421,6 @@ impl Decode for StreamAnalyzer {
         let mut analyzer = StreamAnalyzer::new(config)
             .map_err(|e| MbptaError::checkpoint(format!("invalid analyzer state: {e}")))?;
         analyzer.sketch = Sketch::decode(r)?;
-        // The sketch record is kind-tagged independently of the config;
-        // a disagreement means the bytes do not describe one analyzer.
-        if analyzer.sketch.kind() != analyzer.config.sketch {
-            return Err(MbptaError::checkpoint(
-                "analyzer sketch kind does not match its configuration",
-            ));
-        }
         analyzer.monitor = IidMonitor::decode(r)?;
         analyzer.n = r.usize()?;
         analyzer.current_block_max = r.f64()?;
@@ -770,71 +685,6 @@ mod tests {
         ));
     }
 
-    fn kll_stream_config() -> StreamConfig {
-        StreamConfig {
-            sketch: SketchKind::Kll,
-            ..stream_config()
-        }
-    }
-
-    #[test]
-    fn kll_analyzer_round_trip_is_identity_mid_block() {
-        let mut analyzer = StreamAnalyzer::new(kll_stream_config()).unwrap();
-        analyzer.extend(times(1010, 1)).unwrap();
-        let blob = save_analyzer(&analyzer);
-        let restored = load_analyzer(&blob).unwrap();
-        assert_analyzers_identical(&analyzer, &restored);
-        assert_eq!(save_analyzer(&restored), blob);
-    }
-
-    #[test]
-    fn resumed_kll_analyzer_continues_bit_identically() {
-        let data = times(4000, 2);
-        let cut = 1337;
-        let mut uninterrupted = StreamAnalyzer::new(kll_stream_config()).unwrap();
-        let mut first = StreamAnalyzer::new(kll_stream_config()).unwrap();
-        let pre: Vec<_> = uninterrupted.extend(data[..cut].iter().copied()).unwrap();
-        assert_eq!(first.extend(data[..cut].iter().copied()).unwrap(), pre);
-        let mut resumed = load_analyzer(&save_analyzer(&first)).unwrap();
-        drop(first);
-        let tail_a = uninterrupted.extend(data[cut..].iter().copied()).unwrap();
-        let tail_b = resumed.extend(data[cut..].iter().copied()).unwrap();
-        assert_eq!(tail_a, tail_b, "post-resume snapshots diverged");
-        assert_eq!(
-            uninterrupted.finish().unwrap(),
-            resumed.finish().unwrap(),
-            "final pWCET diverged after resume"
-        );
-        // The restored coin counter must continue the original stream:
-        // identical end states imply identical subsequent compactions.
-        assert_analyzers_identical(&uninterrupted, &resumed);
-    }
-
-    #[test]
-    fn kll_weight_mismatch_is_detected() {
-        let mut sketch = KllSketch::new(0.01).unwrap();
-        for x in times(3000, 5) {
-            sketch.insert(x);
-        }
-        let mut w = Writer::new();
-        sketch.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let decoded = KllSketch::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(decoded, sketch);
-        // Lie about the count: the weight-conservation check must fire.
-        sketch.n += 1;
-        let mut w = Writer::new();
-        sketch.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            KllSketch::decode(&mut r),
-            Err(MbptaError::Checkpoint { .. })
-        ));
-    }
-
     /// Save an analyzer whose configuration was altered after
     /// construction, and decode it back.
     fn reload_with_bootstrap(spec: BootstrapSpec) -> Result<StreamAnalyzer, MbptaError> {
@@ -896,21 +746,25 @@ mod tests {
     }
 
     #[test]
-    fn sketch_kind_mismatching_its_config_is_detected() {
-        // A GK-configured analyzer whose sketch record is KLL-tagged is
-        // not a state the system can reach; the decoder must say so.
-        let mut analyzer = StreamAnalyzer::new(stream_config()).unwrap();
-        analyzer.extend(times(500, 6)).unwrap();
-        let n = analyzer.sketch.len();
-        let mut kll = KllSketch::new(analyzer.config.sketch_epsilon).unwrap();
-        for x in times(n as usize, 6) {
-            kll.insert(x);
+    fn sketch_kind_tags_other_than_gk_are_rejected() {
+        let mut sketch = Sketch::new(SketchKind::Gk, 0.02).unwrap();
+        sketch.insert_batch(&times(300, 5));
+        let mut w = Writer::new();
+        sketch.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(Sketch::decode(&mut Reader::new(&bytes)).unwrap(), sketch);
+        // The kind tag is the record's first byte.
+        for tag in [1u8, 2, 3, 0x10, 0x7F, 0xFF] {
+            let mut retagged = bytes.clone();
+            retagged[0] = tag;
+            let err = Sketch::decode(&mut Reader::new(&retagged)).unwrap_err();
+            assert!(matches!(err, MbptaError::Checkpoint { .. }), "{err:?}");
+            let why = if tag == 1 {
+                "no longer supported"
+            } else {
+                "unknown sketch kind tag"
+            };
+            assert!(err.to_string().contains(why), "tag {tag}: {err}");
         }
-        analyzer.sketch = Sketch::Kll(kll);
-        let blob = save_analyzer(&analyzer);
-        assert!(matches!(
-            load_analyzer(&blob),
-            Err(MbptaError::Checkpoint { .. })
-        ));
     }
 }

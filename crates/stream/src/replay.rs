@@ -342,7 +342,7 @@ impl<R: BufRead> Iterator for LineSource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proxima_mbpta::CampaignRunner;
+    use proxima_mbpta::{Campaign, CampaignRunner};
 
     fn striding_loads(n: usize) -> Vec<Inst> {
         (0..n)
@@ -407,6 +407,16 @@ mod tests {
         let data = "# header\n\n1\n  2.5 \n# mid\n3\n";
         let vals: Result<Vec<f64>, _> = LineSource::new(data.as_bytes()).collect();
         assert_eq!(vals.unwrap(), vec![1.0, 2.5, 3.0]);
+    }
+
+    #[test]
+    fn line_source_reads_back_what_a_campaign_writes() {
+        let campaign =
+            Campaign::from_times(vec![100.0, 105.5, 103.0, 0.1, 12_345_678.875]).unwrap();
+        let mut buf = Vec::new();
+        campaign.write_to(&mut buf).unwrap();
+        let back: Result<Vec<f64>, _> = LineSource::new(buf.as_slice()).collect();
+        assert_eq!(back.unwrap(), campaign.times());
     }
 
     #[test]

@@ -20,14 +20,10 @@
 //! quantile-estimation shape: shards sketch independently, a coordinator
 //! folds the sketches.
 //!
-//! GK is one of two sketch algorithms behind the [`Sketch`] dispatch
-//! enum: [`SketchKind`] selects between GK and the KLL summary
-//! ([`crate::kll::KllSketch`]), which trades GK's worst-case bound for
-//! a probabilistic one that does **not** degrade with merge-tree depth.
+//! The analyzer holds its GK summary as a [`Sketch`], the name the
+//! checkpoint format and [`SketchKind`] still carry.
 
 use proxima_stats::StatsError;
-
-use crate::kll::KllSketch;
 
 /// Exact `⌊2^log2_scale · ε · n⌋` in integer arithmetic.
 ///
@@ -564,75 +560,21 @@ impl QuantileSketch {
     }
 }
 
-/// Which quantile-sketch algorithm an analyzer maintains — the
-/// `--sketch {gk,kll}` choice, threaded through
-/// [`StreamConfig`](crate::analyzer::StreamConfig), the session layer
-/// and the persist codec.
-///
-/// Both kinds sit behind the same [`Sketch`] surface and the same
-/// merge/checkpoint contracts; they differ in the error guarantee and
-/// in how that guarantee behaves under federation:
-///
-/// * [`Gk`](SketchKind::Gk) — deterministic worst-case `εn` rank bound,
-///   but merge error accumulates additively over a merge tree;
-/// * [`Kll`](SketchKind::Kll) — probabilistic `εn` bound (over a
-///   deterministic, state-seeded coin stream), merge error does **not**
-///   grow with tree depth, and summaries are several times smaller at
-///   equal observed error (see `docs/PERFORMANCE.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The sketch algorithm an analyzer maintains. GK is the only one; the
+/// kind survives as the sketch-kind byte of checkpoint format v3, which
+/// [`StreamConfig`](crate::analyzer::StreamConfig), the analyzer's
+/// sketch record and the CLI's session checkpoint all write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SketchKind {
-    /// Greenwald–Khanna ([`QuantileSketch`]) — the default.
-    #[default]
+    /// Greenwald–Khanna ([`QuantileSketch`]).
     Gk,
-    /// KLL ([`KllSketch`]).
-    Kll,
 }
 
-impl SketchKind {
-    /// The CLI spelling (`"gk"` / `"kll"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SketchKind::Gk => "gk",
-            SketchKind::Kll => "kll",
-        }
-    }
-}
-
-impl std::fmt::Display for SketchKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for SketchKind {
-    type Err = StatsError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "gk" => Ok(SketchKind::Gk),
-            "kll" => Ok(SketchKind::Kll),
-            _ => Err(StatsError::InvalidArgument {
-                what: "sketch kind must be 'gk' or 'kll'",
-            }),
-        }
-    }
-}
-
-/// A quantile sketch of either algorithm behind one dispatch surface.
-///
-/// The analyzer, federated fold, session and serve layers hold a
-/// `Sketch` and never branch on the algorithm themselves; every method
-/// forwards to the selected summary. Merging is only defined between
-/// sketches of the same kind — config equality gates every merge path
-/// (analyzer, federated, sealed-blob MERGE), so a kind mismatch is a
-/// typed error, never a silent coercion.
+/// The analyzer's quantile sketch: a GK summary. Only its exact side
+/// statistics ([`max`](Self::max), [`mean`](Self::mean)) reach a
+/// report; no verdict reads a quantile.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Sketch {
-    /// A Greenwald–Khanna summary.
-    Gk(QuantileSketch),
-    /// A KLL summary.
-    Kll(KllSketch),
-}
+pub struct Sketch(pub(crate) QuantileSketch);
 
 impl Sketch {
     /// Create an empty sketch of `kind` targeting rank error `epsilon`.
@@ -642,172 +584,45 @@ impl Sketch {
     /// Returns [`StatsError::InvalidArgument`] unless `0 < epsilon < 0.5`.
     pub fn new(kind: SketchKind, epsilon: f64) -> Result<Self, StatsError> {
         match kind {
-            SketchKind::Gk => QuantileSketch::new(epsilon).map(Sketch::Gk),
-            SketchKind::Kll => KllSketch::new(epsilon).map(Sketch::Kll),
+            SketchKind::Gk => QuantileSketch::new(epsilon).map(Sketch),
         }
     }
 
-    /// Which algorithm this sketch runs.
-    pub fn kind(&self) -> SketchKind {
-        match self {
-            Sketch::Gk(_) => SketchKind::Gk,
-            Sketch::Kll(_) => SketchKind::Kll,
-        }
-    }
-
-    /// The configured rank-error target.
-    pub fn epsilon(&self) -> f64 {
-        match self {
-            Sketch::Gk(s) => s.epsilon(),
-            Sketch::Kll(s) => s.epsilon(),
-        }
-    }
-
-    /// Number of observations ingested.
-    pub fn len(&self) -> u64 {
-        match self {
-            Sketch::Gk(s) => s.len(),
-            Sketch::Kll(s) => s.len(),
-        }
-    }
-
-    /// `true` before the first observation.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of summary items currently held (GK tuples or KLL
-    /// compactor items) — the memory footprint.
+    /// Number of summary tuples currently held — the memory footprint.
     pub fn tuples(&self) -> usize {
-        match self {
-            Sketch::Gk(s) => s.tuples(),
-            Sketch::Kll(s) => s.tuples(),
-        }
-    }
-
-    /// Exact minimum observed, if any.
-    pub fn min(&self) -> Option<f64> {
-        match self {
-            Sketch::Gk(s) => s.min(),
-            Sketch::Kll(s) => s.min(),
-        }
+        self.0.tuples()
     }
 
     /// Exact maximum observed — the campaign's high watermark.
     pub fn max(&self) -> Option<f64> {
-        match self {
-            Sketch::Gk(s) => s.max(),
-            Sketch::Kll(s) => s.max(),
-        }
+        self.0.max()
     }
 
     /// Exact running mean, if any observation arrived.
     pub fn mean(&self) -> Option<f64> {
-        match self {
-            Sketch::Gk(s) => s.mean(),
-            Sketch::Kll(s) => s.mean(),
-        }
+        self.0.mean()
     }
 
-    /// The rank-error bound at the current `n`, in exact integer
-    /// arithmetic: `⌊2εn⌋` (worst-case) for GK, `⌈εn⌉` (probabilistic)
-    /// for KLL.
-    pub fn rank_error_bound(&self) -> u64 {
-        match self {
-            Sketch::Gk(s) => s.rank_error_bound(),
-            Sketch::Kll(s) => s.rank_error_bound(),
-        }
-    }
-
-    /// Cumulative maintenance operations since construction (see the
-    /// per-algorithm docs); machine-independent, excluded from equality,
-    /// resets on checkpoint restore.
+    /// Cumulative tuple-maintenance work since construction; see
+    /// [`QuantileSketch::maintenance_ops`].
     pub fn maintenance_ops(&self) -> u64 {
-        match self {
-            Sketch::Gk(s) => s.maintenance_ops(),
-            Sketch::Kll(s) => s.maintenance_ops(),
-        }
+        self.0.maintenance_ops()
     }
 
     /// Ingest one observation (non-finite values are ignored).
     pub fn insert(&mut self, x: f64) {
-        match self {
-            Sketch::Gk(s) => s.insert(x),
-            Sketch::Kll(s) => s.insert(x),
-        }
+        self.0.insert(x);
     }
 
     /// Bulk-ingest a slice; bit-identical to itemized
-    /// [`insert`](Self::insert) at every batch split, for both kinds.
+    /// [`insert`](Self::insert) at every batch split.
     pub fn insert_batch(&mut self, xs: &[f64]) {
-        match self {
-            Sketch::Gk(s) => s.insert_batch(xs),
-            Sketch::Kll(s) => s.insert_batch(xs),
-        }
+        self.0.insert_batch(xs);
     }
 
-    /// Uniform bulk-ingest spelling; identical to
-    /// [`insert_batch`](Self::insert_batch).
-    pub fn push_batch(&mut self, xs: &[f64]) {
-        self.insert_batch(xs);
-    }
-
-    /// Fold another sketch of the **same kind** into this one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidArgument`] on a kind mismatch. The
-    /// analyzer/federated/serve merge paths all verify config equality
-    /// (which includes the kind) first, so they can never hit it.
-    pub fn merge(&mut self, other: &Sketch) -> Result<(), StatsError> {
-        match (self, other) {
-            (Sketch::Gk(a), Sketch::Gk(b)) => {
-                a.merge(b);
-                Ok(())
-            }
-            (Sketch::Kll(a), Sketch::Kll(b)) => {
-                a.merge(b);
-                Ok(())
-            }
-            _ => Err(StatsError::InvalidArgument {
-                what: "cannot merge quantile sketches of different kinds",
-            }),
-        }
-    }
-
-    /// The value at quantile `phi ∈ [0, 1]`; `phi = 0` / `phi = 1`
-    /// return the exact tracked extremes.
-    ///
-    /// # Errors
-    ///
-    /// * [`StatsError::InvalidArgument`] for `phi` outside `[0, 1]`;
-    /// * [`StatsError::InsufficientData`] on an empty sketch.
-    pub fn quantile(&self, phi: f64) -> Result<f64, StatsError> {
-        match self {
-            Sketch::Gk(s) => s.quantile(phi),
-            Sketch::Kll(s) => s.quantile(phi),
-        }
-    }
-
-    /// Approximate rank of `x`: how many observations are ≤ `x`.
-    pub fn rank(&self, x: f64) -> u64 {
-        match self {
-            Sketch::Gk(s) => s.rank(x),
-            Sketch::Kll(s) => s.rank(x),
-        }
-    }
-
-    /// Approximate empirical CDF at `x` (0 on an empty sketch).
-    pub fn ecdf(&self, x: f64) -> f64 {
-        match self {
-            Sketch::Gk(s) => s.ecdf(x),
-            Sketch::Kll(s) => s.ecdf(x),
-        }
-    }
-
-    /// Approximate empirical survival `1 − F̂(x)`.
-    pub fn survival(&self, x: f64) -> f64 {
-        1.0 - self.ecdf(x)
+    /// Fold another sketch into this one ([`QuantileSketch::merge`]).
+    pub fn merge(&mut self, other: &Sketch) {
+        self.0.merge(&other.0);
     }
 }
 
@@ -1218,66 +1033,23 @@ mod tests {
                     .collect()
             })
             .collect();
-        for kind in [SketchKind::Gk, SketchKind::Kll] {
-            // Batch-built.
-            let mut batch = Sketch::new(kind, 0.05).unwrap();
-            for shard in &shard_data {
-                batch.insert_batch(shard);
-            }
-            assert_eq!(batch.quantile(0.0).unwrap(), batch.min().unwrap());
-            assert_eq!(batch.quantile(1.0).unwrap(), batch.max().unwrap());
-            // Merged from per-shard sketches.
-            let mut merged = Sketch::new(kind, 0.05).unwrap();
-            for shard in &shard_data {
-                let mut s = Sketch::new(kind, 0.05).unwrap();
-                s.insert_batch(shard);
-                merged.merge(&s).unwrap();
-            }
-            assert_eq!(merged.quantile(0.0).unwrap(), merged.min().unwrap());
-            assert_eq!(merged.quantile(1.0).unwrap(), merged.max().unwrap());
-            assert_eq!(merged.min(), batch.min());
-            assert_eq!(merged.max(), batch.max());
+        // Batch-built.
+        let mut batch = QuantileSketch::new(0.05).unwrap();
+        for shard in &shard_data {
+            batch.insert_batch(shard);
         }
-    }
-
-    #[test]
-    fn sketch_kind_round_trips_through_strings() {
-        for kind in [SketchKind::Gk, SketchKind::Kll] {
-            assert_eq!(kind.as_str().parse::<SketchKind>().unwrap(), kind);
+        assert_eq!(batch.quantile(0.0).unwrap(), batch.min().unwrap());
+        assert_eq!(batch.quantile(1.0).unwrap(), batch.max().unwrap());
+        // Merged from per-shard sketches.
+        let mut merged = QuantileSketch::new(0.05).unwrap();
+        for shard in &shard_data {
+            let mut s = QuantileSketch::new(0.05).unwrap();
+            s.insert_batch(shard);
+            merged.merge(&s);
         }
-        assert!("gkk".parse::<SketchKind>().is_err());
-        assert!("KLL".parse::<SketchKind>().is_err());
-        assert_eq!(SketchKind::default(), SketchKind::Gk);
-    }
-
-    #[test]
-    fn sketch_dispatch_forwards_to_the_selected_algorithm() {
-        for kind in [SketchKind::Gk, SketchKind::Kll] {
-            let mut s = Sketch::new(kind, 0.01).unwrap();
-            assert_eq!(s.kind(), kind);
-            assert!(s.is_empty());
-            s.insert(2.0);
-            s.insert_batch(&[1.0, 3.0]);
-            s.push_batch(&[4.0]);
-            assert_eq!(s.len(), 4);
-            assert_eq!(s.min(), Some(1.0));
-            assert_eq!(s.max(), Some(4.0));
-            assert_eq!(s.mean(), Some(2.5));
-            assert_eq!(s.quantile(1.0).unwrap(), 4.0);
-            assert!(s.rank(2.5) >= 1);
-            assert!((s.ecdf(10.0) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn mixed_kind_merge_is_a_typed_error() {
-        let mut gk = Sketch::new(SketchKind::Gk, 0.01).unwrap();
-        let mut kll = Sketch::new(SketchKind::Kll, 0.01).unwrap();
-        gk.insert(1.0);
-        kll.insert(2.0);
-        let before = gk.clone();
-        assert!(gk.merge(&kll).is_err());
-        assert_eq!(gk, before, "a rejected merge must not mutate the target");
-        assert!(kll.merge(&before).is_err());
+        assert_eq!(merged.quantile(0.0).unwrap(), merged.min().unwrap());
+        assert_eq!(merged.quantile(1.0).unwrap(), merged.max().unwrap());
+        assert_eq!(merged.min(), batch.min());
+        assert_eq!(merged.max(), batch.max());
     }
 }

@@ -45,14 +45,13 @@ USAGE:
   mbpta analyze <file> [--cutoff <p>] [--alpha <a>] [--block <n>] [--cv] [--csv]
   mbpta measure [--runs <n>] [--seed <s>] [--jobs <j>] [--path <name>]
   mbpta session [<file>] [--target-p <p>] [--block <n>] [--every <k>]
-                [--sketch <gk|kll>]
                 [--batch] [--shards <n>] [--jobs <j>] [--stop-on-converged]
                 [--simulate] [--runs <n>] [--seed <s>]
                 [--checkpoint <path> --checkpoint-every <k>]
   mbpta session --resume <path> [<file>] [--jobs <j>]
                 [--checkpoint <path> --checkpoint-every <k>]
   mbpta serve [--addr <host:port>] [--target-p <p>] [--block <n>] [--every <k>]
-              [--sketch <gk|kll>] [--workers <w>] [--max-conns <n>] [--jobs <j>]
+              [--workers <w>] [--max-conns <n>] [--jobs <j>]
               [--cache-capacity <n>] [--cache-ttl <t>]
               [--checkpoint <path> --checkpoint-every <k>]
   mbpta serve --resume <path> [--addr <host:port>] [--workers <w>]
@@ -63,7 +62,6 @@ USAGE:
   mbpta call <addr> merge <channel> <blob-file>
   mbpta call <addr> checkpoint | stats | shutdown
   mbpta shard [<file>] --out <blob> [--shards <n>] [--target-p <p>] [--block <n>]
-              [--sketch <gk|kll>]
               [--simulate] [--runs <n>] [--seed <s>] [--path <name>]
   mbpta --help
 
@@ -115,12 +113,6 @@ OPTIONS (session):
   --block <n>          block size for block maxima              [50]
   --every <k>          emit a snapshot every <k> measurements,
                        round-robin across channels (0 = off)    [250]
-  --sketch <gk|kll>    quantile-sketch algorithm for the streaming
-                       engines (not valid with --batch): gk (tight
-                       deterministic rank bounds) or kll (smaller
-                       summaries under deep merges); the report
-                       stays bit-identical at every shard/job
-                       count for both                           [gk]
   --batch              buffer per channel and analyse at the end
                        (default: bounded-memory streaming engines)
   --shards <n>         back each channel with <n> federated stream
@@ -141,7 +133,6 @@ OPTIONS (serve):
   --target-p <p>         exceedance cutoff                    [1e-12]
   --block <n>            block size for block maxima          [50]
   --every <k>            per-channel snapshot cadence         [250]
-  --sketch <gk|kll>      quantile-sketch algorithm            [gk]
   --workers <w>          analysis workers; channels are
                          partitioned across workers by name hash,
                          each worker serves one request at a
@@ -180,9 +171,8 @@ OPTIONS (shard):
   --out <blob>   output file for the sealed federated blob (required)
   --shards <n>   shard count; the folded state is bit-identical
                  for every value                                 [1]
-  --target-p, --block, --sketch, --simulate, --runs, --seed, --path: as
-                 above; the stream configuration (including the sketch
-                 algorithm) must match the server's
+  --target-p, --block, --simulate, --runs, --seed, --path: as above;
+                 the stream configuration must match the server's
 
 CHECKPOINT / RESUME (session):
   --checkpoint <path>      write a checkpoint of the full session state
@@ -250,18 +240,6 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
     }
 }
 
-/// Parse `--sketch {gk,kll}`: the quantile-sketch algorithm the
-/// streaming engines maintain. The error names the accepted values —
-/// a generic "invalid value" would leave the user guessing.
-fn parse_sketch(args: &[String]) -> Result<SketchKind, String> {
-    match flag_value(args, "--sketch")? {
-        None => Ok(SketchKind::default()),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value for --sketch: `{raw}` (expected `gk` or `kll`)")),
-    }
-}
-
 /// One verb's flags, each with whether it takes a value. Any other
 /// `--flag` is an error: a misspelt flag must neither pass silently nor
 /// swallow the next argument as its value.
@@ -287,7 +265,6 @@ const SESSION_FLAGS: Flags = &[
     ("--target-p", true),
     ("--block", true),
     ("--every", true),
-    ("--sketch", true),
     ("--batch", false),
     ("--shards", true),
     ("--jobs", true),
@@ -307,7 +284,6 @@ const SERVE_FLAGS: Flags = &[
     ("--target-p", true),
     ("--block", true),
     ("--every", true),
-    ("--sketch", true),
     ("--workers", true),
     ("--max-conns", true),
     ("--jobs", true),
@@ -331,7 +307,6 @@ const SHARD_FLAGS: Flags = &[
     ("--shards", true),
     ("--target-p", true),
     ("--block", true),
-    ("--sketch", true),
     ("--simulate", false),
     ("--runs", true),
     ("--seed", true),
@@ -401,6 +376,24 @@ impl SimSource {
     }
 }
 
+/// A buffered reader over `file`, or over stdin without one.
+fn open_feed(file: Option<&str>) -> Result<Box<dyn std::io::BufRead>, String> {
+    Ok(match file {
+        Some(file) => Box::new(std::io::BufReader::new(
+            std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?,
+        )),
+        None => Box::new(std::io::BufReader::new(std::io::stdin())),
+    })
+}
+
+/// The measurements of a one-time-per-line feed ([`open_feed`]); a bad
+/// line's error names its line number.
+fn measurement_lines(
+    file: Option<&str>,
+) -> Result<impl Iterator<Item = Result<f64, String>>, String> {
+    Ok(LineSource::new(open_feed(file)?).map(|r| r.map_err(|e| e.to_string())))
+}
+
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
     let pos = positionals("analyze", ANALYZE_FLAGS, args)?;
     let file = *pos.first().ok_or("analyze needs a measurement file")?;
@@ -409,8 +402,8 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
     let use_cv = args.iter().any(|a| a == "--cv");
     let want_csv = args.iter().any(|a| a == "--csv");
 
-    let reader = std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;
-    let campaign = Campaign::from_reader(reader).map_err(|e| e.to_string())?;
+    let times = measurement_lines(Some(file))?.collect::<Result<Vec<f64>, String>>()?;
+    let campaign = Campaign::from_times(times).map_err(|e| e.to_string())?;
 
     let mut config = MbptaConfig {
         alpha,
@@ -558,9 +551,6 @@ struct SessionParams {
     target_p: f64,
     every: usize,
     shards: usize,
-    /// Quantile-sketch algorithm of the streaming engines (`--sketch`);
-    /// recorded so a resumed run rebuilds the same engine configuration.
-    sketch: SketchKind,
     stop_on_converged: bool,
     /// `Some((runs, seed))` when the feed is the built-in simulator.
     sim: Option<(usize, u64)>,
@@ -577,7 +567,8 @@ impl SessionParams {
         w.f64(self.target_p);
         w.usize(self.every);
         w.usize(self.shards);
-        persist::Encode::encode(&self.sketch, w);
+        // Format v3 keeps a sketch-kind byte here; GK is the only sketch.
+        persist::Encode::encode(&SketchKind::Gk, w);
         w.bool(self.stop_on_converged);
         match self.sim {
             None => w.bool(false),
@@ -597,8 +588,11 @@ impl SessionParams {
                 target_p: r.f64()?,
                 every: r.usize()?,
                 shards: r.usize()?,
-                sketch: persist::Decode::decode(r)?,
-                stop_on_converged: r.bool()?,
+                stop_on_converged: {
+                    // Refuses a checkpoint recording a removed sketch.
+                    let SketchKind::Gk = persist::Decode::decode(r)?;
+                    r.bool()?
+                },
                 sim: if r.bool()? {
                     Some((r.usize()?, r.u64()?))
                 } else {
@@ -712,7 +706,6 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
             "--block",
             "--every",
             "--target-p",
-            "--sketch",
             "--stop-on-converged",
             "--simulate",
             "--runs",
@@ -743,18 +736,11 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
     let block: usize = parse_flag(args, "--block", 50)?;
     let every: usize = parse_flag(args, "--every", 250)?;
     let shards: usize = parse_flag(args, "--shards", 0)?;
-    let sketch = parse_sketch(args)?;
     let batch = args.iter().any(|a| a == "--batch");
     let simulate = args.iter().any(|a| a == "--simulate");
     let stop_on_converged = args.iter().any(|a| a == "--stop-on-converged");
     if shards > 0 && batch {
         return Err("--shards applies to the streaming engines; drop --batch".into());
-    }
-    // The batch engine buffers raw measurements and never builds a
-    // sketch; silently accepting the flag would let the user believe it
-    // took effect.
-    if batch && args.iter().any(|a| a == "--sketch") {
-        return Err("--sketch applies to the streaming engines; drop --batch".into());
     }
     // Shards fold at the end and only track per-shard stability, which
     // depends on the shard geometry: convergence-gated stopping would
@@ -805,7 +791,6 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
         target_p,
         every,
         shards,
-        sketch,
         stop_on_converged,
         sim: if simulate {
             Some(sim_params(args, 1500)?)
@@ -856,13 +841,7 @@ fn session_feed(
         }
         Ok(Box::new(tagged.into_iter().map(Ok).skip(consumed)))
     } else {
-        let reader: Box<dyn std::io::BufRead> = match file {
-            Some(file) => Box::new(std::io::BufReader::new(
-                std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?,
-            )),
-            None => Box::new(std::io::BufReader::new(std::io::stdin())),
-        };
-        Ok(Box::new(tagged_lines(reader).skip(consumed)))
+        Ok(Box::new(tagged_lines(open_feed(file)?).skip(consumed)))
     }
 }
 
@@ -916,7 +895,6 @@ fn run_session(
     let stream_config = StreamConfig {
         block_size: params.block,
         target_p: params.target_p,
-        sketch: params.sketch,
         ..StreamConfig::default()
     };
     match params.kind {
@@ -1249,7 +1227,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             "--target-p",
             "--block",
             "--every",
-            "--sketch",
             "--cache-capacity",
             "--cache-ttl",
             "--checkpoint",
@@ -1285,7 +1262,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             stream: StreamConfig {
                 block_size: block,
                 target_p,
-                sketch: parse_sketch(args)?,
                 ..StreamConfig::default()
             },
             snapshot_every: every,
@@ -1359,20 +1335,7 @@ fn call_cmd(args: &[String]) -> Result<(), String> {
             if chunk == 0 {
                 return Err("--chunk must be positive".into());
             }
-            let source: Box<dyn Iterator<Item = Result<f64, String>>> = match file {
-                Some(file) => {
-                    let f = std::fs::File::open(file)
-                        .map_err(|e| format!("cannot open {file}: {e}"))?;
-                    Box::new(
-                        LineSource::new(std::io::BufReader::new(f))
-                            .map(|r| r.map_err(|e| e.to_string())),
-                    )
-                }
-                None => Box::new(
-                    LineSource::new(std::io::BufReader::new(std::io::stdin()))
-                        .map(|r| r.map_err(|e| e.to_string())),
-                ),
-            };
+            let source = measurement_lines(file)?;
             // The --skip prefix is what a restarted server already
             // holds (`call stats` → total): resending from there makes
             // the resumed feed order identical to an uninterrupted one.
@@ -1545,7 +1508,6 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
     let stream = StreamConfig {
         block_size: block,
         target_p,
-        sketch: parse_sketch(args)?,
         ..StreamConfig::default()
     };
     let mut config = FederatedConfig::new(stream, shards);
@@ -1569,22 +1531,8 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         fed
     } else {
         let mut fed = FederatedAnalyzer::new(config).map_err(|e| e.to_string())?;
-        let source: Box<dyn Iterator<Item = Result<f64, String>>> = match file {
-            Some(file) => {
-                let f =
-                    std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;
-                Box::new(
-                    LineSource::new(std::io::BufReader::new(f))
-                        .map(|r| r.map_err(|e| e.to_string())),
-                )
-            }
-            None => Box::new(
-                LineSource::new(std::io::BufReader::new(std::io::stdin()))
-                    .map(|r| r.map_err(|e| e.to_string())),
-            ),
-        };
         let mut chunk: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
-        for x in source {
+        for x in measurement_lines(file)? {
             chunk.push(x?);
             if chunk.len() == FEED_CHUNK {
                 fed.push_batch(&chunk).map_err(|e| e.to_string())?;

@@ -39,7 +39,6 @@ const CODEC_COVERAGE: &[&str] = &[
     "IidMonitor",
     "IidReport",
     "IidStatus",
-    "KllSketch",
     "MbptaConfig",
     "MbptaError",
     "ObservationSummary",
@@ -249,9 +248,9 @@ proptest! {
 
 #[test]
 fn quarantined_channel_survives_checkpoint_restart() {
-    // Quarantine a channel with a NaN before the cut; the restored
-    // session must report the identical channel-scoped error and keep
-    // counting drops.
+    // Quarantine a channel with a NaN and another with a negative time
+    // before the cut; the restored session must report the identical
+    // channel-scoped errors and keep counting drops.
     let factory = StreamFactory::new(stream_config()).unwrap();
     let mut session = builder(0).build_with(factory.clone()).unwrap();
     for &x in campaign(1e5, 900, 3).iter() {
@@ -259,6 +258,7 @@ fn quarantined_channel_survives_checkpoint_restart() {
     }
     session.push(Tagged::new("bad", f64::NAN)).unwrap();
     session.push(Tagged::new("bad", 100.0)).unwrap(); // dropped
+    session.push(Tagged::new("negative", -3.0)).unwrap();
     let blob = session.checkpoint().unwrap();
     let mut restored = AnalysisSession::restore(factory, &blob, 0).unwrap();
     // More drops after the restart.
@@ -270,6 +270,15 @@ fn quarantined_channel_survives_checkpoint_restart() {
     assert_eq!(a.verdict("bad").unwrap(), b.verdict("bad").unwrap());
     assert_eq!(a.channels()[1].dropped, 2);
     assert_eq!(b.channels()[1].dropped, 2);
+    let negative = b.verdict("negative").unwrap().as_ref().unwrap_err();
+    assert_eq!(
+        Some(negative),
+        a.verdict("negative").unwrap().as_ref().err()
+    );
+    assert!(
+        negative.to_string().contains("execution time is negative"),
+        "{negative}"
+    );
 }
 
 #[test]
@@ -377,37 +386,18 @@ fn golden_analyzer_fixture_stays_decodable() {
 }
 
 #[test]
-fn golden_kll_analyzer_fixture_stays_decodable() {
-    // Format v3's new byte surface: the `StreamConfig` sketch-kind byte
-    // and the kind-tagged KLL sketch record (levels, coin counter, side
-    // stats). Same shape as the GK analyzer fixture — 1010 samples, a
-    // partial block, bootstrap on — so the two fixtures differ exactly
-    // where the sketch selection bites.
-    let mut reference = StreamAnalyzer::new(StreamConfig {
-        block_size: 25,
-        refit_every_blocks: 4,
-        target_p: 1e-12,
-        sketch: proxima::stream::SketchKind::Kll,
-        ..StreamConfig::default()
-    })
-    .unwrap();
-    reference.extend(campaign(1e5, 1010, 42)).unwrap();
-    let current = save_analyzer(&reference);
-    let bytes = fixture_bytes("analyzer_kll_v3.bin", &current);
-    let decoded = load_analyzer(&bytes).expect("golden KLL analyzer fixture must decode");
-    assert_eq!(decoded.len(), 1010);
-    assert_eq!(
-        decoded.config().sketch,
-        proxima::stream::SketchKind::Kll,
-        "fixture must restore the KLL selection"
+fn removed_kll_sketch_fixture_is_rejected_not_misparsed() {
+    // Written by a build that offered a second sketch algorithm: its
+    // config and sketch records carry sketch-kind tag 1. That layout is
+    // gone, so decoding must fail with a typed checkpoint error that
+    // says why. Read directly: this fixture is never regenerated.
+    let bytes = std::fs::read(fixture_path("analyzer_kll_v3.bin")).expect("fixture");
+    let err = load_analyzer(&bytes).expect_err("a removed sketch must not decode");
+    assert!(
+        matches!(err, proxima::mbpta::MbptaError::Checkpoint { .. }),
+        "{err:?}"
     );
-    assert_eq!(decoded.sketch(), reference.sketch());
-    assert_eq!(decoded.maxima(), reference.maxima());
-    assert_eq!(save_analyzer(&decoded), bytes);
-    assert_eq!(
-        current, bytes,
-        "checkpoint format drifted without a version bump"
-    );
+    assert!(err.to_string().contains("no longer supported"), "{err}");
 }
 
 #[test]

@@ -501,6 +501,11 @@ fn unknown_flags_and_commands_are_rejected() {
     // ignored or swallowing the next argument as its value.
     let file = measured_file("unknown_flag_feed.txt", "600");
     let f = file.to_str().expect("utf8 path");
+    let dir = std::env::temp_dir().join("proxima_cli_test");
+    let blob = dir.join("unknown_flag_shard.bin");
+    let blob = blob.to_str().expect("utf8 path");
+    let missing = dir.join("unknown_flag_missing_ck.bin");
+    let missing = missing.to_str().expect("utf8 path");
     let table: &[(&[&str], &str)] = &[
         (
             &["session", "--cache-stats"],
@@ -514,6 +519,26 @@ fn unknown_flags_and_commands_are_rejected() {
         ),
         (&["session", f, "--every"], "--every needs a value"),
         (&["stream", f], "unknown command"),
+        // GK is the only sketch: the option that chose one is gone, so
+        // even its old default value is refused by the flag's name.
+        (&["session", f, "--sketch", "gk"], "unknown flag `--sketch`"),
+        (
+            &[
+                "shard",
+                "--simulate",
+                "--runs",
+                "10",
+                "--out",
+                blob,
+                "--sketch",
+                "gk",
+            ],
+            "unknown flag `--sketch`",
+        ),
+        (
+            &["serve", "--resume", missing, "--sketch", "gk"],
+            "unknown flag `--sketch`",
+        ),
     ];
     for (args, expected) in table {
         let out = mbpta()
@@ -643,6 +668,39 @@ fn analyze_missing_file_fails() {
         .output()
         .expect("spawn");
     assert!(!out.status.success());
+}
+
+#[test]
+fn analyze_names_unparsable_lines_and_negative_times() {
+    let dir = std::env::temp_dir().join("proxima_cli_test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let lines = |bad: &str| -> String {
+        let mut text = String::new();
+        for i in 0..2_001 {
+            if i == 700 {
+                text.push_str(bad);
+            } else {
+                text.push_str(&(100_000 + (i * 37) % 1_009).to_string());
+            }
+            text.push('\n');
+        }
+        text
+    };
+    for (name, bad, expected) in [
+        ("analyze_unparsable.txt", "12x34", "line 701: `12x34`"),
+        ("analyze_negative.txt", "-3", "execution time is negative"),
+    ] {
+        let file = dir.join(name);
+        std::fs::write(&file, lines(bad)).expect("write");
+        let out = mbpta()
+            .args(["analyze", file.to_str().expect("utf8 path")])
+            .output()
+            .expect("spawn");
+        assert!(!out.status.success(), "{name} unexpectedly analysed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+        assert!(!stderr.contains("non-finite"), "{name}: {stderr}");
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! stream-vs-batch bound of the batch pipeline.
 
 use proxima::prelude::*;
-use proxima::stream::{SketchKind, StreamConfig};
+use proxima::stream::StreamConfig;
 
 fn stream_config() -> StreamConfig {
     StreamConfig {
@@ -139,51 +139,4 @@ fn federated_envelope_matches_streaming_envelope() {
     assert_eq!(worst_s, worst_f);
     assert_eq!(budget_s, budget_f, "sharded envelope diverged");
     assert_eq!(streaming.high_watermark(), federated.high_watermark());
-}
-
-#[test]
-fn kll_sharded_sessions_agree_with_single_stream_at_every_shard_count() {
-    // `--sketch kll` keeps the federated determinism contract: the KLL
-    // compaction coins come from a SplitMix64 stream seeded by sketch
-    // state (never ambient entropy), merges are deterministic, and the
-    // side statistics the report reads are exact — so the folded report
-    // is bit-identical to the unsharded KLL stream at every shard count.
-    let runs = 2000;
-    let kll_config = StreamConfig {
-        sketch: SketchKind::Kll,
-        ..stream_config()
-    };
-    let times: Vec<f64> = TraceReplay::tvca(
-        ControlMode::Nominal,
-        TvcaConfig::default(),
-        runs,
-        10_000_000,
-    )
-    .collect();
-
-    let mut single = StreamAnalyzer::new(kll_config.clone()).expect("config");
-    single.extend(times.iter().copied()).expect("clean stream");
-    let single_final = single.finish().expect("final");
-
-    for shards in [1usize, 2, 4] {
-        let config = FederatedConfig::new(kll_config.clone(), shards).balanced_for(runs);
-        let mut session = MbptaConfig::default()
-            .session()
-            .build_federated_with(config)
-            .expect("valid config");
-        {
-            let mut channel = session.channel("path").expect("fresh channel");
-            for &x in &times {
-                channel.push(x);
-            }
-        }
-        let merged = session.merge();
-        let verdict = merged.verdict("path").unwrap().as_ref().expect("analysed");
-        assert_eq!(
-            verdict.pwcet, single_final.distribution,
-            "shards={shards} diverged from the single KLL stream"
-        );
-        assert_eq!(verdict.summary.high_watermark, single_final.high_watermark);
-        assert_eq!(verdict.summary.n, runs);
-    }
 }
