@@ -284,6 +284,16 @@ pub trait Engine: Send {
     /// caller detects freshness via [`EngineEstimate::n`].
     fn estimate(&mut self) -> Option<EngineEstimate>;
 
+    /// The [`EngineEstimate::n`] that [`estimate`](Self::estimate) would
+    /// return now, without assembling the estimate. The session polls
+    /// this for freshness and fetches the full estimate only to emit it,
+    /// so an engine whose estimate carries costly parts (the streaming
+    /// engine's bootstrap CI) pays for them only when they are read. The
+    /// default assembles the estimate.
+    fn estimate_n(&mut self) -> Option<usize> {
+        self.estimate().map(|estimate| estimate.n)
+    }
+
     /// How many further measurements this engine can ingest with
     /// [`estimate`](Self::estimate) and [`converged`](Self::converged)
     /// guaranteed unchanged — i.e. its next refit/convergence event lies

@@ -117,6 +117,14 @@ impl From<String> for ChannelId {
     }
 }
 
+/// Lets the session's channel index answer `&str` lookups without
+/// allocating a `ChannelId` (ordering and equality are the string's).
+impl std::borrow::Borrow<str> for ChannelId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl std::fmt::Display for ChannelId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
@@ -225,17 +233,24 @@ struct ChannelState<E> {
 }
 
 impl<E: Engine> ChannelState<E> {
-    /// Poll for a fresh (not-yet-emitted) estimate. Records the polled
-    /// length whenever the outcome cannot change until the channel grows,
-    /// so repeated scans between refits cost one length comparison.
-    fn fresh_estimate(&mut self) -> Option<EngineEstimate> {
+    /// Measurements the engine accepted (frozen when it was dropped).
+    fn len(&self) -> usize {
+        self.engine.as_ref().map_or(self.accepted, Engine::len)
+    }
+
+    /// Poll for a fresh (not-yet-emitted) estimate and return its count
+    /// ([`Engine::estimate_n`]: the estimate itself is not assembled).
+    /// Records the polled length whenever the outcome cannot change
+    /// until the channel grows, so repeated scans between refits cost
+    /// one length comparison.
+    fn poll_fresh(&mut self) -> Option<usize> {
         let engine = self.engine.as_mut()?;
         let len = engine.len();
         if len == self.last_polled_len {
             return None;
         }
-        match engine.estimate() {
-            Some(estimate) if self.last_emitted_n != Some(estimate.n) => Some(estimate),
+        match engine.estimate_n() {
+            Some(n) if self.last_emitted_n != Some(n) => Some(n),
             _ => {
                 self.last_polled_len = len;
                 None
@@ -243,29 +258,64 @@ impl<E: Engine> ChannelState<E> {
         }
     }
 
-    /// Record an emission at estimate count `n`.
-    fn mark_emitted(&mut self, n: usize) {
-        self.last_emitted_n = Some(n);
-        self.last_polled_len = self.engine.as_ref().map_or(0, |e| e.len());
+    /// Fetch the estimate [`poll_fresh`](Self::poll_fresh) found fresh
+    /// and record its emission.
+    fn emit_estimate(&mut self) -> Option<EngineEstimate> {
+        let engine = self.engine.as_mut()?;
+        let estimate = engine.estimate()?;
+        self.last_emitted_n = Some(estimate.n);
+        self.last_polled_len = engine.len();
+        Some(estimate)
     }
 
     /// Finish the engine now and drop it, freeing its state; the verdict
     /// is held for [`AnalysisSession::merge`]. Pushes arriving after
     /// this are counted in `dropped`.
     fn finish_early(&mut self) {
-        if let Some(mut engine) = self.engine.take() {
+        if let Some(engine) = self.engine.take() {
             self.accepted = engine.len();
-            self.early_verdict = Some(
-                engine
-                    .finish()
-                    .map(|mut verdict| {
-                        verdict.provenance.channel = Some(self.id.clone());
-                        verdict
-                    })
-                    .map_err(|e| MbptaError::channel_scoped(self.id.clone(), e)),
-            );
+            self.early_verdict = Some(finish_scoped(&self.id, engine));
         }
     }
+
+    /// The channel's final outcome, exactly as
+    /// [`AnalysisSession::merge`] reports it: the quarantine error, the
+    /// early verdict, or the running engine's finish.
+    fn into_verdict(mut self) -> ChannelVerdict {
+        let outcome = match (self.failed.take(), self.early_verdict.take()) {
+            (Some(e), _) => Err(MbptaError::channel_scoped(self.id.clone(), e)),
+            // Finished at convergence: the verdict is already scoped and
+            // the engine state long freed.
+            (None, Some(verdict)) => verdict,
+            (None, None) => finish_scoped(
+                &self.id,
+                self.engine
+                    .take()
+                    // proxima-lint: allow(no-lib-panic) -- invariant: a
+                    // channel that is neither failed nor early-finished
+                    // still owns its engine.
+                    .expect("running channel holds an engine"),
+            ),
+        };
+        ChannelVerdict {
+            channel: self.id,
+            outcome,
+            dropped: self.dropped,
+        }
+    }
+}
+
+/// Finish `engine` into channel `id`'s verdict, scoped to the channel
+/// (its provenance names it; an error is wrapped in
+/// [`MbptaError::Channel`]).
+fn finish_scoped<E: Engine>(id: &ChannelId, mut engine: E) -> Result<Verdict, MbptaError> {
+    engine
+        .finish()
+        .map(|mut verdict| {
+            verdict.provenance.channel = Some(id.clone());
+            verdict
+        })
+        .map_err(|e| MbptaError::channel_scoped(id.clone(), e))
 }
 
 /// A multi-channel analysis session. Created by
@@ -349,6 +399,14 @@ impl<F: EngineFactory> AnalysisSession<F> {
     /// The channel ids, in first-seen order.
     pub fn channel_ids(&self) -> impl Iterator<Item = &ChannelId> {
         self.channels.iter().map(|c| &c.id)
+    }
+
+    /// Measurements `channel`'s engine accepted (frozen at the finish
+    /// point for an early-finished or quarantined channel), or `None`
+    /// for a channel the session has not seen. Unlike
+    /// [`channel`](Self::channel), this never creates the channel.
+    pub fn channel_len(&self, channel: &str) -> Option<usize> {
+        self.index.get(channel).map(|&i| self.channels[i].len())
     }
 
     /// The worker-thread bound [`merge`](Self::merge) will use.
@@ -717,7 +775,7 @@ impl<F: EngineFactory> AnalysisSession<F> {
                     // accepted — the outcome class cannot change inside
                     // the quiet stretch).
                     if poll_eligible && state.failed.is_none() && !state.converged_emitted {
-                        let _ = state.fresh_estimate();
+                        let _ = state.poll_fresh();
                     }
                     state.failed = Some(e);
                     if let Some(engine) = state.engine.take() {
@@ -732,14 +790,14 @@ impl<F: EngineFactory> AnalysisSession<F> {
     }
 
     /// The convergence-announcement poll of [`Self::emit`] for a whole
-    /// quiet stretch: one `fresh_estimate` settles `last_polled_len` to
+    /// quiet stretch: one `poll_fresh` settles `last_polled_len` to
     /// exactly the per-item end state (fruitless polls record the final
     /// length; a fresh-but-unconverged estimate leaves it untouched —
     /// and the class cannot flip inside the stretch).
     fn poll_quietly(&mut self, index: usize) {
         let state = &mut self.channels[index];
         if state.failed.is_none() && !state.converged_emitted && state.engine.is_some() {
-            let _ = state.fresh_estimate();
+            let _ = state.poll_fresh();
         }
     }
 
@@ -780,21 +838,21 @@ impl<F: EngineFactory> AnalysisSession<F> {
         if state.failed.is_none() && !state.converged_emitted && state.engine.is_some() {
             // Poll the pushed channel even when scheduled snapshots are
             // off: engines that refit on demand (batch) track their
-            // convergence inside `estimate`, and the poll is cadence-
+            // convergence inside `estimate_n`, and the poll is cadence-
             // gated inside the engine.
-            let fresh = state.fresh_estimate();
+            let fresh = state.poll_fresh();
             if state.engine.as_ref().is_some_and(Engine::converged) {
                 state.converged_emitted = true;
                 // Announce only if the scheduler has not already emitted
                 // this exact estimate (it carries `converged: true`).
-                let announcement = fresh.map(|estimate| {
-                    state.mark_emitted(estimate.n);
-                    SessionSnapshot {
-                        channel: state.id.clone(),
-                        total,
-                        estimate,
-                    }
-                });
+                let announcement =
+                    fresh
+                        .and_then(|_| state.emit_estimate())
+                        .map(|estimate| SessionSnapshot {
+                            channel: state.id.clone(),
+                            total,
+                            estimate,
+                        });
                 if self.early_finish {
                     state.finish_early();
                 }
@@ -817,8 +875,7 @@ impl<F: EngineFactory> AnalysisSession<F> {
             if state.failed.is_some() {
                 continue;
             }
-            if let Some(estimate) = state.fresh_estimate() {
-                state.mark_emitted(estimate.n);
+            if let Some(estimate) = state.poll_fresh().and_then(|_| state.emit_estimate()) {
                 self.rr_cursor = (i + 1) % n_channels;
                 self.since_snapshot = 0;
                 return Some(SessionSnapshot {
@@ -886,13 +943,10 @@ impl<F: EngineFactory> AnalysisSession<F> {
     /// engine cannot serialize its state.
     pub fn export_channel_record(&self, channel: &str) -> Result<Vec<u8>, MbptaError> {
         use crate::persist::{seal, Writer, MAGIC_CHANNEL};
-        let state = self
-            .channels
-            .iter()
-            .find(|state| state.id.as_str() == channel)
-            .ok_or_else(|| {
-                MbptaError::checkpoint(format!("cannot export unknown channel `{channel}`"))
-            })?;
+        let &i = self.index.get(channel).ok_or_else(|| {
+            MbptaError::checkpoint(format!("cannot export unknown channel `{channel}`"))
+        })?;
+        let state = &self.channels[i];
         let mut w = Writer::new();
         encode_channel_state(state, &mut w)?;
         Ok(seal(MAGIC_CHANNEL, w.into_bytes()))
@@ -924,7 +978,7 @@ impl<F: EngineFactory> AnalysisSession<F> {
             });
         }
         let id = state.id.clone();
-        let n = state.engine.as_ref().map_or(state.accepted, Engine::len);
+        let n = state.len();
         self.index.insert(id.clone(), self.channels.len());
         self.channels.push(state);
         self.total += n;
@@ -1007,7 +1061,7 @@ impl<F: EngineFactory> AnalysisSession<F> {
         let channels = run_sharded(n, jobs, |shard| {
             shard
                 .map(|i| {
-                    let mut state = slots[i]
+                    let state = slots[i]
                         .lock()
                         // Each index goes to exactly one worker, so a
                         // poisoned slot can only mean a panic mid-take in a
@@ -1019,34 +1073,25 @@ impl<F: EngineFactory> AnalysisSession<F> {
                         // hands each index to exactly one worker, so the
                         // slot is still occupied on first (only) take.
                         .expect("each channel finished exactly once");
-                    let outcome = match (state.failed.take(), state.early_verdict.take()) {
-                        (Some(e), _) => Err(MbptaError::channel_scoped(state.id.clone(), e)),
-                        // Finished at convergence: the verdict is already
-                        // scoped and the engine state long freed.
-                        (None, Some(verdict)) => verdict,
-                        (None, None) => state
-                            .engine
-                            .take()
-                            // proxima-lint: allow(no-lib-panic) -- invariant:
-                            // a channel that is neither failed nor
-                            // early-finished still owns its engine.
-                            .expect("running channel holds an engine")
-                            .finish()
-                            .map(|mut verdict| {
-                                verdict.provenance.channel = Some(state.id.clone());
-                                verdict
-                            })
-                            .map_err(|e| MbptaError::channel_scoped(state.id.clone(), e)),
-                    };
-                    ChannelVerdict {
-                        channel: state.id,
-                        outcome,
-                        dropped: state.dropped,
-                    }
+                    state.into_verdict()
                 })
                 .collect()
         });
         SessionVerdict { channels }
+    }
+}
+
+impl<F: EngineFactory> AnalysisSession<F>
+where
+    F::Engine: Clone,
+{
+    /// Finalize one channel on a clone of its state: the outcome
+    /// [`merge`](Self::merge) would report for it, at the cost of
+    /// finishing that channel alone. The live session is untouched and
+    /// keeps streaming. `None` for a channel the session has not seen.
+    pub fn finalize_channel(&self, channel: &str) -> Option<ChannelVerdict> {
+        let &i = self.index.get(channel)?;
+        Some(self.channels[i].clone().into_verdict())
     }
 }
 
@@ -1227,8 +1272,7 @@ impl<F: EngineFactory> ChannelHandle<'_, F> {
     /// Measurements this channel's engine accepted (frozen at the finish
     /// point for an early-finished channel).
     pub fn len(&self) -> usize {
-        let state = &self.session.channels[self.index];
-        state.engine.as_ref().map_or(state.accepted, Engine::len)
+        self.session.channels[self.index].len()
     }
 
     /// `true` before the channel's first measurement.
@@ -1948,5 +1992,140 @@ mod tests {
         assert_eq!(a.verdict("stuck").unwrap(), b.verdict("stuck").unwrap());
         assert_eq!(a.channels()[0].dropped, b.channels()[0].dropped);
         assert_eq!(a.channels()[1].dropped, b.channels()[1].dropped);
+    }
+
+    /// A batch engine that rejects non-finite values at push, as the
+    /// streaming engines do — the behaviour that quarantines a channel.
+    #[derive(Debug, Clone)]
+    struct Strict(crate::engine::BatchEngine);
+
+    impl Engine for Strict {
+        fn kind(&self) -> EngineKind {
+            self.0.kind()
+        }
+        fn push(&mut self, x: f64) -> Result<(), MbptaError> {
+            if !x.is_finite() {
+                return Err(MbptaError::InvalidConfig {
+                    what: "non-finite measurement",
+                });
+            }
+            self.0.push(x)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn estimate(&mut self) -> Option<EngineEstimate> {
+            self.0.estimate()
+        }
+        fn converged(&self) -> bool {
+            self.0.converged()
+        }
+        fn finish(&mut self) -> Result<Verdict, MbptaError> {
+            self.0.finish()
+        }
+        fn save_state(&self) -> Result<Vec<u8>, MbptaError> {
+            self.0.save_state()
+        }
+    }
+
+    #[derive(Clone)]
+    struct StrictFactory(BatchFactory);
+
+    impl EngineFactory for StrictFactory {
+        type Engine = Strict;
+        fn create(&self, channel: &ChannelId) -> Result<Strict, MbptaError> {
+            self.0.create(channel).map(Strict)
+        }
+    }
+
+    /// The encoded bytes of a channel outcome: a verdict's every field
+    /// bit for bit, or the error.
+    fn outcome_bytes(outcome: &Result<Verdict, MbptaError>) -> Vec<u8> {
+        use crate::persist::{Encode, Writer};
+        let mut w = Writer::new();
+        match outcome {
+            Ok(verdict) => verdict.encode(&mut w),
+            Err(e) => e.encode(&mut w),
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn finalize_channel_matches_merge_and_leaves_the_session_alone() {
+        let build = || {
+            let factory = BatchFactory::new(MbptaConfig::default(), 1e-12).unwrap();
+            MbptaConfig::default()
+                .session()
+                .snapshot_every(0)
+                .early_finish(true)
+                .build_with(StrictFactory(factory))
+                .unwrap()
+        };
+        // `ok` stays short of convergence (three estimates); `short` is
+        // below the batch minimum; `bad` is quarantined by a NaN; `done`
+        // converges and finishes early.
+        let feed = |session: &mut AnalysisSession<StrictFactory>| {
+            session.push_batch("ok", &campaign(1.1e5, 800, 51)).unwrap();
+            session.push_batch("short", &campaign(1e5, 50, 52)).unwrap();
+            session.push_batch("bad", &campaign(1e5, 300, 53)).unwrap();
+            session.push(Tagged::new("bad", f64::NAN)).unwrap();
+            session.push_batch("done", &campaign(1e5, 6000, 9)).unwrap();
+        };
+        let mut session = build();
+        feed(&mut session);
+        assert!(session.channel("done").unwrap().finished_early());
+        assert!(session.channel("bad").unwrap().failed());
+        assert!(!session.channel("ok").unwrap().converged());
+        let before = session.checkpoint().unwrap();
+
+        let merged = session.clone().merge();
+        for expected in merged.channels() {
+            let name = expected.channel.as_str();
+            let got = session.finalize_channel(name).unwrap();
+            assert_eq!(got.channel, expected.channel);
+            assert_eq!(got.dropped, expected.dropped, "{name}");
+            assert_eq!(
+                outcome_bytes(&got.outcome),
+                outcome_bytes(&expected.outcome),
+                "{name}"
+            );
+            assert_eq!(got.outcome, expected.outcome, "{name}");
+        }
+        assert_eq!(
+            merged
+                .channels()
+                .iter()
+                .map(|c| c.outcome.is_ok())
+                .collect::<Vec<_>>(),
+            [true, false, false, true]
+        );
+        assert!(session.finalize_channel("ghost").is_none());
+        assert_eq!(session.channel_len("ghost"), None);
+        assert_eq!(session.channel_count(), 4, "a lookup creates no channel");
+
+        // The live session is untouched: same bytes now, and the same
+        // outputs later as a session nobody finalized.
+        assert_eq!(session.checkpoint().unwrap(), before);
+        let mut control = build();
+        feed(&mut control);
+        for s in [&mut session, &mut control] {
+            s.push_batch("ok", &campaign(1.1e5, 400, 54)).unwrap();
+            s.push_batch("done", &campaign(1e5, 10, 55)).unwrap();
+        }
+        for name in ["ok", "short", "bad", "done"] {
+            let len = session.channel(name).unwrap().len();
+            assert_eq!(session.channel_len(name), Some(len), "{name}");
+        }
+        assert_eq!(
+            session.channel_len("bad"),
+            Some(300),
+            "frozen at quarantine"
+        );
+        assert_eq!(session.checkpoint().unwrap(), control.checkpoint().unwrap());
+        let (live, control) = (session.merge(), control.merge());
+        for (a, b) in live.channels().iter().zip(control.channels()) {
+            assert_eq!(a.channel, b.channel);
+            assert_eq!(outcome_bytes(&a.outcome), outcome_bytes(&b.outcome));
+        }
     }
 }

@@ -87,8 +87,10 @@ pub struct ServeConfig {
     /// Concurrent connection bound; past it new connections get a
     /// typed `Busy` frame (`0` = unlimited).
     pub max_conns: usize,
-    /// Threads for finalize fan-out inside each worker's session (`0`
-    /// = all cores; results are identical at any value).
+    /// Threads for the finalize fan-out of an all-channel verdict
+    /// inside each worker's session (`0` = all cores; results are
+    /// identical at any value). A one-channel verdict finishes that
+    /// channel alone and uses none.
     pub jobs: usize,
     /// Abort the process once the session holds at least this many
     /// measurements — crash-injection for restart drills; never set it
@@ -117,7 +119,8 @@ impl Default for ServeConfig {
 /// from the checkpoint manifest.
 #[derive(Debug, Clone, Default)]
 pub struct ResumeOptions {
-    /// Threads for finalize fan-out inside each worker's session.
+    /// Threads for the all-channel verdict's finalize fan-out inside
+    /// each worker's session.
     pub jobs: usize,
     /// Crash injection (see [`ServeConfig::crash_after`]).
     pub crash_after: Option<usize>,

@@ -42,7 +42,10 @@
 //!   order), and the dispatcher folds the partials in **global**
 //!   first-seen channel order with exactly the single-session
 //!   `envelope_budget` scan (max of budgets, strict `>`, first error
-//!   wins) — so the fold is associative over any partitioning.
+//!   wins) — so the fold is associative over any partitioning. A
+//!   one-channel verdict finalizes a clone of that channel alone
+//!   (`AnalysisSession::finalize_channel`), which is the outcome the
+//!   whole-session finalize reports for it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -436,17 +439,9 @@ struct Worker {
 
 impl Worker {
     /// The channel's accepted count, 0 for a channel this worker has
-    /// never seen. (`AnalysisSession::channel` would *create* the
-    /// channel, hence the membership check first.)
-    fn channel_len(&mut self, channel: &str) -> usize {
-        if self.session.channel_ids().any(|id| id.as_str() == channel) {
-            self.session
-                .channel(channel)
-                .ok()
-                .map_or(0, |handle| handle.len())
-        } else {
-            0
-        }
+    /// never seen.
+    fn channel_len(&self, channel: &str) -> usize {
+        self.session.channel_len(channel).unwrap_or(0)
     }
 
     fn ingest(&mut self, channel: &str, values: &[f64]) -> Result<IngestOutcome, ServeError> {
@@ -545,10 +540,10 @@ impl Worker {
         if let Some(hit) = self.cache.get(key) {
             return hit;
         }
-        // Finalize a clone: the live session keeps streaming, and
-        // repeat queries between ingests come straight from the cache.
-        let merged = self.session.clone().merge();
-        let Some(outcome) = merged.verdict(channel) else {
+        // Finalize a clone of this one channel: the live session keeps
+        // streaming, and repeat queries between ingests come straight
+        // from the cache.
+        let Some(finalized) = self.session.finalize_channel(channel) else {
             // The dispatcher's registry check makes this unreachable
             // for routed queries; answer honestly anyway.
             return Response::Error {
@@ -556,7 +551,7 @@ impl Worker {
             }
             .encode();
         };
-        let outcome = outcome.clone().map_err(|e| e.to_string());
+        let outcome = finalized.outcome.map_err(|e| e.to_string());
         let response = fold_verdicts(
             p,
             &[channel.to_string()],

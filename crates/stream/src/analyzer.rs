@@ -21,6 +21,17 @@
 //! full vector, the final snapshot of a fully streamed trace **equals the
 //! batch result bit for bit** at the same fixed block size.
 //!
+//! A snapshot's bootstrap CI is computed when something first reads the
+//! snapshot, not at the refit: the public methods that hand snapshots
+//! out ([`push`](StreamAnalyzer::push), `push_batch`, `extend`,
+//! `finish`, `last_snapshot`) and the checkpoint encoder are the
+//! readers. The interval resamples `maxima[..blocks]` — the buffer only
+//! grows — with the snapshot's own seed, so a late interval has the
+//! bits an eager one would have had, and no interval is computed twice.
+//! The session engines ingest without reading, so a refit nobody reads
+//! costs no bootstrap, and neither does a verdict (no verdict carries a
+//! CI).
+//!
 //! Convergence follows the criterion of
 //! [`proxima_mbpta::convergence`]: consecutive snapshot estimates at the
 //! reference cutoff must stay within `rel_tol` for `stable_snapshots`
@@ -57,6 +68,8 @@
 //! assert_eq!(batched.len(), itemized.len());
 //! # Ok::<(), proxima_mbpta::MbptaError>(())
 //! ```
+
+use std::sync::OnceLock;
 
 use proxima_mbpta::confidence::{interval_from_maxima, BudgetInterval};
 use proxima_mbpta::convergence::ConvergenceConfig;
@@ -263,7 +276,9 @@ pub struct PwcetSnapshot {
     /// The full fitted pWCET distribution, for queries at other cutoffs.
     pub distribution: Pwcet,
     /// Bootstrap confidence interval for `pwcet`, when configured and the
-    /// resampling succeeded.
+    /// resampling succeeded. Computed when the snapshot is first read
+    /// (see the [module docs](self)), with the bits an interval computed
+    /// at the refit would have.
     pub ci: Option<BudgetInterval>,
     /// Relative change versus the previous snapshot's estimate (`None` on
     /// the first snapshot).
@@ -317,7 +332,12 @@ pub struct StreamAnalyzer {
     pub(crate) stable_run: usize,
     pub(crate) converged_at: Option<usize>,
     pub(crate) last_fit_error: Option<MbptaError>,
+    /// The most recent snapshot with `ci` left `None`: its interval
+    /// lives in `last_ci`.
     pub(crate) last_snapshot: Option<PwcetSnapshot>,
+    /// `last_snapshot`'s bootstrap interval, computed on first read.
+    /// Emptied at every refit; a decoded analyzer holds the decoded one.
+    pub(crate) last_ci: OnceLock<Option<BudgetInterval>>,
 }
 
 impl StreamAnalyzer {
@@ -347,6 +367,7 @@ impl StreamAnalyzer {
             converged_at: None,
             last_fit_error: None,
             last_snapshot: None,
+            last_ci: OnceLock::new(),
         })
     }
 
@@ -408,9 +429,36 @@ impl StreamAnalyzer {
     }
 
     /// The most recent emitted snapshot, if any — the cached estimate a
-    /// session engine exposes between refits.
-    pub fn last_snapshot(&self) -> Option<&PwcetSnapshot> {
-        self.last_snapshot.as_ref()
+    /// session engine exposes between refits. Its bootstrap CI is
+    /// computed on the first read and kept.
+    pub fn last_snapshot(&self) -> Option<PwcetSnapshot> {
+        self.last_snapshot.map(|snap| PwcetSnapshot {
+            ci: self.last_ci(&snap),
+            ..snap
+        })
+    }
+
+    /// The bootstrap interval of `snap`, the most recent snapshot:
+    /// computed on the first call, from the maxima prefix and the seed
+    /// the refit saw, and kept until the next refit.
+    fn last_ci(&self, snap: &PwcetSnapshot) -> Option<BudgetInterval> {
+        *self.last_ci.get_or_init(|| {
+            let spec = self.config.bootstrap.as_ref()?;
+            interval_from_maxima(
+                &self.maxima[..snap.blocks],
+                self.config.block_size,
+                snap.pwcet,
+                self.config.target_p,
+                spec.level,
+                spec.resamples,
+                // The refit counted its own snapshot: a refit-made
+                // snapshot has index `snapshots - 1` (a decoded one never
+                // gets here — its interval was decoded with it).
+                SplitMix64::stream_seed(spec.seed, (self.snapshots - 1) as u64),
+                1,
+            )
+            .ok()
+        })
     }
 
     /// The last refit failure, if the most recent checkpoint could not fit
@@ -430,6 +478,16 @@ impl StreamAnalyzer {
     /// tail): [`StatsError::NonFiniteData`] for NaN or ±∞,
     /// [`StatsError::InvalidArgument`] for a negative execution time.
     pub fn push(&mut self, x: f64) -> Result<Option<PwcetSnapshot>, MbptaError> {
+        Ok(if self.ingest(x)? {
+            self.last_snapshot()
+        } else {
+            None
+        })
+    }
+
+    /// [`Self::push`] without reading the snapshot: `true` when this
+    /// measurement completed a refit, whose CI stays owed.
+    pub(crate) fn ingest(&mut self, x: f64) -> Result<bool, MbptaError> {
         check_measurement(x).map_err(MbptaError::Stats)?;
         self.n += 1;
         self.sketch.insert(x);
@@ -437,7 +495,7 @@ impl StreamAnalyzer {
         self.current_block_max = self.current_block_max.max(x);
         self.current_block_len += 1;
         if self.current_block_len < self.config.block_size {
-            return Ok(None);
+            return Ok(false);
         }
         // Block complete.
         self.maxima.push(self.current_block_max);
@@ -447,10 +505,10 @@ impl StreamAnalyzer {
         if self.maxima.len() < self.config.min_blocks
             || self.blocks_since_refit < self.config.refit_every_blocks
         {
-            return Ok(None);
+            return Ok(false);
         }
         self.blocks_since_refit = 0;
-        Ok(self.refit())
+        Ok(self.refit().is_some())
     }
 
     /// Ingest a batch of measurements, collecting every snapshot emitted
@@ -507,11 +565,23 @@ impl StreamAnalyzer {
     /// # Ok::<(), proxima_mbpta::MbptaError>(())
     /// ```
     pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<PwcetSnapshot>, MbptaError> {
+        let mut out = Vec::new();
+        self.ingest_batch(xs, |analyzer| out.extend(analyzer.last_snapshot()))?;
+        Ok(out)
+    }
+
+    /// The loop of [`Self::push_batch`], calling `on_snapshot` after each
+    /// refit that produced a snapshot. The session engines pass a no-op,
+    /// so the snapshots' CIs stay owed.
+    pub(crate) fn ingest_batch(
+        &mut self,
+        xs: &[f64],
+        mut on_snapshot: impl FnMut(&StreamAnalyzer),
+    ) -> Result<(), MbptaError> {
         let (valid, bad) = match xs.iter().position(|&x| check_measurement(x).is_err()) {
             Some(i) => (&xs[..i], check_measurement(xs[i]).err()),
             None => (xs, None),
         };
-        let mut out = Vec::new();
         let mut i = 0usize;
         while i < valid.len() {
             let to_refit = self.measurements_until_refit();
@@ -520,14 +590,14 @@ impl StreamAnalyzer {
             self.ingest_chunk(chunk);
             if chunk.len() == to_refit {
                 self.blocks_since_refit = 0;
-                if let Some(snap) = self.refit() {
-                    out.push(snap);
+                if self.refit().is_some() {
+                    on_snapshot(self);
                 }
             }
         }
         match bad {
             Some(e) => Err(MbptaError::Stats(e)),
-            None => Ok(out),
+            None => Ok(()),
         }
     }
 
@@ -635,6 +705,7 @@ impl StreamAnalyzer {
         self.converged_at = None;
         self.last_fit_error = None;
         self.last_snapshot = None;
+        self.last_ci = OnceLock::new();
     }
 
     /// Force a final refit over everything ingested so far (trailing
@@ -649,6 +720,17 @@ impl StreamAnalyzer {
     /// Returns [`MbptaError::CampaignTooSmall`] if fewer than
     /// `min_blocks` blocks completed, or the underlying fit error.
     pub fn finish(&mut self) -> Result<PwcetSnapshot, MbptaError> {
+        let snap = self.finish_fit()?;
+        Ok(PwcetSnapshot {
+            ci: self.last_ci(&snap),
+            ..snap
+        })
+    }
+
+    /// [`Self::finish`] without the bootstrap: the final snapshot with
+    /// `ci` left `None` and its interval owed. The verdict path calls
+    /// this — a verdict carries no CI.
+    pub(crate) fn finish_fit(&mut self) -> Result<PwcetSnapshot, MbptaError> {
         if self.maxima.len() < self.config.min_blocks {
             return Err(MbptaError::CampaignTooSmall {
                 needed: self.config.min_blocks * self.config.block_size,
@@ -670,7 +752,8 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Refit the Gumbel on the maxima buffer and assemble a snapshot.
+    /// Refit the Gumbel on the maxima buffer and record the snapshot,
+    /// returned with `ci` left `None` (its interval is owed until read).
     /// A failed fit is recorded and skipped — the stream retries at the
     /// next checkpoint.
     fn refit(&mut self) -> Option<PwcetSnapshot> {
@@ -708,26 +791,13 @@ impl StreamAnalyzer {
             self.converged_at = Some(self.n);
         }
         self.last_estimate = Some(budget);
-        let ci = self.config.bootstrap.as_ref().and_then(|spec| {
-            interval_from_maxima(
-                &self.maxima,
-                self.config.block_size,
-                budget,
-                self.config.target_p,
-                spec.level,
-                spec.resamples,
-                SplitMix64::stream_seed(spec.seed, self.snapshots as u64),
-                1,
-            )
-            .ok()
-        });
         self.snapshots += 1;
         let snap = PwcetSnapshot {
             n: self.n,
             blocks: self.maxima.len(),
             pwcet: budget,
             distribution: pwcet,
-            ci,
+            ci: None,
             convergence_delta,
             iid_status: self.monitor.health(),
             converged: self.converged_at.is_some(),
@@ -736,6 +806,7 @@ impl StreamAnalyzer {
             high_watermark: self.sketch.max().expect("n > 0 at any snapshot"),
         };
         self.last_snapshot = Some(snap);
+        self.last_ci = OnceLock::new();
         Some(snap)
     }
 }

@@ -15,6 +15,12 @@
 //! streaming session is **bit-identical** to driving a bare
 //! [`StreamAnalyzer`] over the same feed (asserted by the session
 //! acceptance tests).
+//!
+//! The engines ingest without reading snapshots, so a refit's bootstrap
+//! CI is computed only when the session emits that estimate
+//! ([`Engine::estimate`]) or a checkpoint encodes it. The session's
+//! freshness polls read [`Engine::estimate_n`], which computes none, and
+//! the verdict path ([`Engine::finish`]) computes none either.
 
 use proxima_mbpta::engine::{
     fit_from_maxima, Engine, EngineEstimate, EngineFactory, EngineKind, IidEvidence,
@@ -42,17 +48,18 @@ pub(crate) fn iid_evidence(health: IidHealth) -> IidEvidence {
 }
 
 /// Finish `analyzer` and assemble the session [`Verdict`] every
-/// stream-backed engine shares: final refit, fit evidence recomputed
-/// from the maxima buffer, sketch-exact summary, rolling i.i.d.
-/// evidence. `provenance.converged` carries the analyzer's online
-/// convergence state when `online_convergence` is set (a federated fold
-/// has no online history and passes `false` → `None`).
+/// stream-backed engine shares: final refit (no bootstrap — a verdict
+/// carries no CI), fit evidence recomputed from the maxima buffer,
+/// sketch-exact summary, rolling i.i.d. evidence.
+/// `provenance.converged` carries the analyzer's online convergence
+/// state when `online_convergence` is set (a federated fold has no
+/// online history and passes `false` → `None`).
 pub(crate) fn finish_into_verdict(
     analyzer: &mut StreamAnalyzer,
     engine: EngineKind,
     online_convergence: bool,
 ) -> Result<Verdict, MbptaError> {
-    let snapshot = analyzer.finish()?;
+    let snapshot = analyzer.finish_fit()?;
     let fit = fit_from_maxima(analyzer.maxima(), analyzer.config().block_size)?;
     Ok(Verdict {
         summary: ObservationSummary {
@@ -74,7 +81,7 @@ pub(crate) fn finish_into_verdict(
 }
 
 /// Project an analyzer snapshot into the session estimate vocabulary.
-fn estimate_from_snapshot(snap: &PwcetSnapshot) -> EngineEstimate {
+fn estimate_from_snapshot(snap: PwcetSnapshot) -> EngineEstimate {
     EngineEstimate {
         n: snap.n,
         blocks: Some(snap.blocks),
@@ -154,13 +161,13 @@ impl Engine for StreamEngine {
     }
 
     fn push(&mut self, x: f64) -> Result<(), MbptaError> {
-        // Snapshots are cached inside the analyzer; the session polls
-        // them through `estimate`.
-        self.analyzer.push(x).map(|_| ())
+        // Snapshots are cached inside the analyzer, their CIs owed; the
+        // session polls them through `estimate_n` and `estimate`.
+        self.analyzer.ingest(x).map(|_| ())
     }
 
     fn push_batch(&mut self, xs: &[f64]) -> Result<(), MbptaError> {
-        self.analyzer.push_batch(xs).map(|_| ())
+        self.analyzer.ingest_batch(xs, |_| {})
     }
 
     fn len(&self) -> usize {
@@ -169,6 +176,10 @@ impl Engine for StreamEngine {
 
     fn estimate(&mut self) -> Option<EngineEstimate> {
         self.analyzer.last_snapshot().map(estimate_from_snapshot)
+    }
+
+    fn estimate_n(&mut self) -> Option<usize> {
+        self.analyzer.last_snapshot.map(|snap| snap.n)
     }
 
     fn quiet_horizon(&self) -> Option<usize> {
@@ -426,5 +437,72 @@ mod tests {
             .session()
             .build_stream_with(bad)
             .is_err());
+    }
+
+    #[test]
+    fn engine_ingest_and_finish_leave_the_snapshot_ci_owed_until_read() {
+        let data = times(2_000, 4);
+        let mut engine = StreamEngine::new(stream_config()).unwrap();
+        engine.push_batch(&data[..1_000]).unwrap();
+        for &x in &data[1_000..] {
+            engine.push(x).unwrap();
+        }
+        // 80 blocks, a refit every 4 from block 10 on: 18 refits, none
+        // of them read.
+        assert_eq!(engine.analyzer().snapshots_emitted(), 18);
+        assert!(engine.analyzer.last_snapshot.is_some());
+        assert_eq!(engine.estimate_n(), Some(1_950));
+        assert!(
+            engine.analyzer.last_ci.get().is_none(),
+            "ingest bootstrapped"
+        );
+
+        // Block 80 is off the refit cadence, so the verdict refits — and
+        // still computes no CI.
+        let mut finished = engine.clone();
+        finished.finish().unwrap();
+        assert_eq!(finished.analyzer().snapshots_emitted(), 19);
+        assert!(
+            finished.analyzer.last_ci.get().is_none(),
+            "finish bootstrapped"
+        );
+
+        // A read fills the cell with the interval an eager analyzer
+        // computed for the same snapshot...
+        let mut bare = StreamAnalyzer::new(stream_config()).unwrap();
+        bare.push_batch(&data).unwrap();
+        let eager = bare.finish().unwrap();
+        let spec = stream_config().bootstrap.unwrap();
+        let direct = proxima_mbpta::confidence::interval_from_maxima(
+            bare.maxima(),
+            25,
+            eager.pwcet,
+            1e-12,
+            spec.level,
+            spec.resamples,
+            proxima_prng::SplitMix64::stream_seed(spec.seed, 18),
+            1,
+        )
+        .unwrap();
+        assert_eq!(eager.ci, Some(direct), "snapshot 18's eager interval");
+        let mut read = finished.clone();
+        let estimate = read.estimate().unwrap();
+        assert_eq!(estimate.n, eager.n);
+        assert_eq!(estimate.ci, eager.ci);
+        assert_eq!(read.analyzer.last_ci.get(), Some(&eager.ci));
+        // ...and so does an encode, to the same bytes.
+        let encoded = finished.clone();
+        let bytes = encoded.save_state().unwrap();
+        assert_eq!(encoded.analyzer.last_ci.get(), Some(&eager.ci));
+        assert_eq!(bytes, read.save_state().unwrap());
+
+        // The federated engine's shards ingest without reading too.
+        let config = crate::FederatedConfig::new(stream_config(), 3).balanced_for(data.len());
+        let mut federated = crate::FederatedEngine::new(config).unwrap();
+        federated.push_batch(&data).unwrap();
+        for shard in federated.analyzer().shards() {
+            assert!(shard.snapshots_emitted() > 0);
+            assert!(shard.last_ci.get().is_none(), "a shard bootstrapped");
+        }
     }
 }

@@ -263,9 +263,20 @@ impl FederatedAnalyzer {
     /// Same as [`StreamAnalyzer::push`].
     pub fn push(&mut self, x: f64) -> Result<Option<PwcetSnapshot>, MbptaError> {
         let s = self.active_shard();
-        let snap = self.shards[s].push(x)?;
+        Ok(if self.ingest(x)? {
+            self.shards[s].last_snapshot()
+        } else {
+            None
+        })
+    }
+
+    /// [`Self::push`] without reading the shard's snapshot: `true` when
+    /// this measurement completed one of its refits, whose CI stays owed.
+    pub(crate) fn ingest(&mut self, x: f64) -> Result<bool, MbptaError> {
+        let s = self.active_shard();
+        let refit = self.shards[s].ingest(x)?;
         self.n += 1;
-        Ok(snap)
+        Ok(refit)
     }
 
     /// Bulk-ingest a slice of measurements, splitting it at the shard
@@ -280,6 +291,18 @@ impl FederatedAnalyzer {
     /// negative value, with everything before it ingested.
     pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<PwcetSnapshot>, MbptaError> {
         let mut out = Vec::new();
+        self.ingest_batch(xs, |shard| out.extend(shard.last_snapshot()))?;
+        Ok(out)
+    }
+
+    /// The loop of [`Self::push_batch`], calling `on_snapshot` with the
+    /// shard after each of its refits that produced a snapshot. The
+    /// federated engine passes a no-op, so the shards' CIs stay owed.
+    pub(crate) fn ingest_batch(
+        &mut self,
+        xs: &[f64],
+        mut on_snapshot: impl FnMut(&StreamAnalyzer),
+    ) -> Result<(), MbptaError> {
         let mut i = 0usize;
         while i < xs.len() {
             let s = self.active_shard();
@@ -289,14 +312,14 @@ impl FederatedAnalyzer {
                 ((s + 1) * self.shard_len - self.n).min(xs.len() - i)
             };
             let before = self.shards[s].len();
-            let result = self.shards[s].push_batch(&xs[i..i + take]);
+            let result = self.shards[s].ingest_batch(&xs[i..i + take], &mut on_snapshot);
             // The shard ingested exactly the prefix before any bad value;
             // mirror that into the routing count before propagating.
             self.n += self.shards[s].len() - before;
-            out.extend(result?);
+            result?;
             i += take;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Replay `runs` executions of `trace` on the simulated platform,
@@ -348,7 +371,7 @@ impl FederatedAnalyzer {
                         let replay = TraceReplay::new_shared(platform, trace, end, master_seed)
                             .starting_at(start as u64);
                         for x in replay {
-                            analyzer.push(x)?;
+                            analyzer.ingest(x)?;
                         }
                         Ok(())
                     })
@@ -403,7 +426,9 @@ impl FederatedAnalyzer {
 /// Federated engines emit **no intermediate estimates** — the global
 /// estimate exists only at fold time (shards stream independently; a
 /// coordinator folds once), which also keeps session reports independent
-/// of the shard count. [`Engine::converged`] reports per-shard stability
+/// of the shard count. Nothing reads a shard snapshot online, so a
+/// shard refit's bootstrap CI is computed only if a checkpoint encodes
+/// it. [`Engine::converged`] reports per-shard stability
 /// ([`FederatedAnalyzer::converged`] — see its caveat on shard sizing
 /// before gating anything on it).
 #[derive(Debug, Clone)]
@@ -436,11 +461,11 @@ impl Engine for FederatedEngine {
     }
 
     fn push(&mut self, x: f64) -> Result<(), MbptaError> {
-        self.analyzer.push(x).map(|_| ())
+        self.analyzer.ingest(x).map(|_| ())
     }
 
     fn push_batch(&mut self, xs: &[f64]) -> Result<(), MbptaError> {
-        self.analyzer.push_batch(xs).map(|_| ())
+        self.analyzer.ingest_batch(xs, |_| {})
     }
 
     fn len(&self) -> usize {

@@ -409,7 +409,9 @@ impl Encode for StreamAnalyzer {
         w.usize(self.stable_run);
         self.converged_at.encode(w);
         self.last_fit_error.encode(w);
-        self.last_snapshot.encode(w);
+        // Encoding reads the snapshot: an owed CI is computed here, so
+        // the bytes match an analyzer whose every snapshot was read.
+        self.last_snapshot().encode(w);
     }
 }
 
@@ -432,7 +434,10 @@ impl Decode for StreamAnalyzer {
         analyzer.stable_run = r.usize()?;
         analyzer.converged_at = Option::decode(r)?;
         analyzer.last_fit_error = Option::decode(r)?;
-        analyzer.last_snapshot = Option::decode(r)?;
+        if let Some(snap) = Option::<PwcetSnapshot>::decode(r)? {
+            analyzer.last_ci = snap.ci.into();
+            analyzer.last_snapshot = Some(PwcetSnapshot { ci: None, ..snap });
+        }
         if analyzer.current_block_len >= analyzer.config.block_size {
             return Err(MbptaError::checkpoint(
                 "analyzer partial block is not shorter than the block size",
@@ -567,7 +572,7 @@ mod tests {
         assert_eq!(a.stable_run, b.stable_run);
         assert_eq!(a.converged_at, b.converged_at);
         assert_eq!(a.last_fit_error, b.last_fit_error);
-        assert_eq!(a.last_snapshot, b.last_snapshot);
+        assert_eq!(a.last_snapshot(), b.last_snapshot());
     }
 
     #[test]
