@@ -16,11 +16,13 @@
 //!
 //! The maxima are tie-compressed once per interval ([`TiedSample`]: the
 //! distinct values plus one value index per maximum). A resample makes
-//! the same [`Mwc64`] draws in the same order but keeps the drawn value
-//! indices instead of copying values, and each shard worker fits them
-//! with one reused [`GumbelKernel`]: no allocation per resample, and
-//! budgets bit-identical to fitting the drawn values with
-//! [`fit_gumbel`](proxima_stats::evt::fit_gumbel).
+//! the same [`Mwc64`] draws in the same order as a resampler that copies
+//! the drawn values, but only counts how often each distinct value is
+//! drawn, and each shard worker fits those counts with one reused
+//! [`GumbelKernel`]: no allocation per resample, work per fit in the
+//! number of distinct values, and budgets bit-identical to fitting the
+//! drawn values with [`fit_gumbel`](proxima_stats::evt::fit_gumbel)
+//! (the fit depends only on the multiset of its maxima).
 
 use proxima_prng::{Mwc64, RandomSource, SplitMix64};
 use proxima_stats::evt::{block_maxima, GumbelKernel, TiedSample};
@@ -182,14 +184,15 @@ fn resample_budgets(
     run_sharded(resamples, jobs, |shard| {
         let n = value_index.len();
         let mut kernel = GumbelKernel::default();
-        let mut draw = vec![0usize; n];
+        let mut counts = vec![0usize; sample.values().len()];
         shard
             .filter_map(|r| {
                 let mut rng = Mwc64::new(SplitMix64::stream_seed(seed, r as u64));
-                for slot in draw.iter_mut() {
-                    *slot = value_index[rng.below(n as u64) as usize];
+                counts.fill(0);
+                for _ in 0..n {
+                    counts[value_index[rng.below(n as u64) as usize]] += 1;
                 }
-                let gumbel = kernel.fit(&sample, &draw).ok()?;
+                let gumbel = kernel.fit(&sample, &counts).ok()?;
                 Pwcet::new(gumbel, block_size).budget_for(p).ok()
             })
             .collect()
@@ -275,10 +278,8 @@ mod tests {
         );
     }
 
-    /// The value-copying resampler the tie-compressed one replaced,
-    /// verbatim: copy each drawn maximum, fit the copy with `fit_gumbel`.
-    /// (`proxima-stats`' kernel battery pins `fit_gumbel` to the
-    /// per-element MLE loop bit for bit.)
+    /// The value-copying resampler the counting one replaced, verbatim:
+    /// copy each drawn maximum, fit the copy with `fit_gumbel`.
     fn oracle_budgets(
         maxima: &[f64],
         block_size: usize,

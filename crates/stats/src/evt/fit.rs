@@ -1,23 +1,20 @@
 //! Parameter estimation for the extreme-value family.
 //!
 //! The production pWCET model is the Gumbel, fitted by [`fit_gumbel`]:
-//! a probability-weighted-moment (PWM) start refined by a
-//! maximum-likelihood fixed point. Its one implementation is
-//! [`GumbelKernel`], which works on a **tie-compressed** sample
-//! ([`TiedSample`]): the distinct values in ascending
-//! [`f64::total_cmp`] order, plus one value index per element in the
-//! original order. Block maxima of integer cycle counts repeat heavily
-//! (a few dozen distinct values among hundreds of maxima), so each MLE
-//! iteration evaluates `e^{−y/β}` once per distinct value present and
-//! then walks the index sequence to add the precomputed terms.
+//! its maximum-likelihood estimate, found by a safeguarded Newton solve
+//! of the Gumbel score equation from a probability-weighted-moment (PWM)
+//! start. Its one implementation is [`GumbelKernel`], which takes a
+//! sample as its distinct values ([`TiedSample`]) plus one count per
+//! value. Block maxima of integer cycle counts repeat heavily (a few
+//! dozen distinct values among hundreds of maxima), so a Newton step
+//! costs one `exp()` and a few multiply-adds per distinct value, and a
+//! fit takes about four steps.
 //!
-//! The walk adds the same operands in the same order as a per-element
-//! loop over the materialized sample would, and the PWM start reads the
-//! same sorted sequence (a counting sort over the indices yields it), so
-//! μ and β are bit-identical to that loop — for tied and tie-free
-//! samples alike. The bootstrap in `proxima_mbpta::confidence` compresses
-//! the maxima once and fits every resample as a fresh index sequence
-//! over the same [`TiedSample`], reusing one kernel's scratch buffers.
+//! The kernel reads only the (value, count) multiset, so the fit of a
+//! sample does not depend on the order of its elements. The bootstrap in
+//! `proxima_mbpta::confidence` compresses the maxima once and fits every
+//! resample as a count vector over the same [`TiedSample`], which gives
+//! the bits [`fit_gumbel`] gives on the drawn values.
 
 use std::cmp::Ordering;
 
@@ -32,27 +29,14 @@ use crate::StatsError;
 /// Fewest maxima a Gumbel fit accepts.
 const GUMBEL_MIN_MAXIMA: usize = 10;
 
-/// Fixed-point iterations the Gumbel MLE gets before falling back to the
-/// PWM estimate.
-const GUMBEL_MLE_MAX_ITERATIONS: usize = 200;
+/// The Gumbel MLE solve stops once the score `|g(β)|` is at most this
+/// fraction of `β`.
+const GUMBEL_MLE_TOLERANCE: f64 = 1e-12;
 
 fn sorted_copy(sample: &[f64]) -> Vec<f64> {
     let mut xs = sample.to_vec();
     xs.sort_by(|a, b| a.total_cmp(b));
     xs
-}
-
-/// The PWM step of every Gumbel fit, on an ascending-sorted sample:
-/// `β̂ = (2 b₁ − b₀)/ln 2`, `μ̂ = b₀ − γ β̂`.
-fn gumbel_pwm_sorted(sorted: &[f64]) -> Result<Gumbel, StatsError> {
-    let b0 = pwm_sorted(sorted, 0);
-    let b1 = pwm_sorted(sorted, 1);
-    let beta = (2.0 * b1 - b0) / std::f64::consts::LN_2;
-    if !(beta.is_finite() && beta > 0.0) {
-        return Err(StatsError::DegenerateSample);
-    }
-    let mu = b0 - EULER_GAMMA * beta;
-    Gumbel::new(mu, beta)
 }
 
 /// Fit a [`Gumbel`] distribution by probability-weighted moments
@@ -61,8 +45,8 @@ fn gumbel_pwm_sorted(sorted: &[f64]) -> Result<Gumbel, StatsError> {
 /// `β̂ = (2 b₁ − b₀)/ln 2`, `μ̂ = b₀ − γ β̂`.
 ///
 /// PWM estimates are robust on the small maxima samples MBPTA works with
-/// (60 maxima for the paper's 3,000 runs at block size 50); [`fit_gumbel`]
-/// refines this estimate by maximum likelihood.
+/// (60 maxima for the paper's 3,000 runs at block size 50);
+/// [`fit_gumbel`] starts its likelihood solve from this estimate.
 ///
 /// # Errors
 ///
@@ -71,27 +55,46 @@ fn gumbel_pwm_sorted(sorted: &[f64]) -> Result<Gumbel, StatsError> {
 /// * [`StatsError::DegenerateSample`] if all maxima are equal.
 pub fn fit_gumbel_pwm(maxima: &[f64]) -> Result<Gumbel, StatsError> {
     check_len(maxima, GUMBEL_MIN_MAXIMA)?;
-    gumbel_pwm_sorted(&sorted_copy(maxima))
+    let sorted = sorted_copy(maxima);
+    let b0 = pwm_sorted(&sorted, 0);
+    let b1 = pwm_sorted(&sorted, 1);
+    let beta = (2.0 * b1 - b0) / std::f64::consts::LN_2;
+    if !(beta.is_finite() && beta > 0.0) {
+        return Err(StatsError::DegenerateSample);
+    }
+    let mu = b0 - EULER_GAMMA * beta;
+    Gumbel::new(mu, beta)
 }
 
-/// Fit a [`Gumbel`] distribution: PWM start, refined by maximum-likelihood
-/// fixed-point iteration.
+/// Fit a [`Gumbel`] distribution by maximum likelihood.
 ///
-/// The Gumbel MLE satisfies the fixed point
-/// `β = x̄ − Σ xᵢ e^{−xᵢ/β} / Σ e^{−xᵢ/β}`,
-/// `μ = −β ln(n⁻¹ Σ e^{−xᵢ/β})`,
-/// which converges monotonically from any reasonable start. If the
-/// iteration fails to converge the PWM estimate is returned (it is already
-/// consistent).
+/// With `zᵢ = xᵢ − min x` and `wᵢ = e^{−zᵢ/β}`, the MLE scale is the
+/// root of the score
+/// `g(β) = β − z̄ + Σ zᵢ wᵢ / Σ wᵢ`,
+/// and `μ = min x − β ln(n⁻¹ Σ wᵢ)`. `g` rises with slope
+/// `g′(β) = 1 + Var_w(z)/β² ≥ 1` from `g(0⁺) = −z̄ < 0` to `g(z̄) ≥ 0`,
+/// so every sample with two distinct values has exactly one root, in
+/// `(0, z̄]`. The solve starts at the PWM estimate ([`fit_gumbel_pwm`]),
+/// keeps a bracket of the root, takes Newton steps inside it and bisects
+/// whenever a step would leave it (or fails to halve the step before
+/// last). It stops at `|g(β)| ≤ 10⁻¹² β`, or where rounding leaves no
+/// double between the bracket ends; either way it returns the
+/// likelihood root, never the PWM start.
 ///
 /// This compresses `maxima` into a [`TiedSample`] and runs the
-/// [`GumbelKernel`] on it; callers fitting many resamples of one sample
-/// should compress once and drive the kernel directly.
+/// [`GumbelKernel`] on its counts, so the result depends only on the
+/// multiset of maxima, not on their order; callers fitting many
+/// resamples of one sample should compress once and drive the kernel
+/// directly.
 ///
 /// # Errors
 ///
-/// Same as [`fit_gumbel_pwm`], in the same order; a [`Gumbel::new`]
-/// failure of the PWM start is returned as is.
+/// * [`StatsError::InsufficientData`] if fewer than 10 maxima;
+/// * [`StatsError::NonFiniteData`] if a maximum is NaN or infinite, or
+///   the range `max − min` overflows;
+/// * [`StatsError::DegenerateSample`] if all maxima are equal;
+/// * the [`Gumbel::new`] error if the fitted scale is not a positive
+///   double (a range of a few subnormal steps).
 ///
 /// # Examples
 ///
@@ -113,7 +116,11 @@ pub fn fit_gumbel_pwm(maxima: &[f64]) -> Result<Gumbel, StatsError> {
 /// ```
 pub fn fit_gumbel(maxima: &[f64]) -> Result<Gumbel, StatsError> {
     let sample = TiedSample::new(maxima);
-    GumbelKernel::default().fit(&sample, sample.indices())
+    let mut counts = vec![0; sample.values.len()];
+    for &k in &sample.indices {
+        counts[k] += 1;
+    }
+    GumbelKernel::default().fit(&sample, &counts)
 }
 
 /// A sample stored as its distinct values plus, per element, the index of
@@ -168,45 +175,27 @@ impl TiedSample {
     }
 }
 
-/// The Gumbel fit kernel behind [`fit_gumbel`], with scratch buffers that
-/// persist across calls: a kernel reused for many fits allocates only
-/// while its buffers grow.
+/// The Gumbel fit kernel behind [`fit_gumbel`]. Its scratch buffer
+/// persists across calls: a kernel reused for many fits allocates only
+/// while the buffer grows.
 ///
-/// Per MLE iteration it evaluates `e^{−yⱼ/β}` once per distinct value
-/// present and then adds the precomputed terms element by element in the
-/// original order — `iterations × (d exps + n adds)` where a per-element
-/// loop pays `iterations × n` exps — with bit-identical results.
+/// A fit costs one `exp()` and a few multiply-adds per distinct value
+/// present and Newton step.
 #[derive(Debug, Default)]
 pub struct GumbelKernel {
-    /// Per distinct value of the sample: its count and MLE terms.
-    slots: Vec<Slot>,
-    /// Indices of the slots with a non-zero count, ascending.
-    present: Vec<usize>,
-    /// The sample in ascending order, expanded from the slot counts.
-    sorted: Vec<f64>,
-}
-
-/// One distinct value's share of a [`GumbelKernel`] fit. Only slots with
-/// a non-zero count are written past `count` or read.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// Elements holding the value.
-    count: usize,
-    /// The value, mean-centred: `y = v − x̄`.
-    y: f64,
-    /// `e^{−y/β}` at the current β.
-    e: f64,
-    /// `y · e^{−y/β}` at the current β.
-    ye: f64,
+    /// Per distinct value present, ascending: `(z, count)`, with `z` the
+    /// value's offset above the smallest one as a fraction of the range.
+    terms: Vec<(f64, f64)>,
 }
 
 impl GumbelKernel {
-    /// Fit a [`Gumbel`] to the sample whose `i`-th element is
-    /// `sample.values()[draw[i]]`, bit-identical to [`fit_gumbel`] on that
-    /// sample materialized as a vector.
+    /// Fit a [`Gumbel`] to the sample holding `counts[j]` copies of
+    /// `sample.values()[j]`: the fit [`fit_gumbel`] returns on any vector
+    /// of those elements.
     ///
-    /// `draw` may repeat or omit indices (a bootstrap resample is any
-    /// index sequence); only the values it reaches are checked and used.
+    /// Values with a zero count are neither checked nor used, so a
+    /// bootstrap resample is any count vector over the values of the
+    /// sample it was drawn from.
     ///
     /// # Errors
     ///
@@ -214,85 +203,86 @@ impl GumbelKernel {
     ///
     /// # Panics
     ///
-    /// If an index in `draw` is out of range for `sample.values()`.
-    pub fn fit(&mut self, sample: &TiedSample, draw: &[usize]) -> Result<Gumbel, StatsError> {
-        let n = draw.len();
+    /// If `counts` and `sample.values()` differ in length.
+    pub fn fit(&mut self, sample: &TiedSample, counts: &[usize]) -> Result<Gumbel, StatsError> {
+        assert_eq!(counts.len(), sample.values.len(), "one count per value");
+        let n: usize = counts.iter().sum();
         if n < GUMBEL_MIN_MAXIMA {
             return Err(StatsError::InsufficientData {
                 needed: GUMBEL_MIN_MAXIMA,
                 got: n,
             });
         }
-        let values = sample.values();
-        self.slots.clear();
-        self.slots.resize(values.len(), Slot::default());
-        for &k in draw {
-            self.slots[k].count += 1;
-        }
-        self.present.clear();
-        self.present.reserve(values.len());
-        self.sorted.clear();
-        self.sorted.reserve(n);
-        for (j, (slot, &v)) in self.slots.iter().zip(values).enumerate() {
-            if slot.count > 0 {
-                if !v.is_finite() {
-                    return Err(StatsError::NonFiniteData);
-                }
-                self.present.push(j);
-                self.sorted.extend(std::iter::repeat_n(v, slot.count));
+        self.terms.clear();
+        for (&v, &c) in sample.values.iter().zip(counts).filter(|(_, &c)| c > 0) {
+            if !v.is_finite() {
+                return Err(StatsError::NonFiniteData);
             }
+            self.terms.push((v, c as f64));
         }
-        let pwm = gumbel_pwm_sorted(&self.sorted)?;
-
+        // At least ten elements, so the first and last terms exist.
+        let low = self.terms[0].0;
+        let range = self.terms[self.terms.len() - 1].0 - low;
+        if !range.is_finite() {
+            return Err(StatsError::NonFiniteData);
+        }
+        if exactly_zero(range) {
+            return Err(StatsError::DegenerateSample);
+        }
+        // Solve in units of the range: every z lies in [0, 1], so no sum,
+        // square or exponent over- or underflows at any magnitude of the
+        // data. The PWM start comes from the counts: the copies of a value
+        // hold the 1-based ranks below+1 ..= below+c, whose (rank − 1)
+        // sum to c·below + c(c − 1)/2.
         let nf = n as f64;
-        let mean: f64 = draw.iter().map(|&k| values[k]).sum::<f64>() / nf;
-        // Work on mean-centered data y = x − x̄ so the exponentials stay tame;
-        // the common factor e^{−x̄/β} cancels in the MLE ratio, giving
-        // β_next = −Σ yᵢ e^{−yᵢ/β} / Σ e^{−yᵢ/β}.
-        for &j in &self.present {
-            self.slots[j].y = values[j] - mean;
+        let (mut below, mut sum_z, mut sum_rank_z) = (0.0, 0.0, 0.0);
+        for (v, c) in &mut self.terms {
+            *v = (*v - low) / range;
+            sum_z += *c * *v;
+            sum_rank_z += (*c * below + 0.5 * *c * (*c - 1.0)) * *v;
+            below += *c;
         }
-        let mut beta = pwm.beta();
-        let mut converged = false;
-        for _ in 0..GUMBEL_MLE_MAX_ITERATIONS {
-            self.weigh(beta);
-            let mut sum_e = 0.0;
-            let mut sum_ye = 0.0;
-            for &k in draw {
-                let slot = &self.slots[k];
-                sum_e += slot.e;
-                sum_ye += slot.ye;
+        let mean = sum_z / nf;
+        let pwm = (2.0 * sum_rank_z / (nf - 1.0) - sum_z) / nf / std::f64::consts::LN_2;
+        // Newton on the score g inside the bracket (lo, hi) of its root;
+        // a step that would leave the bracket, or not halve the step before
+        // last, bisects instead.
+        let (mut lo, mut hi) = (0.0, mean);
+        let mut beta = if pwm > 0.0 && pwm < mean {
+            pwm
+        } else {
+            mean / 2.0
+        };
+        let (mut step, mut step_before) = (f64::INFINITY, f64::INFINITY);
+        let sum_w = loop {
+            let rate = beta.recip();
+            let (mut sum_w, mut sum_zw, mut sum_zzw) = (0.0, 0.0, 0.0);
+            for &(z, c) in &self.terms {
+                let w = c * (-z * rate).exp();
+                sum_w += w;
+                sum_zw += w * z;
+                sum_zzw += w * z * z;
             }
-            let next_beta = -sum_ye / sum_e;
-            let next_beta = if next_beta.is_finite() && next_beta > 0.0 {
-                next_beta
-            } else {
-                beta * 0.5
-            };
-            if (next_beta - beta).abs() <= 1e-10 * beta {
-                beta = next_beta;
-                converged = true;
-                break;
+            // The smallest value has z = 0, so sum_w ≥ 1.
+            let weighted_mean = sum_zw / sum_w;
+            let g = beta - mean + weighted_mean;
+            if g.abs() <= GUMBEL_MLE_TOLERANCE * beta {
+                break sum_w;
             }
-            beta = next_beta;
-        }
-        if !converged {
-            return Ok(pwm);
-        }
-        self.weigh(beta);
-        let sum_e: f64 = draw.iter().map(|&k| self.slots[k].e).sum();
-        let mu = mean - beta * (sum_e / nf).ln();
-        Gumbel::new(mu, beta).or(Ok(pwm))
-    }
-
-    /// Evaluate `e^{−y/β}` and `y e^{−y/β}` for every present distinct
-    /// value — the only `exp()` calls of an MLE iteration.
-    fn weigh(&mut self, beta: f64) {
-        for &j in &self.present {
-            let slot = &mut self.slots[j];
-            slot.e = (-slot.y / beta).exp();
-            slot.ye = slot.y * slot.e;
-        }
+            (lo, hi) = if g < 0.0 { (beta, hi) } else { (lo, beta) };
+            let weighted_var = (sum_zzw / sum_w - weighted_mean * weighted_mean).max(0.0);
+            let newton = beta - g / (1.0 + weighted_var * rate * rate);
+            let bisect = !(newton > lo && newton < hi) || 2.0 * (newton - beta).abs() > step_before;
+            let next = if bisect { (lo + hi) / 2.0 } else { newton };
+            if next <= lo || next >= hi {
+                // No double lies strictly inside the bracket.
+                break sum_w;
+            }
+            (step_before, step) = (step, (next - beta).abs());
+            beta = next;
+        };
+        let beta = beta * range;
+        Gumbel::new(low - beta * (sum_w / nf).ln(), beta)
     }
 }
 

@@ -10,11 +10,11 @@
 //! 3. assess the fit ([`goodness_of_fit`], [`select_block_size`]).
 //!
 //! Fits use probability-weighted moments (Hosking et al.), with the Gumbel
-//! additionally refined by maximum-likelihood fixed-point iteration; both
-//! are standard for MBPTA-scale sample sizes (tens to hundreds of maxima).
-//! The Gumbel fit runs on a tie-compressed sample ([`TiedSample`],
-//! [`GumbelKernel`]): one `exp()` per distinct maximum per iteration,
-//! bit-identical to a per-element loop.
+//! taken on to its maximum-likelihood estimate by a safeguarded Newton
+//! solve; both are standard for MBPTA-scale sample sizes (tens to
+//! hundreds of maxima). The Gumbel fit runs on tie counts
+//! ([`TiedSample`], [`GumbelKernel`]): one `exp()` per distinct maximum
+//! per Newton step, and the same bits for any order of the maxima.
 
 mod blocks;
 mod cv;

@@ -326,6 +326,13 @@ fn restore_refuses_a_checkpoint_from_a_different_engine_family() {
 // with `PROXIMA_REGEN_FIXTURES=1 cargo test --test checkpoint`.
 // ---------------------------------------------------------------------
 
+/// Why a fixture comparison fails, and what each cause asks for.
+const FIXTURE_DRIFT: &str = "checkpoint bytes differ from the committed fixture: \
+     either the layout changed (bump FORMAT_VERSION) or the stored values did \
+     (e.g. a fit change moved snapshot bits; the version stays); either way \
+     regenerate with PROXIMA_REGEN_FIXTURES=1 cargo test --test checkpoint \
+     and name the change";
+
 fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -373,16 +380,15 @@ fn golden_analyzer_fixture_stays_decodable() {
     assert_eq!(decoded.config().block_size, 25);
     assert_eq!(decoded.maxima(), reference.maxima());
     assert_eq!(decoded.high_watermark(), reference.high_watermark());
-    assert_eq!(decoded.last_snapshot(), reference.last_snapshot());
-    // The committed bytes are canonical: decode → re-encode reproduces
-    // them, and the current encoder still writes exactly those bytes. A
-    // failure here means the format changed without a FORMAT_VERSION
-    // bump — bump it and regenerate the fixtures instead.
-    assert_eq!(save_analyzer(&decoded), bytes);
     assert_eq!(
-        current, bytes,
-        "checkpoint format drifted without a version bump"
+        decoded.last_snapshot(),
+        reference.last_snapshot(),
+        "{FIXTURE_DRIFT}"
     );
+    // The committed bytes are canonical: decode → re-encode reproduces
+    // them, and the current encoder still writes exactly those bytes.
+    assert_eq!(save_analyzer(&decoded), bytes);
+    assert_eq!(current, bytes, "{FIXTURE_DRIFT}");
 }
 
 #[test]
@@ -415,13 +421,10 @@ fn golden_federated_fixture_stays_decodable() {
     assert_eq!(
         decoded.finish().unwrap(),
         fed.finish().unwrap(),
-        "fixture fold diverged from the reference"
+        "fixture fold diverged from the reference; {FIXTURE_DRIFT}"
     );
     assert_eq!(save_federated(&load_federated(&bytes).unwrap()), bytes);
-    assert_eq!(
-        current, bytes,
-        "checkpoint format drifted without a version bump"
-    );
+    assert_eq!(current, bytes, "{FIXTURE_DRIFT}");
 }
 
 #[test]
@@ -442,11 +445,9 @@ fn golden_session_fixture_stays_decodable() {
     for ch in ["alpha", "beta"] {
         assert_eq!(
             merged_fixture.verdict(ch).unwrap(),
-            merged_reference.verdict(ch).unwrap()
+            merged_reference.verdict(ch).unwrap(),
+            "{FIXTURE_DRIFT}"
         );
     }
-    assert_eq!(
-        current, bytes,
-        "checkpoint format drifted without a version bump"
-    );
+    assert_eq!(current, bytes, "{FIXTURE_DRIFT}");
 }

@@ -158,8 +158,9 @@ fn snapshot_digest(times: &[f64]) -> (u64, usize) {
 fn streamed_ci_bits_are_pinned() {
     // The printed report rounds intervals to whole cycles, so only a
     // bit-level digest catches drift in the fit or the bootstrap. The
-    // expected values were captured before the Gumbel fit moved onto the
-    // tie-compressed kernel; any change to them is a change of results.
+    // expected values were captured when the Gumbel fit became a Newton
+    // solve of the likelihood equation on tie counts; any change to them
+    // is a change of results.
     let tied = tied_cycle_counts(6_000, 41);
     let (digest, with_ci) = snapshot_digest(&tied);
     assert!(with_ci >= 20, "tied channel: {with_ci} intervals");
@@ -174,5 +175,5 @@ fn streamed_ci_bits_are_pinned() {
     );
 }
 
-const TIED_DIGEST: u64 = 0xc6b5_7327_0afb_e657;
-const CONTINUOUS_DIGEST: u64 = 0xc2e5_ae0a_eff3_fdaf;
+const TIED_DIGEST: u64 = 0x0dd8_668c_9729_b20e;
+const CONTINUOUS_DIGEST: u64 = 0xf464_5f88_fb6d_ad3a;
