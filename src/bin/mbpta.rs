@@ -31,7 +31,7 @@
 use std::process::ExitCode;
 
 use proxima::mbpta::cv::analyze_cv;
-use proxima::mbpta::engine::{BatchFactory, EngineFactory, EngineKind};
+use proxima::mbpta::engine::{BatchFactory, Engine, EngineFactory, EngineKind};
 use proxima::mbpta::persist;
 use proxima::prelude::*;
 use proxima::serve::{Response, ServeClient, ServeConfig, Server, WireSnapshot};
@@ -1530,19 +1530,21 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         fed
     } else {
-        let mut fed = FederatedAnalyzer::new(config).map_err(|e| e.to_string())?;
+        // The engine ingests without reading shard snapshots, so a shard
+        // refit's bootstrap CI is computed only if the blob stores it.
+        let mut engine = FederatedEngine::new(config).map_err(|e| e.to_string())?;
         let mut chunk: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
         for x in measurement_lines(file)? {
             chunk.push(x?);
             if chunk.len() == FEED_CHUNK {
-                fed.push_batch(&chunk).map_err(|e| e.to_string())?;
+                engine.push_batch(&chunk).map_err(|e| e.to_string())?;
                 chunk.clear();
             }
         }
         if !chunk.is_empty() {
-            fed.push_batch(&chunk).map_err(|e| e.to_string())?;
+            engine.push_batch(&chunk).map_err(|e| e.to_string())?;
         }
-        fed
+        engine.analyzer().clone()
     };
     if fed.is_empty() {
         return Err("shard feed contained no measurements".into());

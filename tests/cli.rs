@@ -561,6 +561,52 @@ fn unknown_flags_and_commands_are_rejected() {
 }
 
 #[test]
+fn shard_blob_from_a_file_equals_the_public_push_batch_fold() {
+    // `shard <file>` feeds the file through the federated engine, which
+    // leaves shard CIs owed until the blob encodes them; the sealed bytes
+    // must be those of an analyzer fed through the public `push_batch`,
+    // which reads (and so computes) every shard refit's CI. 9,000
+    // non-integer values span several CLI chunks and all three shards.
+    use proxima::prelude::*;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(91);
+    let values: Vec<f64> = (0..9_000)
+        .map(|_| 1e5 + (0..8).map(|_| rng.gen::<f64>()).sum::<f64>() * 100.0)
+        .collect();
+    let dir = std::env::temp_dir().join("proxima_cli_test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let feed = dir.join("shard_feed.txt");
+    let text: String = values.iter().map(|x| format!("{x}\n")).collect();
+    std::fs::write(&feed, text).expect("write feed");
+    let blob = dir.join("shard_feed.bin");
+    let out = mbpta()
+        .args([
+            "shard",
+            feed.to_str().expect("utf8 path"),
+            "--shards",
+            "3",
+            "--out",
+            blob.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stream = StreamConfig {
+        block_size: 50,
+        target_p: 1e-12,
+        ..StreamConfig::default()
+    };
+    let mut fed = FederatedAnalyzer::new(FederatedConfig::new(stream, 3)).expect("config");
+    let snapshots = fed.push_batch(&values).expect("clean ingest");
+    assert!(snapshots.iter().any(|s| s.ci.is_some()), "CIs were read");
+    assert_eq!(std::fs::read(&blob).expect("blob"), save_federated(&fed));
+}
+
+#[test]
 fn session_resume_rejects_missing_and_corrupt_checkpoints() {
     let out = mbpta()
         .args(["session", "--resume", "/nonexistent/ck.bin"])
