@@ -14,6 +14,7 @@
 //! [`AnalysisSession`]: crate::session::AnalysisSession
 
 use proxima_stats::descriptive::Summary;
+use proxima_stats::dist::Gumbel;
 use proxima_stats::evt::GofReport;
 
 use crate::confidence::BudgetInterval;
@@ -561,20 +562,24 @@ impl Engine for BatchEngine {
     }
 }
 
-/// Assemble an [`EvtFit`] from an externally maintained block-maxima
-/// buffer — the bridge streaming engines use to speak the batch fit
-/// vocabulary. The Gumbel/GoF/GEV diagnostics are computed exactly as
-/// [`fit_tail`] computes them on the same maxima; the POT cross-check is
-/// `None` (it needs the raw vector, which a bounded-memory engine does
-/// not keep).
+/// Assemble an [`EvtFit`] around `gumbel`, the
+/// [`fit_gumbel`](proxima_stats::evt::fit_gumbel) of an externally
+/// maintained block-maxima buffer — the bridge streaming engines use to
+/// speak the batch fit vocabulary without fitting the same maxima twice.
+/// The GoF/GEV diagnostics are computed exactly as [`fit_tail`] computes
+/// them on the same maxima; the POT cross-check is `None` (it needs the
+/// raw vector, which a bounded-memory engine does not keep).
 ///
 /// # Errors
 ///
-/// Returns [`MbptaError::Stats`] if the maxima are degenerate or too few
-/// to fit.
-pub fn fit_from_maxima(maxima: &[f64], block_size: usize) -> Result<EvtFit, MbptaError> {
-    use proxima_stats::evt::{fit_gev, fit_gumbel, goodness_of_fit};
-    let gumbel = fit_gumbel(maxima)?;
+/// Returns [`MbptaError::Stats`] if the maxima are too few for the
+/// goodness-of-fit test.
+pub fn fit_from_maxima(
+    gumbel: Gumbel,
+    maxima: &[f64],
+    block_size: usize,
+) -> Result<EvtFit, MbptaError> {
+    use proxima_stats::evt::{fit_gev, goodness_of_fit};
     let gof: GofReport = goodness_of_fit(maxima, &gumbel)?;
     Ok(EvtFit {
         gumbel,
@@ -665,7 +670,8 @@ mod tests {
     fn fit_from_maxima_matches_fit_tail_gumbel() {
         let times = campaign(3000, 5);
         let maxima = proxima_stats::evt::block_maxima(&times, 50).unwrap();
-        let from_maxima = fit_from_maxima(&maxima, 50).unwrap();
+        let gumbel = proxima_stats::evt::fit_gumbel(&maxima).unwrap();
+        let from_maxima = fit_from_maxima(gumbel, &maxima, 50).unwrap();
         let tail = fit_tail(&times, &crate::config::BlockSpec::Fixed(50)).unwrap();
         assert_eq!(from_maxima.gumbel, tail.gumbel);
         assert_eq!(from_maxima.gof, tail.gof);

@@ -49,7 +49,8 @@ pub(crate) fn iid_evidence(health: IidHealth) -> IidEvidence {
 
 /// Finish `analyzer` and assemble the session [`Verdict`] every
 /// stream-backed engine shares: final refit (no bootstrap — a verdict
-/// carries no CI), fit evidence recomputed from the maxima buffer,
+/// carries no CI), fit evidence around that refit's Gumbel (the
+/// goodness-of-fit and GEV diagnostics read the maxima buffer),
 /// sketch-exact summary, rolling i.i.d. evidence.
 /// `provenance.converged` carries the analyzer's online convergence
 /// state when `online_convergence` is set (a federated fold has no
@@ -60,7 +61,11 @@ pub(crate) fn finish_into_verdict(
     online_convergence: bool,
 ) -> Result<Verdict, MbptaError> {
     let snapshot = analyzer.finish_fit()?;
-    let fit = fit_from_maxima(analyzer.maxima(), analyzer.config().block_size)?;
+    let fit = fit_from_maxima(
+        *snapshot.distribution.tail(),
+        analyzer.maxima(),
+        analyzer.config().block_size,
+    )?;
     Ok(Verdict {
         summary: ObservationSummary {
             n: snapshot.n,
