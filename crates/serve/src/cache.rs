@@ -1,9 +1,12 @@
 //! Fingerprint-keyed query cache for snapshot/verdict responses.
 //!
-//! Finalizing a verdict clones the session and refits every channel —
-//! cheap once, wasteful when a dashboard polls the same question
-//! between ingests. The cache stores **encoded response payloads**
-//! keyed by a fingerprint of everything the answer depends on:
+//! A verdict finishes a clone of what it covers: the one channel a
+//! one-channel `VERDICT` names, or every channel of each worker for the
+//! all-channel envelope — a final Gumbel refit plus its fit diagnostics
+//! per channel. That is cheap once and wasteful when a dashboard polls
+//! the same question between ingests. The cache stores **encoded
+//! response payloads** keyed by a fingerprint of everything the answer
+//! depends on:
 //!
 //! * the analysis-configuration fingerprint (stream config + cadences),
 //! * the query kind and its parameters (channel, probability bits),

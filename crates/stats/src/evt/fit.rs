@@ -93,8 +93,9 @@ pub fn fit_gumbel_pwm(maxima: &[f64]) -> Result<Gumbel, StatsError> {
 /// * [`StatsError::NonFiniteData`] if a maximum is NaN or infinite, or
 ///   the range `max − min` overflows;
 /// * [`StatsError::DegenerateSample`] if all maxima are equal;
-/// * the [`Gumbel::new`] error if the fitted scale is not a positive
-///   double (a range of a few subnormal steps).
+/// * the [`Gumbel::new`] error if a fitted parameter is not
+///   representable (a scale that underflows to zero on a range of a few
+///   subnormal steps, or a location past `f64::MAX`).
 ///
 /// # Examples
 ///

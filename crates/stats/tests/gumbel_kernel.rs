@@ -10,7 +10,9 @@
 //!   with `μ` the closed form at that `β`;
 //! * agree with the oracle to 1e-9 relative in `μ` and `β` wherever the
 //!   oracle converged (after 200 iterations it returns its PWM start);
-//! * fail with the oracle's error wherever the oracle fails;
+//! * fail only where the oracle fails, with the oracle's error (the
+//!   oracle also fails where its PWM start overflows, which the kernel
+//!   fits);
 //! * depend only on the multiset of maxima: a permuted sample, and a
 //!   count vector over a [`TiedSample`], give the same bits.
 

@@ -116,46 +116,29 @@ fn inputs() -> Vec<Input> {
     ]
 }
 
-/// The input's measurement file: one value per line for a single
-/// channel, else `<channel> <value>` lines interleaved in a fixed
-/// pattern (channel `i` of `k` is due on every line whose index is ≡ `i`
-/// mod `k` and still has values, then the rest in order).
+/// The input's measurement file: the simulated body as measured, one
+/// value per line for a single channel, else `<channel> <value>` lines
+/// dealt round-robin (the `i`-th value of every channel that has one, in
+/// channel order, then the `i + 1`-th).
 fn write_feed(dir: &Path, input: &Input) -> PathBuf {
     let path = dir.join(format!("{}.txt", input.name));
-    let body = match &input.body {
-        Some(body) => body.clone(),
-        None if input.channels.len() == 1 => {
-            let mut text = String::new();
-            for x in &input.channels[0].1 {
-                writeln!(text, "{x}").unwrap();
-            }
-            text.into_bytes()
-        }
-        None => {
-            let mut text = String::new();
-            let longest = input.channels.iter().map(|(_, v)| v.len()).max().unwrap();
-            for i in 0..longest {
-                for (name, values) in &input.channels {
-                    if let Some(x) = values.get(i) {
-                        writeln!(text, "{name} {x}").unwrap();
+    let tagged = input.channels.len() > 1;
+    let body = input.body.clone().unwrap_or_else(|| {
+        let mut text = String::new();
+        let longest = input.channels.iter().map(|(_, v)| v.len()).max().unwrap();
+        for i in 0..longest {
+            for (name, values) in &input.channels {
+                if let Some(x) = values.get(i) {
+                    if tagged {
+                        write!(text, "{name} ").unwrap();
                     }
+                    writeln!(text, "{x}").unwrap();
                 }
             }
-            text.into_bytes()
         }
-    };
+        text.into_bytes()
+    });
     std::fs::write(&path, body).expect("write feed");
-    path
-}
-
-/// One channel's values as an untagged measurement file.
-fn write_channel(dir: &Path, input: &str, channel: &str, values: &[f64]) -> PathBuf {
-    let path = dir.join(format!("{input}-{channel}.txt"));
-    let mut text = String::new();
-    for x in values {
-        writeln!(text, "{x}").unwrap();
-    }
-    std::fs::write(&path, text).expect("write channel");
     path
 }
 
@@ -249,10 +232,16 @@ fn corpus(dir: &Path, input: &Input) -> String {
     let feed = feed.to_str().expect("utf8 path");
     let mut out = String::new();
     for (channel, values) in &input.channels {
+        // `analyze` reads one untagged channel.
         let file = if input.channels.len() == 1 {
             feed.to_string()
         } else {
-            let path = write_channel(dir, input.name, channel, values);
+            let single = Input {
+                name: "channel",
+                channels: vec![(channel, values.clone())],
+                body: None,
+            };
+            let path = write_feed(dir, &single);
             path.to_str().expect("utf8 path").to_string()
         };
         record_cli(
