@@ -25,8 +25,9 @@ use proxima_stats::StatsError;
 use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------
-// The oracle: the per-element PWM + MLE fit, verbatim (the crate-private
-// `check_len` inlined).
+// The oracle: the per-element PWM + MLE fixed point the Newton solve
+// replaced, verbatim but for the crate-private `check_len` inlined and
+// its PWM estimate named `start`.
 // ---------------------------------------------------------------------
 
 fn oracle_check_len(sample: &[f64], needed: usize) -> Result<(), StatsError> {
@@ -62,11 +63,11 @@ fn oracle_fit_gumbel_pwm(maxima: &[f64]) -> Result<Gumbel, StatsError> {
 }
 
 fn oracle_fit_gumbel(maxima: &[f64]) -> Result<Gumbel, StatsError> {
-    let pwm = oracle_fit_gumbel_pwm(maxima)?;
+    let start = oracle_fit_gumbel_pwm(maxima)?;
     let n = maxima.len() as f64;
     let mean: f64 = maxima.iter().sum::<f64>() / n;
     let ys: Vec<f64> = maxima.iter().map(|&x| x - mean).collect();
-    let mut beta = pwm.beta();
+    let mut beta = start.beta();
     let mut converged = false;
     for _ in 0..200 {
         let mut sum_e = 0.0;
@@ -90,11 +91,11 @@ fn oracle_fit_gumbel(maxima: &[f64]) -> Result<Gumbel, StatsError> {
         beta = next_beta;
     }
     if !converged {
-        return Ok(pwm);
+        return Ok(start);
     }
     let sum_e: f64 = ys.iter().map(|&y| (-y / beta).exp()).sum();
     let mu = mean - beta * (sum_e / n).ln();
-    Gumbel::new(mu, beta).or(Ok(pwm))
+    Gumbel::new(mu, beta).or(Ok(start))
 }
 
 // ---------------------------------------------------------------------
