@@ -757,9 +757,9 @@ impl StreamAnalyzer {
     /// A failed fit is recorded and skipped — the stream retries at the
     /// next checkpoint.
     fn refit(&mut self) -> Option<PwcetSnapshot> {
-        // PWM on an all-equal maxima vector can produce a spurious
-        // beta ≈ 1e-13 from rounding; reject it outright rather than emit
-        // a point-mass tail.
+        // An all-equal buffer is degenerate at any length: name that
+        // rather than the fit's too-few-maxima error below 10 maxima
+        // (`min_blocks` may be as low as 2).
         if self.maxima.iter().all(|&m| m == self.maxima[0]) {
             self.last_fit_error = Some(MbptaError::Stats(StatsError::DegenerateSample));
             return None;
