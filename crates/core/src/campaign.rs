@@ -2,7 +2,7 @@
 //! the sharded parallel engine that collects them.
 
 use proxima_prng::SplitMix64;
-use proxima_sim::{Inst, Platform, PlatformConfig};
+use proxima_sim::{DecodedTrace, Inst, Platform, PlatformConfig};
 use proxima_stats::descriptive::Summary;
 use proxima_stats::StatsError;
 
@@ -70,11 +70,12 @@ impl Campaign {
 
     /// Execute the paper's measurement protocol on a simulated platform:
     /// `runs` executions of `trace`, flushing and reseeding per run
-    /// (the platform does this inside `run`), with per-run seeds
-    /// `base_seed, base_seed + 1, …`.
+    /// (the platform does this inside every run), with per-run seeds
+    /// `base_seed, base_seed + 1, …`. The trace is decoded once; pass it
+    /// by value to free it as soon as it is.
     pub fn measure(
         platform: &mut Platform,
-        trace: &[Inst],
+        trace: impl AsRef<[Inst]>,
         runs: usize,
         base_seed: u64,
     ) -> Result<Self, MbptaError> {
@@ -142,9 +143,10 @@ impl AsRef<[f64]> for Campaign {
 ///
 /// Measurement campaigns are embarrassingly parallel: the paper's protocol
 /// gives every run a fresh platform state (flushed caches, new seed), so
-/// runs share nothing. `CampaignRunner` splits the `runs` indices into one
-/// contiguous shard per worker, gives each shard its own [`Platform`]
-/// instance, and draws the per-run seed for run `i` from the SplitMix64
+/// runs share nothing. `CampaignRunner` decodes the trace once
+/// ([`DecodedTrace`]), splits the `runs` indices into one contiguous
+/// shard per worker, gives each shard its own [`Platform`] instance, and
+/// draws the per-run seed for run `i` from the SplitMix64
 /// stream of the master seed via [`SplitMix64::stream_seed`] — an O(1)
 /// random access, so the seed of a run depends only on `(master_seed, i)`,
 /// never on which shard executed it. Merging the shards in index order
@@ -199,17 +201,30 @@ impl CampaignRunner {
     /// Execute the measurement protocol: `runs` executions of `trace`, the
     /// run at index `i` seeded with the `i`-th element of the master seed's
     /// SplitMix64 stream. The result is identical for every `jobs` setting.
+    /// The trace is decoded once; pass it by value to free it as soon as
+    /// it is.
     ///
     /// # Errors
     ///
     /// Returns [`MbptaError::Stats`] if `runs == 0`.
     pub fn run(
         &self,
-        trace: &[Inst],
+        trace: impl AsRef<[Inst]>,
         runs: usize,
         master_seed: u64,
     ) -> Result<Campaign, MbptaError> {
-        Campaign::from_times(self.measure_times(trace, runs, master_seed))
+        let decoded = DecodedTrace::new(&self.config, trace.as_ref());
+        drop(trace);
+        let times = run_sharded(runs, self.jobs(), |shard| {
+            let mut platform = Platform::new(self.config.clone());
+            shard
+                .map(|i| {
+                    let seed = SplitMix64::stream_seed(master_seed, i as u64);
+                    platform.execute(&decoded, seed).cycles as f64
+                })
+                .collect()
+        });
+        Campaign::from_times(times)
     }
 
     /// Measure several traces — one per program path / session channel —
@@ -223,6 +238,10 @@ impl CampaignRunner {
     /// t)`; campaign `t` of the result is therefore **bit-identical** to
     /// `self.run(&traces[t], runs, SplitMix64::stream_seed(master_seed,
     /// t))` — at every `jobs` setting.
+    ///
+    /// Each trace is decoded once, before the pool starts. Pass the
+    /// traces by value (a `Vec<Vec<Inst>>`) to free each one as soon as
+    /// it is decoded, or by reference (`&traces`) to keep them.
     ///
     /// # Errors
     ///
@@ -249,13 +268,18 @@ impl CampaignRunner {
     /// assert_eq!(pooled[1].times(), alone.times());
     /// # Ok::<(), proxima_mbpta::MbptaError>(())
     /// ```
-    pub fn run_many(
+    pub fn run_many<I>(
         &self,
-        traces: &[Vec<Inst>],
+        traces: I,
         runs: usize,
         master_seed: u64,
-    ) -> Result<Vec<Campaign>, MbptaError> {
-        if traces.is_empty() {
+    ) -> Result<Vec<Campaign>, MbptaError>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[Inst]>,
+    {
+        let mut traces = traces.into_iter().peekable();
+        if traces.peek().is_none() {
             return Err(MbptaError::InvalidConfig {
                 what: "run_many needs at least one trace",
             });
@@ -266,53 +290,27 @@ impl CampaignRunner {
                 got: 0,
             }));
         }
-        let total = traces.len() * runs;
+        let decoded: Vec<DecodedTrace> = traces
+            .map(|trace| DecodedTrace::new(&self.config, trace.as_ref()))
+            .collect();
+        let total = decoded.len() * runs;
         let times = run_sharded(total, self.jobs(), |shard| {
-            // One platform per (shard, trace) stretch; `Platform::run`
-            // flushes and reseeds per run, so a fresh instance is
-            // bit-identical to a reused one.
-            let mut current: Option<(usize, Platform)> = None;
+            // Every run flushes and reseeds, so one platform serves every
+            // trace of the shard.
+            let mut platform = Platform::new(self.config.clone());
             shard
                 .map(|global| {
                     let t = global / runs;
                     let i = (global % runs) as u64;
-                    if current.as_ref().is_none_or(|(ct, _)| *ct != t) {
-                        current = Some((t, Platform::new(self.config.clone())));
-                    }
                     let trace_seed = SplitMix64::stream_seed(master_seed, t as u64);
                     let seed = SplitMix64::stream_seed(trace_seed, i);
-                    // proxima-lint: allow(no-lib-panic) -- the branch above
-                    // installs a platform whenever `current` is vacant.
-                    let (_, platform) = current.as_mut().expect("platform just installed");
-                    platform.run(&traces[t], seed).cycles as f64
+                    platform.execute(&decoded[t], seed).cycles as f64
                 })
                 .collect()
         });
         times
             .chunks(runs)
             .map(|chunk| Campaign::from_times(chunk.to_vec()))
-            .collect()
-    }
-
-    fn measure_times(&self, trace: &[Inst], runs: usize, master_seed: u64) -> Vec<f64> {
-        run_sharded(runs, self.jobs(), |shard| {
-            self.shard_times(trace, shard, master_seed)
-        })
-    }
-
-    /// Run one shard of the campaign on a private platform instance.
-    fn shard_times(
-        &self,
-        trace: &[Inst],
-        shard: std::ops::Range<usize>,
-        master_seed: u64,
-    ) -> Vec<f64> {
-        let mut platform = Platform::new(self.config.clone());
-        shard
-            .map(|i| {
-                let seed = SplitMix64::stream_seed(master_seed, i as u64);
-                platform.run(trace, seed).cycles as f64
-            })
             .collect()
     }
 }
@@ -540,7 +538,7 @@ mod tests {
     #[test]
     fn run_many_rejects_empty_inputs() {
         let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant());
-        assert!(runner.run_many(&[], 10, 0).is_err());
+        assert!(runner.run_many(Vec::<Vec<Inst>>::new(), 10, 0).is_err());
         assert!(runner.run_many(&[striding_loads(10)], 0, 0).is_err());
     }
 

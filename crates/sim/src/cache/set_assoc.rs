@@ -194,7 +194,7 @@ impl SetAssocCache {
         self.access_line(line, is_write, rng)
     }
 
-    /// Access by pre-computed line index (used by the pipeline fast path).
+    /// Access by pre-computed line index.
     pub fn access_line<R: RandomSource + ?Sized>(
         &mut self,
         line: u64,
@@ -205,6 +205,19 @@ impl SetAssocCache {
             .config
             .placement
             .set_index(line, self.n_sets, self.placement_seed);
+        self.access_in_set(set, line, is_write, rng)
+    }
+
+    /// Access `line` in `set`, which must be the set the placement policy
+    /// gives it under the current placement seed. The decoded engine
+    /// computes each distinct line's set once per run and comes in here.
+    pub(crate) fn access_in_set<R: RandomSource + ?Sized>(
+        &mut self,
+        set: u64,
+        line: u64,
+        is_write: bool,
+        rng: &mut R,
+    ) -> AccessOutcome {
         let base = (set * self.config.ways) as usize;
         let ways = self.config.ways as usize;
         self.tick += 1;

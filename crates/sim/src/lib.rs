@@ -30,6 +30,15 @@
 //! not those of the FPGA board; the *distributions* that MBPTA consumes are
 //! faithfully shaped (see `DESIGN.md` §2 for the substitution argument).
 //!
+//! A trace is decoded once per configuration into a [`DecodedTrace`]: the
+//! costs that do not depend on the seed become constants, and a run
+//! replays only the memory-system events (TLB lookups, IL1 fetches, DL1
+//! loads and stores) on the cache and TLB models, bit-identical to
+//! stepping through every instruction (see [`decoded`]).
+//! [`Platform::execute`] runs a decoded trace; [`Platform::run`] decodes
+//! and runs in one call; [`Platform::campaign`] decodes once for all its
+//! runs.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,6 +59,7 @@
 pub mod addr;
 pub mod bus;
 pub mod cache;
+pub mod decoded;
 pub mod fpu;
 pub mod mem;
 pub mod pipeline;
@@ -60,6 +70,7 @@ mod inst;
 
 pub use addr::Addr;
 pub use cache::{CacheConfig, PlacementPolicy, ReplacementPolicy, SetAssocCache};
+pub use decoded::DecodedTrace;
 pub use fpu::{FpuLatencyMode, FpuModel, ValueClass};
 pub use inst::{Inst, InstKind};
 pub use platform::{CampaignObservation, Platform, PlatformConfig, RunResult, RunStats};

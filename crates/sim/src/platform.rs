@@ -6,8 +6,9 @@ use proxima_prng::{PrngKind, RandomSource, SplitMix64};
 
 use crate::bus::BusModel;
 use crate::cache::{CacheConfig, PlacementPolicy, ReplacementPolicy, SetAssocCache};
-use crate::fpu::{FpuLatencyMode, FpuModel};
-use crate::inst::{Inst, InstKind};
+use crate::decoded::{DecodedTrace, Event};
+use crate::fpu::FpuLatencyMode;
+use crate::inst::Inst;
 use crate::mem::DramModel;
 use crate::pipeline::PipelineTiming;
 use crate::tlb::{Tlb, TlbConfig};
@@ -160,7 +161,50 @@ pub struct Platform {
     dl1: SetAssocCache,
     itlb: Tlb,
     dtlb: Tlb,
-    fpu: FpuModel,
+    tables: RunTables,
+}
+
+/// Per-run lookup tables over a decoded trace's distinct keys, kept
+/// between runs so a run allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct RunTables {
+    /// The set of each distinct IL1 / DL1 line under this run's seed.
+    il1_sets: Vec<u64>,
+    dl1_sets: Vec<u64>,
+    /// The slot each distinct ITLB / DTLB page was last installed in
+    /// (`usize::MAX`: not yet this run).
+    itlb_slots: Vec<usize>,
+    dtlb_slots: Vec<usize>,
+}
+
+impl RunTables {
+    fn prepare(&mut self, trace: &DecodedTrace, il1_seed: u64, dl1_seed: u64) {
+        let place = |sets: &mut Vec<u64>, cache: &CacheConfig, lines: &[u64], seed: u64| {
+            let n_sets = cache.n_sets();
+            sets.clear();
+            sets.extend(
+                lines
+                    .iter()
+                    .map(|&line| cache.placement.set_index(line, n_sets, seed)),
+            );
+        };
+        place(
+            &mut self.il1_sets,
+            &trace.config.il1,
+            &trace.il1_lines,
+            il1_seed,
+        );
+        place(
+            &mut self.dl1_sets,
+            &trace.config.dl1,
+            &trace.dl1_lines,
+            dl1_seed,
+        );
+        self.itlb_slots.clear();
+        self.itlb_slots.resize(trace.itlb_pages.len(), usize::MAX);
+        self.dtlb_slots.clear();
+        self.dtlb_slots.resize(trace.dtlb_pages.len(), usize::MAX);
+    }
 }
 
 impl Platform {
@@ -171,7 +215,7 @@ impl Platform {
             dl1: SetAssocCache::new(config.dl1),
             itlb: Tlb::new(config.itlb),
             dtlb: Tlb::new(config.dtlb),
-            fpu: FpuModel::new(config.fpu_mode),
+            tables: RunTables::default(),
             config,
         }
     }
@@ -185,7 +229,25 @@ impl Platform {
     /// caches and TLBs are flushed, the PRNG is reseeded from `seed`
     /// (independent per-resource streams are derived from it), and the
     /// program runs to completion.
+    ///
+    /// This decodes `trace` first. To run one trace at many seeds, decode
+    /// it once with [`DecodedTrace::new`] and call [`Platform::execute`].
     pub fn run(&mut self, trace: &[Inst], seed: u64) -> RunResult {
+        let decoded = DecodedTrace::new(&self.config, trace);
+        self.execute(&decoded, seed)
+    }
+
+    /// Execute a decoded trace once under the measurement protocol of
+    /// [`Platform::run`], with the same result bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` was decoded for another configuration.
+    pub fn execute(&mut self, trace: &DecodedTrace, seed: u64) -> RunResult {
+        assert!(
+            trace.config == self.config,
+            "trace was decoded for a different platform configuration"
+        );
         // Protocol: "We flush caches, reset the FPGA and reload the
         // executable across executions … We also set a new seed for each
         // experiment."
@@ -195,121 +257,99 @@ impl Platform {
         self.dtlb.flush();
 
         let mut seeder = SplitMix64::new(seed);
-        self.il1.reseed(seeder.next_u64());
-        self.dl1.reseed(seeder.next_u64());
+        let il1_seed = seeder.next_u64();
+        let dl1_seed = seeder.next_u64();
+        self.il1.reseed(il1_seed);
+        self.dl1.reseed(dl1_seed);
         let mut rng = self.config.prng.build(seeder.next_u64());
+        self.tables.prepare(trace, il1_seed, dl1_seed);
 
-        let t = self.config.timing;
+        let bus = self.config.bus;
         let mem_latency_base = self.config.dram.access_latency();
-        let line_size = self.config.il1.line_size;
-
-        let mut cycles: u64 = 0;
-        let mut stats = RunStats::default();
-        let mut fetch_line_hot: Option<u64> = None;
-
-        for inst in trace {
-            cycles += t.base_cpi;
-            stats.instructions += 1;
-
-            // --- Fetch: ITLB, then IL1 (once per line for sequential code).
-            if !self.itlb.access(inst.pc, &mut rng) {
-                cycles += t.tlb_walk_cycles;
-            }
-            let fetch_line = inst.pc.line(line_size);
-            if fetch_line_hot != Some(fetch_line) {
-                fetch_line_hot = Some(fetch_line);
-                if !self.il1.access_line(fetch_line, false, &mut rng).is_hit() {
-                    let mem = self.config.bus.transaction_cycles(&mut rng) + mem_latency_base;
-                    cycles += mem;
-                    stats.memory_cycles += mem;
-                }
-            }
-
-            // --- Execute / memory.
-            match inst.kind {
-                InstKind::IntAlu | InstKind::Nop => {}
-                InstKind::IntMul => cycles += t.int_mul_extra,
-                InstKind::IntDiv => cycles += t.int_div_extra,
-                InstKind::Branch { taken } => {
-                    if taken {
-                        cycles += t.taken_branch_extra;
-                    }
-                    // A taken branch redirects the fetch stream.
-                    if taken {
-                        fetch_line_hot = None;
+        let tables = &mut self.tables;
+        let mut walks: u64 = 0;
+        let mut memory_cycles: u64 = 0;
+        for &event in &trace.events {
+            match event {
+                Event::Itlb(i) => {
+                    let i = i as usize;
+                    let page = trace.itlb_pages[i];
+                    if !self
+                        .itlb
+                        .access_page(page, &mut tables.itlb_slots[i], &mut rng)
+                    {
+                        walks += 1;
                     }
                 }
-                InstKind::FpAdd => {
-                    let s = self.fpu.add_latency() - 1;
-                    cycles += s;
-                    stats.fpu_stall_cycles += s;
-                }
-                InstKind::FpMul => {
-                    let s = self.fpu.mul_latency() - 1;
-                    cycles += s;
-                    stats.fpu_stall_cycles += s;
-                }
-                InstKind::FpDiv(class) => {
-                    let s = self.fpu.div_latency(class) - 1;
-                    cycles += s;
-                    stats.fpu_stall_cycles += s;
-                }
-                InstKind::FpSqrt(class) => {
-                    let s = self.fpu.sqrt_latency(class) - 1;
-                    cycles += s;
-                    stats.fpu_stall_cycles += s;
-                }
-                InstKind::Load(addr) => {
-                    if !self.dtlb.access(addr, &mut rng) {
-                        cycles += t.tlb_walk_cycles;
-                    }
-                    if !self.dl1.access(addr, false, &mut rng).is_hit() {
-                        let mem = self.config.bus.transaction_cycles(&mut rng) + mem_latency_base;
-                        cycles += mem;
-                        stats.memory_cycles += mem;
+                Event::Fetch(i) => {
+                    let i = i as usize;
+                    let (set, line) = (tables.il1_sets[i], trace.il1_lines[i]);
+                    if !self.il1.access_in_set(set, line, false, &mut rng).is_hit() {
+                        memory_cycles += bus.transaction_cycles(&mut rng) + mem_latency_base;
                     }
                 }
-                InstKind::Store(addr) => {
-                    if !self.dtlb.access(addr, &mut rng) {
-                        cycles += t.tlb_walk_cycles;
+                Event::Dtlb(i) => {
+                    let i = i as usize;
+                    let page = trace.dtlb_pages[i];
+                    if !self
+                        .dtlb
+                        .access_page(page, &mut tables.dtlb_slots[i], &mut rng)
+                    {
+                        walks += 1;
                     }
+                }
+                Event::Load(i) => {
+                    let i = i as usize;
+                    let (set, line) = (tables.dl1_sets[i], trace.dl1_lines[i]);
+                    if !self.dl1.access_in_set(set, line, false, &mut rng).is_hit() {
+                        memory_cycles += bus.transaction_cycles(&mut rng) + mem_latency_base;
+                    }
+                }
+                Event::Store(i) => {
                     // Write-through, no-write-allocate: the store posts to
                     // the write buffer; the cache is updated only on hit.
-                    let _ = self.dl1.access(addr, true, &mut rng);
-                    cycles += t.store_extra;
+                    let i = i as usize;
+                    let (set, line) = (tables.dl1_sets[i], trace.dl1_lines[i]);
+                    let _ = self.dl1.access_in_set(set, line, true, &mut rng);
                 }
             }
         }
 
-        stats.il1 = {
-            let s = self.il1.stats();
-            (s.hits, s.misses)
-        };
-        stats.dl1 = {
-            let s = self.dl1.stats();
-            (s.hits, s.misses)
-        };
-        stats.itlb = self.itlb.stats();
-        stats.dtlb = self.dtlb.stats();
-
-        RunResult { cycles, stats }
+        let folded = trace.folded;
+        let (il1, dl1) = (self.il1.stats(), self.dl1.stats());
+        let (itlb, dtlb) = (self.itlb.stats(), self.dtlb.stats());
+        RunResult {
+            cycles: trace.fixed_cycles + walks * self.config.timing.tlb_walk_cycles + memory_cycles,
+            stats: RunStats {
+                instructions: trace.instructions,
+                il1: (il1.hits + folded.il1, il1.misses),
+                dl1: (dl1.hits + folded.dl1, dl1.misses),
+                itlb: (itlb.0 + folded.itlb, itlb.1),
+                dtlb: (dtlb.0 + folded.dtlb, dtlb.1),
+                fpu_stall_cycles: trace.fpu_stall_cycles,
+                memory_cycles,
+            },
+        }
     }
 
     /// Run a full measurement campaign: `runs` executions of `trace`, with
     /// per-run seeds `base_seed, base_seed+1, …` (each expanded through the
-    /// platform seeder), returning one observation per run.
+    /// platform seeder), returning one observation per run. The trace is
+    /// decoded once; pass it by value to free it as soon as it is.
     pub fn campaign(
         &mut self,
-        trace: &[Inst],
+        trace: impl AsRef<[Inst]>,
         runs: usize,
         base_seed: u64,
     ) -> Vec<CampaignObservation> {
+        let decoded = DecodedTrace::new(&self.config, trace.as_ref());
+        drop(trace);
         (0..runs as u64)
             .map(|i| {
                 let seed = base_seed.wrapping_add(i);
                 CampaignObservation {
                     seed,
-                    cycles: self.run(trace, seed).cycles,
+                    cycles: self.execute(&decoded, seed).cycles,
                 }
             })
             .collect()
@@ -320,6 +360,7 @@ impl Platform {
 mod tests {
     use super::*;
     use crate::fpu::ValueClass;
+    use crate::inst::InstKind;
 
     fn loads(n: u64, stride: u64) -> Vec<Inst> {
         (0..n)

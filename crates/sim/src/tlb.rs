@@ -99,13 +99,30 @@ impl Tlb {
     /// installed, evicting a victim chosen by the replacement policy.
     pub fn access<R: RandomSource + ?Sized>(&mut self, addr: Addr, rng: &mut R) -> bool {
         let page = addr.page(self.config.page_size);
+        let mut slot = self
+            .pages
+            .iter()
+            .position(|&p| p == Some(page))
+            .unwrap_or(usize::MAX);
+        self.access_page(page, &mut slot, rng)
+    }
+
+    /// Translate `page`, given `*slot`: the slot `page` was last installed
+    /// in since the flush, or any out-of-range value if it never was.
+    /// Entries never move, so `page` is present exactly when that slot
+    /// still holds it, and no scan is needed. A miss installs `page` and
+    /// writes its new slot back.
+    pub(crate) fn access_page<R: RandomSource + ?Sized>(
+        &mut self,
+        page: u64,
+        slot: &mut usize,
+        rng: &mut R,
+    ) -> bool {
         self.tick += 1;
-        for i in 0..self.pages.len() {
-            if self.pages[i] == Some(page) {
-                self.stamps[i] = self.tick;
-                self.hits += 1;
-                return true;
-            }
+        if self.pages.get(*slot) == Some(&Some(page)) {
+            self.stamps[*slot] = self.tick;
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
         let victim = (0..self.pages.len())
@@ -117,6 +134,7 @@ impl Tlb {
             });
         self.pages[victim] = Some(page);
         self.stamps[victim] = self.tick;
+        *slot = victim;
         false
     }
 }

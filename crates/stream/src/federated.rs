@@ -34,7 +34,7 @@
 use proxima_mbpta::engine::{Engine, EngineEstimate, EngineFactory, EngineKind, Verdict};
 use proxima_mbpta::session::{AnalysisSession, ChannelId};
 use proxima_mbpta::{MbptaError, SessionBuilder};
-use proxima_sim::{Inst, PlatformConfig};
+use proxima_sim::{DecodedTrace, Inst, PlatformConfig};
 
 use crate::analyzer::{PwcetSnapshot, StreamAnalyzer, StreamConfig};
 use crate::engine::finish_into_verdict;
@@ -327,7 +327,9 @@ impl FederatedAnalyzer {
     /// (one thread per shard). Run `i` is seeded with the `i`-th element
     /// of `master_seed`'s SplitMix64 stream — an O(1) random access — so
     /// every shard starts mid-stream without replaying anyone else's
-    /// runs, and the union is bit-identical to a serial replay.
+    /// runs, and the union is bit-identical to a serial replay. The trace
+    /// is decoded once and shared by every shard; pass it by value to
+    /// free it as soon as it is decoded.
     ///
     /// # Errors
     ///
@@ -337,7 +339,7 @@ impl FederatedAnalyzer {
     pub fn ingest_trace(
         &mut self,
         platform: PlatformConfig,
-        trace: &[Inst],
+        trace: impl AsRef<[Inst]>,
         runs: usize,
         master_seed: u64,
     ) -> Result<(), MbptaError> {
@@ -348,8 +350,10 @@ impl FederatedAnalyzer {
         }
         let shard_len = self.shard_len;
         let last = self.shards.len() - 1;
-        // One shared copy of the trace; shard replays clone the Arc.
-        let trace: std::sync::Arc<[Inst]> = trace.to_vec().into();
+        // One shared decode of the trace; shard replays clone the Arc.
+        let decoded = DecodedTrace::new(&platform, trace.as_ref());
+        drop(trace);
+        let trace = std::sync::Arc::new(decoded);
         // proxima-lint: allow(no-thread-spawn-outside-sharding) -- each scoped
         // worker owns one shard and results are folded in shard index
         // order, so scheduling cannot reach the output.
@@ -365,10 +369,9 @@ impl FederatedAnalyzer {
                     } else {
                         ((s + 1) * shard_len).min(runs)
                     };
-                    let platform = platform.clone();
                     let trace = trace.clone();
                     scope.spawn(move || {
-                        let replay = TraceReplay::new_shared(platform, trace, end, master_seed)
+                        let replay = TraceReplay::from_decoded(trace, end, master_seed)
                             .starting_at(start as u64);
                         for x in replay {
                             analyzer.ingest(x)?;
@@ -786,7 +789,7 @@ mod tests {
         assert!(parallel
             .ingest_trace(
                 PlatformConfig::mbpta_compliant(),
-                &tvca2.trace(ControlMode::Nominal),
+                tvca2.trace(ControlMode::Nominal),
                 100,
                 1
             )

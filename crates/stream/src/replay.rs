@@ -22,7 +22,7 @@ use std::io::BufRead;
 use std::sync::Arc;
 
 use proxima_prng::SplitMix64;
-use proxima_sim::{Inst, Platform, PlatformConfig};
+use proxima_sim::{DecodedTrace, Inst, Platform, PlatformConfig};
 use proxima_workload::tvca::{ControlMode, Tvca, TvcaConfig};
 
 /// Replays a measurement campaign lazily: each `next()` is one fresh run
@@ -47,8 +47,8 @@ use proxima_workload::tvca::{ControlMode, Tvca, TvcaConfig};
 pub struct TraceReplay {
     platform: Platform,
     /// Shared, not owned: shard replays of one campaign all read the
-    /// same trace ([`Self::new_shared`]).
-    trace: Arc<[Inst]>,
+    /// same decoded trace ([`Self::from_decoded`]).
+    trace: Arc<DecodedTrace>,
     master_seed: u64,
     next_run: u64,
     runs: u64,
@@ -57,21 +57,19 @@ pub struct TraceReplay {
 impl TraceReplay {
     /// Replay `runs` executions of `trace` on a fresh platform built from
     /// `config`, seeding run `i` with the `i`-th element of
-    /// `master_seed`'s SplitMix64 stream.
+    /// `master_seed`'s SplitMix64 stream. The trace is decoded here, once,
+    /// and freed.
     pub fn new(config: PlatformConfig, trace: Vec<Inst>, runs: usize, master_seed: u64) -> Self {
-        TraceReplay::new_shared(config, trace.into(), runs, master_seed)
+        let decoded = DecodedTrace::new(&config, &trace);
+        TraceReplay::from_decoded(Arc::new(decoded), runs, master_seed)
     }
 
-    /// [`Self::new`] over an already-shared trace — per-shard replays of
-    /// one campaign clone the `Arc`, not the instructions.
-    pub fn new_shared(
-        config: PlatformConfig,
-        trace: Arc<[Inst]>,
-        runs: usize,
-        master_seed: u64,
-    ) -> Self {
+    /// [`Self::new`] over an already-decoded, shared trace, on a platform
+    /// of the configuration it was decoded for — per-shard replays of one
+    /// campaign clone the `Arc`, and decode nothing.
+    pub fn from_decoded(trace: Arc<DecodedTrace>, runs: usize, master_seed: u64) -> Self {
         TraceReplay {
-            platform: Platform::new(config),
+            platform: Platform::new(trace.config().clone()),
             trace,
             master_seed,
             next_run: 0,
@@ -122,7 +120,7 @@ impl Iterator for TraceReplay {
         }
         let seed = SplitMix64::stream_seed(self.master_seed, self.next_run);
         self.next_run += 1;
-        Some(self.platform.run(&self.trace, seed).cycles as f64)
+        Some(self.platform.execute(&self.trace, seed).cycles as f64)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut fed = FederatedAnalyzer::new(FederatedConfig::new(stream, 4).balanced_for(runs))?;
     fed.ingest_trace(
         PlatformConfig::mbpta_compliant(),
-        &tvca.trace(ControlMode::FaultRecovery),
+        tvca.trace(ControlMode::FaultRecovery),
         runs,
         7,
     )?;

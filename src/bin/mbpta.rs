@@ -459,7 +459,7 @@ fn measure_cmd(args: &[String]) -> Result<(), String> {
     let (campaign, seed_line) = if let Some(jobs) = jobs {
         let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant()).with_jobs(jobs);
         let campaign = runner
-            .run(&sim.trace, sim.runs, sim.seed)
+            .run(sim.trace, sim.runs, sim.seed)
             .map_err(|e| e.to_string())?;
         let line = format!(
             "# runs={} master_seed={} jobs={}",
@@ -470,7 +470,7 @@ fn measure_cmd(args: &[String]) -> Result<(), String> {
         (campaign, line)
     } else {
         let mut platform = Platform::new(PlatformConfig::mbpta_compliant());
-        let campaign = Campaign::measure(&mut platform, &sim.trace, sim.runs, sim.seed)
+        let campaign = Campaign::measure(&mut platform, sim.trace, sim.runs, sim.seed)
             .map_err(|e| e.to_string())?;
         (
             campaign,
@@ -817,7 +817,8 @@ fn session_feed(
         // into the session as a round-robin interleaved tagged feed —
         // the demux workload end to end. The campaign is a pure function
         // of (runs, seed), so a resumed run regenerates the identical
-        // feed and skips what the checkpoint already covered.
+        // feed and skips what the checkpoint already covered. The pool
+        // takes the traces by value and frees each once it is decoded.
         let tvca = Tvca::new(TvcaConfig::default());
         let traces: Vec<Vec<Inst>> = TVCA_PATHS.iter().map(|(_, m)| tvca.trace(*m)).collect();
         let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant()).with_jobs(jobs);
@@ -827,7 +828,7 @@ fn session_feed(
             runner.jobs()
         );
         let campaigns = runner
-            .run_many(&traces, runs, seed)
+            .run_many(traces, runs, seed)
             .map_err(|e| e.to_string())?;
         let channels: Vec<ChannelId> = TVCA_PATHS
             .iter()
@@ -1523,7 +1524,7 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         );
         fed.ingest_trace(
             PlatformConfig::mbpta_compliant(),
-            &sim.trace,
+            sim.trace,
             sim.runs,
             sim.seed,
         )
