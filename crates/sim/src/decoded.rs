@@ -122,7 +122,8 @@ impl DecodedTrace {
         let mut dl1 = Keys::default();
         let mut events = Vec::new();
         let mut folded = FoldedHits::default();
-        let mut fixed_cycles: u64 = 0;
+        // Base CPI and the multiply, divide, taken-branch and store extras.
+        let mut pipeline_cycles: u64 = 0;
         let mut fpu_stall_cycles: u64 = 0;
 
         let mut last_itlb: Option<u64> = None;
@@ -136,7 +137,7 @@ impl DecodedTrace {
         let mut dl1_present: Option<u64> = None;
 
         for inst in trace {
-            fixed_cycles += t.base_cpi;
+            pipeline_cycles += t.base_cpi;
 
             let page = inst.pc.page(config.itlb.page_size);
             if last_itlb == Some(page) {
@@ -158,11 +159,11 @@ impl DecodedTrace {
 
             match inst.kind {
                 InstKind::IntAlu | InstKind::Nop => {}
-                InstKind::IntMul => fixed_cycles += t.int_mul_extra,
-                InstKind::IntDiv => fixed_cycles += t.int_div_extra,
+                InstKind::IntMul => pipeline_cycles += t.int_mul_extra,
+                InstKind::IntDiv => pipeline_cycles += t.int_div_extra,
                 InstKind::Branch { taken } => {
                     if taken {
-                        fixed_cycles += t.taken_branch_extra;
+                        pipeline_cycles += t.taken_branch_extra;
                         // A taken branch redirects the fetch stream.
                         fetch_line_hot = None;
                     }
@@ -192,7 +193,7 @@ impl DecodedTrace {
                         dl1_present = Some(line);
                     }
                     if is_store {
-                        fixed_cycles += t.store_extra;
+                        pipeline_cycles += t.store_extra;
                     }
                 }
             }
@@ -201,7 +202,7 @@ impl DecodedTrace {
         DecodedTrace {
             config: config.clone(),
             instructions: trace.len() as u64,
-            fixed_cycles: fixed_cycles + fpu_stall_cycles,
+            fixed_cycles: pipeline_cycles + fpu_stall_cycles,
             fpu_stall_cycles,
             folded,
             events,
@@ -250,7 +251,8 @@ impl Keys {
 /// Multiplicative hashing of one `u64` key. Page and line numbers are
 /// dense integers, which one odd multiply spreads over the table's low
 /// bits (its bucket index) and high bits (its tag) alike, at a fraction of
-/// the default hasher's cost.
+/// the default hasher's cost. The keys come from a trace the caller
+/// built, not from untrusted input, so collision resistance buys nothing.
 #[derive(Debug, Default, Clone, Copy)]
 struct KeyHasher(u64);
 
