@@ -3,9 +3,13 @@
 //! The figure's bars: DET and RAND average execution times (comparable),
 //! the DET high watermark, the industrial bounds HWM+20% / HWM+50%, and
 //! the MBPTA pWCET estimates at cutoff probabilities 10⁻⁶ … 10⁻¹⁵, which
-//! start around the HWM+50% level and stay within the same order of
-//! magnitude. The DET layout sweep underneath quantifies the uncertainty
-//! the engineering factor is guessing at.
+//! stay within the same order of magnitude as the DET observations. On
+//! the simulated platform the pWCET starts just above the DET high
+//! watermark, well below the HWM+50% bound: the binary prints 81,445
+//! cycles at 10⁻⁶ (1.03× the DET high watermark of 78,804), rising to
+//! 86,028 (1.09×) at 10⁻¹⁵, against an MBTA+50% bound of 118,206. The
+//! DET layout sweep underneath quantifies the uncertainty the
+//! engineering factor is guessing at.
 //!
 //! ```text
 //! cargo run --release -p proxima-bench --bin exp_fig3
