@@ -39,7 +39,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::fpu::FpuModel;
 use crate::inst::{Inst, InstKind};
-use crate::platform::PlatformConfig;
+use crate::platform::{PlatformConfig, RunResult, RunStats};
 
 /// One memory-system access a run replays. The index names the key in
 /// the structure's table of distinct pages or lines.
@@ -55,16 +55,6 @@ pub(crate) enum Event {
     Load(u32),
     /// DL1 store to `dl1_lines[i]`.
     Store(u32),
-}
-
-/// Hits per structure that decoding proved and folded away; every run
-/// adds them to its counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FoldedHits {
-    pub(crate) itlb: u64,
-    pub(crate) il1: u64,
-    pub(crate) dtlb: u64,
-    pub(crate) dl1: u64,
 }
 
 /// An instruction trace decoded for one [`PlatformConfig`].
@@ -90,12 +80,10 @@ pub(crate) struct FoldedHits {
 #[derive(Debug, Clone)]
 pub struct DecodedTrace {
     pub(crate) config: PlatformConfig,
-    pub(crate) instructions: u64,
-    /// Cycles every run spends whatever the seed: base CPI, the fixed
-    /// extras and the FPU stalls.
-    pub(crate) fixed_cycles: u64,
-    pub(crate) fpu_stall_cycles: u64,
-    pub(crate) folded: FoldedHits,
+    /// The part of every run's result that does not depend on the seed:
+    /// the instruction count, the cycles of base CPI, fixed extras and FPU
+    /// stalls, and the folded hits. A run adds what its events replay.
+    pub(crate) fixed: RunResult,
     pub(crate) events: Vec<Event>,
     pub(crate) itlb_pages: Vec<u64>,
     pub(crate) il1_lines: Vec<u64>,
@@ -121,10 +109,12 @@ impl DecodedTrace {
         let mut dtlb = Keys::default();
         let mut dl1 = Keys::default();
         let mut events = Vec::new();
-        let mut folded = FoldedHits::default();
+        let mut fixed = RunStats {
+            instructions: trace.len() as u64,
+            ..RunStats::default()
+        };
         // Base CPI and the multiply, divide, taken-branch and store extras.
         let mut pipeline_cycles: u64 = 0;
-        let mut fpu_stall_cycles: u64 = 0;
 
         let mut last_itlb: Option<u64> = None;
         let mut last_dtlb: Option<u64> = None;
@@ -141,7 +131,7 @@ impl DecodedTrace {
 
             let page = inst.pc.page(config.itlb.page_size);
             if last_itlb == Some(page) {
-                folded.itlb += 1;
+                fixed.itlb.0 += 1;
             } else {
                 last_itlb = Some(page);
                 events.push(Event::Itlb(itlb.id(page)));
@@ -150,7 +140,7 @@ impl DecodedTrace {
             if fetch_line_hot != Some(fetch_line) {
                 fetch_line_hot = Some(fetch_line);
                 if last_fetch == Some(fetch_line) {
-                    folded.il1 += 1;
+                    fixed.il1.0 += 1;
                 } else {
                     last_fetch = Some(fetch_line);
                     events.push(Event::Fetch(il1.id(fetch_line)));
@@ -168,15 +158,15 @@ impl DecodedTrace {
                         fetch_line_hot = None;
                     }
                 }
-                InstKind::FpAdd => fpu_stall_cycles += fpu.add_latency() - 1,
-                InstKind::FpMul => fpu_stall_cycles += fpu.mul_latency() - 1,
-                InstKind::FpDiv(class) => fpu_stall_cycles += fpu.div_latency(class) - 1,
-                InstKind::FpSqrt(class) => fpu_stall_cycles += fpu.sqrt_latency(class) - 1,
+                InstKind::FpAdd => fixed.fpu_stall_cycles += fpu.add_latency() - 1,
+                InstKind::FpMul => fixed.fpu_stall_cycles += fpu.mul_latency() - 1,
+                InstKind::FpDiv(class) => fixed.fpu_stall_cycles += fpu.div_latency(class) - 1,
+                InstKind::FpSqrt(class) => fixed.fpu_stall_cycles += fpu.sqrt_latency(class) - 1,
                 InstKind::Load(addr) | InstKind::Store(addr) => {
                     let is_store = matches!(inst.kind, InstKind::Store(_));
                     let page = addr.page(config.dtlb.page_size);
                     if last_dtlb == Some(page) {
-                        folded.dtlb += 1;
+                        fixed.dtlb.0 += 1;
                     } else {
                         last_dtlb = Some(page);
                         events.push(Event::Dtlb(dtlb.id(page)));
@@ -184,7 +174,7 @@ impl DecodedTrace {
                     let line = addr.line(config.dl1.line_size);
                     if dl1_present == Some(line) {
                         // A hit leaves the line present, store or load.
-                        folded.dl1 += 1;
+                        fixed.dl1.0 += 1;
                     } else if is_store {
                         events.push(Event::Store(dl1.id(line)));
                         dl1_present = allocate_on_write.then_some(line);
@@ -201,10 +191,10 @@ impl DecodedTrace {
 
         DecodedTrace {
             config: config.clone(),
-            instructions: trace.len() as u64,
-            fixed_cycles: pipeline_cycles + fpu_stall_cycles,
-            fpu_stall_cycles,
-            folded,
+            fixed: RunResult {
+                cycles: pipeline_cycles + fixed.fpu_stall_cycles,
+                stats: fixed,
+            },
             events,
             itlb_pages: itlb.keys,
             il1_lines: il1.keys,
@@ -220,7 +210,7 @@ impl DecodedTrace {
 
     /// Instructions in the trace.
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.fixed.stats.instructions
     }
 
     /// Memory-system events a run replays (accesses that are not folded

@@ -315,21 +315,17 @@ impl Platform {
             }
         }
 
-        let folded = trace.folded;
+        let mut result = trace.fixed;
+        result.cycles += walks * self.config.timing.tlb_walk_cycles + memory_cycles;
+        let stats = &mut result.stats;
         let (il1, dl1) = (self.il1.stats(), self.dl1.stats());
         let (itlb, dtlb) = (self.itlb.stats(), self.dtlb.stats());
-        RunResult {
-            cycles: trace.fixed_cycles + walks * self.config.timing.tlb_walk_cycles + memory_cycles,
-            stats: RunStats {
-                instructions: trace.instructions,
-                il1: (il1.hits + folded.il1, il1.misses),
-                dl1: (dl1.hits + folded.dl1, dl1.misses),
-                itlb: (itlb.0 + folded.itlb, itlb.1),
-                dtlb: (dtlb.0 + folded.dtlb, dtlb.1),
-                fpu_stall_cycles: trace.fpu_stall_cycles,
-                memory_cycles,
-            },
-        }
+        stats.il1 = (stats.il1.0 + il1.hits, il1.misses);
+        stats.dl1 = (stats.dl1.0 + dl1.hits, dl1.misses);
+        stats.itlb = (stats.itlb.0 + itlb.0, itlb.1);
+        stats.dtlb = (stats.dtlb.0 + dtlb.0, dtlb.1);
+        stats.memory_cycles = memory_cycles;
+        result
     }
 
     /// Run a full measurement campaign: `runs` executions of `trace`, with
