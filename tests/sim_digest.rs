@@ -8,9 +8,16 @@
 //! the three platform personalities, plus the campaign engines' cycle
 //! vectors. The constants were captured before the simulator decoded
 //! its traces; any change to them is a change of results.
+//!
+//! Two more configurations reach what the personalities do not: a bus
+//! with three interferers, where every L1 fill draws from the run's RNG,
+//! and 16-entry TLBs, which TVCA's 18 data pages overflow, so its DTLB
+//! evicts. Their constants were captured before a run skipped the
+//! accesses no seed can change.
 
 use proxima::prelude::*;
-use proxima::sim::RunResult;
+use proxima::sim::bus::BusModel;
+use proxima::sim::{RunResult, TlbConfig};
 
 /// Seeds per (trace, personality) pair.
 const SEEDS: u64 = 64;
@@ -52,11 +59,31 @@ impl Fnv {
     }
 }
 
-fn personalities() -> [(&'static str, PlatformConfig); 3] {
+fn personalities() -> [(&'static str, PlatformConfig); 5] {
+    let rand = PlatformConfig::mbpta_compliant();
+    let small_tlb = TlbConfig {
+        entries: 16,
+        ..rand.dtlb
+    };
     [
-        ("mbpta_compliant", PlatformConfig::mbpta_compliant()),
+        ("mbpta_compliant", rand.clone()),
         ("deterministic", PlatformConfig::deterministic()),
         ("mbpta_operation", PlatformConfig::mbpta_operation()),
+        (
+            "bus_interferers_3",
+            PlatformConfig {
+                bus: BusModel::leon3(3),
+                ..rand.clone()
+            },
+        ),
+        (
+            "tlb_entries_16",
+            PlatformConfig {
+                itlb: small_tlb,
+                dtlb: small_tlb,
+                ..rand
+            },
+        ),
     ]
 }
 
@@ -78,38 +105,58 @@ fn all_traces() -> Vec<(String, Vec<Inst>)> {
     traces
 }
 
-/// `(trace, personality, digest)` of `Platform::run` at seeds `0..64`.
-const RUN_DIGESTS: [(&str, &str, u64); 30] = [
+/// `(trace, configuration, digest)` of `Platform::run` at seeds `0..64`.
+const RUN_DIGESTS: [(&str, &str, u64); 50] = [
     ("nominal", "mbpta_compliant", 0x261d_5953_b3c0_f021),
     ("nominal", "deterministic", 0xf3b9_7e01_5e4e_4f25),
     ("nominal", "mbpta_operation", 0x196e_c029_57f7_98ed),
+    ("nominal", "bus_interferers_3", 0x9d56_db65_8ebd_52b3),
+    ("nominal", "tlb_entries_16", 0x1fed_7351_f226_29cd),
     ("saturated-x", "mbpta_compliant", 0x8549_d8c2_f521_36b2),
     ("saturated-x", "deterministic", 0x0b67_c7bb_23a6_6825),
     ("saturated-x", "mbpta_operation", 0xab0f_f900_6891_0856),
+    ("saturated-x", "bus_interferers_3", 0x4242_1d41_5e01_9a71),
+    ("saturated-x", "tlb_entries_16", 0x86f4_a7ab_d8c4_5162),
     ("saturated-y", "mbpta_compliant", 0x3dc5_7ba4_a61b_3792),
     ("saturated-y", "deterministic", 0x0b67_c7bb_23a6_6825),
     ("saturated-y", "mbpta_operation", 0x4bac_4fae_a109_28ae),
+    ("saturated-y", "bus_interferers_3", 0x6fa6_c885_2b38_6ad3),
+    ("saturated-y", "tlb_entries_16", 0x3281_bbd3_540f_ecfa),
     ("fault-recovery", "mbpta_compliant", 0xa637_2d27_488b_d598),
     ("fault-recovery", "deterministic", 0x0cae_c4c3_6a03_54a5),
     ("fault-recovery", "mbpta_operation", 0x629b_60a1_c7e4_9011),
+    ("fault-recovery", "bus_interferers_3", 0x1ee1_cbd0_ca2f_4513),
+    ("fault-recovery", "tlb_entries_16", 0x46b4_fcc8_9534_a14d),
     ("fir", "mbpta_compliant", 0x4144_5e76_b672_9125),
     ("fir", "deterministic", 0x4144_5e76_b672_9125),
     ("fir", "mbpta_operation", 0x4144_5e76_b672_9125),
+    ("fir", "bus_interferers_3", 0x1c05_0a2b_1765_70a8),
+    ("fir", "tlb_entries_16", 0x4144_5e76_b672_9125),
     ("matmul", "mbpta_compliant", 0xb2ae_f63a_5e74_2925),
     ("matmul", "deterministic", 0xb2ae_f63a_5e74_2925),
     ("matmul", "mbpta_operation", 0xb2ae_f63a_5e74_2925),
+    ("matmul", "bus_interferers_3", 0xc8ca_393c_eb10_2e7e),
+    ("matmul", "tlb_entries_16", 0xb2ae_f63a_5e74_2925),
     ("crc", "mbpta_compliant", 0x2fae_0da0_ea98_1ca5),
     ("crc", "deterministic", 0x2fae_0da0_ea98_1ca5),
     ("crc", "mbpta_operation", 0x2fae_0da0_ea98_1ca5),
+    ("crc", "bus_interferers_3", 0xa4c2_0b3d_420b_e84a),
+    ("crc", "tlb_entries_16", 0x2fae_0da0_ea98_1ca5),
     ("table-interp", "mbpta_compliant", 0xb2bb_8ee8_9020_3325),
     ("table-interp", "deterministic", 0xe80f_529b_e053_1c25),
     ("table-interp", "mbpta_operation", 0xe80f_529b_e053_1c25),
+    ("table-interp", "bus_interferers_3", 0xb7d3_9e60_25e2_26a0),
+    ("table-interp", "tlb_entries_16", 0xb2bb_8ee8_9020_3325),
     ("vec-norm", "mbpta_compliant", 0x8085_f1c9_d207_cf25),
     ("vec-norm", "deterministic", 0xa27c_30f1_e25b_ab25),
     ("vec-norm", "mbpta_operation", 0xa27c_30f1_e25b_ab25),
+    ("vec-norm", "bus_interferers_3", 0xd199_809c_e60d_5bf5),
+    ("vec-norm", "tlb_entries_16", 0x8085_f1c9_d207_cf25),
     ("stride-sweep", "mbpta_compliant", 0x2fcb_b117_f850_3325),
     ("stride-sweep", "deterministic", 0x2bb5_75b0_4a44_9e25),
     ("stride-sweep", "mbpta_operation", 0x2fcb_b117_f850_3325),
+    ("stride-sweep", "bus_interferers_3", 0xf87e_c62e_6e4a_5ca5),
+    ("stride-sweep", "tlb_entries_16", 0x2fcb_b117_f850_3325),
 ];
 
 #[test]
@@ -125,6 +172,7 @@ fn every_run_result_field_is_pinned() {
             computed.push((trace_name.clone(), config_name, hash.0));
         }
     }
+    assert_eq!(computed.len(), RUN_DIGESTS.len(), "one digest per pair");
     let moved: Vec<String> = computed
         .iter()
         .zip(RUN_DIGESTS)
