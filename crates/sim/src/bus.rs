@@ -43,14 +43,17 @@ impl BusModel {
     /// including the transfer itself plus randomized arbitration among the
     /// interfering cores.
     pub fn transaction_cycles<R: RandomSource + ?Sized>(&self, rng: &mut R) -> u64 {
-        let wait_slots = if self.interfering == 0 {
-            0
-        } else {
-            // Token position uniform over 0..=interfering: each interferer
-            // ahead of us in the round costs one slot.
-            rng.below(self.interfering + 1)
-        };
-        self.slot_cycles * (1 + wait_slots)
+        // Token position uniform over 0..=interfering: each interferer
+        // ahead of us in the round costs one slot.
+        self.fixed_transaction_cycles()
+            .unwrap_or_else(|| self.slot_cycles * (1 + rng.below(self.interfering + 1)))
+    }
+
+    /// The delay of every transaction when arbitration draws nothing
+    /// (no interfering core), or `None` when each transaction draws its
+    /// delay from the RNG.
+    pub fn fixed_transaction_cycles(&self) -> Option<u64> {
+        (self.interfering == 0).then_some(self.slot_cycles)
     }
 
     /// Worst-case delay for one transaction (all interferers ahead).
@@ -77,7 +80,9 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(bus.transaction_cycles(&mut rng), 8);
         }
+        assert_eq!(bus.fixed_transaction_cycles(), Some(8));
         assert_eq!(bus.worst_transaction_cycles(), 8);
+        assert_eq!(BusModel::leon3(1).fixed_transaction_cycles(), None);
     }
 
     #[test]

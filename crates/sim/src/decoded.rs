@@ -6,17 +6,24 @@
 //!
 //! * it folds the instruction count, base CPI, the multiply, divide,
 //!   taken-branch and store extras, and the FPU stalls into constants;
-//! * it keeps, in program order, only the memory-system events a run must
+//! * it keeps, in program order, only the memory-system events a run may
 //!   replay: ITLB lookups, IL1 line fetches, DTLB lookups, and DL1 loads
 //!   and stores. Each names its page or line by an index into the
-//!   structure's table of distinct keys.
+//!   structure's table of distinct keys;
+//! * it folds every lookup of a TLB that can never fill into constants;
+//! * it gives each distinct IL1 and DL1 line the outcome its events have
+//!   when nothing is evicted, and the positions of those events.
 //!
-//! [`Platform::execute`](crate::Platform::execute) then replays the
-//! events on the platform's caches and TLBs. Its result equals what
-//! stepping through every instruction would give, bit for bit:
+//! [`Platform::execute`](crate::Platform::execute) then replays, in
+//! program order, only the events whose outcome can depend on the seed,
+//! on the platform's caches and TLBs. Every other access takes the
+//! outcome decoded for it. The result equals what stepping through every
+//! instruction would give, bit for bit:
 //!
 //! * **RNG order.** One RNG per run serves every structure's victim
-//!   choice and the bus, so the events stay in program order.
+//!   choice and the bus, so replayed events stay in program order. Only
+//!   two things draw: a victim choice in a full set or TLB, and an L1
+//!   fill when the bus has interferers.
 //! * **Guaranteed hits.** An access joins a per-structure hit count
 //!   instead of becoming an event only if it repeats the previous access
 //!   to the same structure and that access left the entry present: any
@@ -26,6 +33,22 @@
 //!   `allocate_on_write`. A no-write-allocate store may leave its line
 //!   absent, so the access after it stays an event. A folded hit draws
 //!   nothing and costs nothing beyond the constants.
+//! * **TLBs that cannot fill.** A TLB that sees no more distinct pages
+//!   than it has entries never evicts: each page misses once, into a free
+//!   slot, without a draw, and every other lookup hits. Its lookups
+//!   become constants (misses equal the distinct pages, and their walks
+//!   join the fixed cycles) and leave no event. A TLB that sees more
+//!   pages keeps its events, and every run replays them.
+//! * **Quiet sets.** Loads and fetches allocate their line; stores
+//!   allocate only with `allocate_on_write`. A set that at most `ways`
+//!   allocating lines map to under a run's placement never chooses a
+//!   victim, so each of its lines has the outcome decoded for it and the
+//!   set draws nothing; nothing reads its LRU stamps or its round-robin
+//!   pointer. A run replays every event of a line in a *contended* set
+//!   (more allocating lines than ways), so recency and round-robin order
+//!   inside it are exact; stamps are only ever compared within one set.
+//!   When the bus has interferers, every fill draws, so a run also
+//!   replays each quiet line's fill, at its own position.
 //! * **Replacement state.** Skipping a folded hit leaves its entry's LRU
 //!   stamp one tick older, but that entry was already the most recent of
 //!   its structure, so the recency order `victim` reads is unchanged.
@@ -40,20 +63,21 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::fpu::FpuModel;
 use crate::inst::{Inst, InstKind};
 use crate::platform::{PlatformConfig, RunResult, RunStats};
+use crate::tlb::TlbConfig;
 
-/// One memory-system access a run replays. The index names the key in
+/// One memory-system access a run may replay. The index names the key in
 /// the structure's table of distinct pages or lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
     /// ITLB lookup of `itlb_pages[i]`.
     Itlb(u32),
-    /// IL1 fetch of `il1_lines[i]`.
+    /// IL1 fetch of `il1.keys[i]`.
     Fetch(u32),
     /// DTLB lookup of `dtlb_pages[i]`.
     Dtlb(u32),
-    /// DL1 load of `dl1_lines[i]`.
+    /// DL1 load of `dl1.keys[i]`.
     Load(u32),
-    /// DL1 store to `dl1_lines[i]`.
+    /// DL1 store to `dl1.keys[i]`.
     Store(u32),
 }
 
@@ -81,14 +105,18 @@ pub(crate) enum Event {
 pub struct DecodedTrace {
     pub(crate) config: PlatformConfig,
     /// The part of every run's result that does not depend on the seed:
-    /// the instruction count, the cycles of base CPI, fixed extras and FPU
-    /// stalls, and the folded hits. A run adds what its events replay.
+    /// the instruction count, the cycles of base CPI, fixed extras, FPU
+    /// stalls and the walks of folded TLBs, the folded hits, and the
+    /// lookups of folded TLBs. A run adds what its events give.
     pub(crate) fixed: RunResult,
     pub(crate) events: Vec<Event>,
+    /// One bit per event, set for the lookups of a TLB that was not
+    /// folded: every run replays them.
+    pub(crate) tlb_events: Vec<u64>,
     pub(crate) itlb_pages: Vec<u64>,
-    pub(crate) il1_lines: Vec<u64>,
     pub(crate) dtlb_pages: Vec<u64>,
-    pub(crate) dl1_lines: Vec<u64>,
+    pub(crate) il1: Lines,
+    pub(crate) dl1: Lines,
 }
 
 impl DecodedTrace {
@@ -96,8 +124,9 @@ impl DecodedTrace {
     ///
     /// # Panics
     ///
-    /// Panics if a line or page size is not a power of two, or if one
-    /// structure sees more than `u32::MAX` distinct keys.
+    /// Panics if a line or page size is not a power of two, if one
+    /// structure sees more than `u32::MAX` distinct keys, or if the trace
+    /// has more than `u32::MAX` events.
     pub fn new(config: &PlatformConfig, trace: &[Inst]) -> Self {
         let t = config.timing;
         let fpu = FpuModel::new(config.fpu_mode);
@@ -115,6 +144,7 @@ impl DecodedTrace {
         };
         // Base CPI and the multiply, divide, taken-branch and store extras.
         let mut pipeline_cycles: u64 = 0;
+        let mut data_accesses: u64 = 0;
 
         let mut last_itlb: Option<u64> = None;
         let mut last_dtlb: Option<u64> = None;
@@ -163,6 +193,7 @@ impl DecodedTrace {
                 InstKind::FpDiv(class) => fixed.fpu_stall_cycles += fpu.div_latency(class) - 1,
                 InstKind::FpSqrt(class) => fixed.fpu_stall_cycles += fpu.sqrt_latency(class) - 1,
                 InstKind::Load(addr) | InstKind::Store(addr) => {
+                    data_accesses += 1;
                     let is_store = matches!(inst.kind, InstKind::Store(_));
                     let page = addr.page(config.dtlb.page_size);
                     if last_dtlb == Some(page) {
@@ -189,17 +220,43 @@ impl DecodedTrace {
             }
         }
 
+        let fold_itlb = fold_tlb(&config.itlb, &mut itlb, trace.len() as u64, &mut fixed.itlb);
+        let fold_dtlb = fold_tlb(&config.dtlb, &mut dtlb, data_accesses, &mut fixed.dtlb);
+        events.retain(|e| match e {
+            Event::Itlb(_) => !fold_itlb,
+            Event::Dtlb(_) => !fold_dtlb,
+            _ => true,
+        });
+        assert!(
+            u32::try_from(events.len()).is_ok(),
+            "a decoded trace holds at most 2^32 - 1 events"
+        );
+        let mut tlb_events = vec![0; events.len().div_ceil(64)];
+        for (pos, e) in events.iter().enumerate() {
+            if matches!(e, Event::Itlb(_) | Event::Dtlb(_)) {
+                mark(&mut tlb_events, pos as u32);
+            }
+        }
+        let walks = fixed.itlb.1 + fixed.dtlb.1;
+
         DecodedTrace {
             config: config.clone(),
             fixed: RunResult {
-                cycles: pipeline_cycles + fixed.fpu_stall_cycles,
+                cycles: pipeline_cycles + fixed.fpu_stall_cycles + walks * t.tlb_walk_cycles,
                 stats: fixed,
             },
+            il1: Lines::new(il1.keys, &events, false, |e| match e {
+                Event::Fetch(i) => Some(i),
+                _ => None,
+            }),
+            dl1: Lines::new(dl1.keys, &events, allocate_on_write, |e| match e {
+                Event::Load(i) | Event::Store(i) => Some(i),
+                _ => None,
+            }),
             events,
+            tlb_events,
             itlb_pages: itlb.keys,
-            il1_lines: il1.keys,
             dtlb_pages: dtlb.keys,
-            dl1_lines: dl1.keys,
         }
     }
 
@@ -213,11 +270,115 @@ impl DecodedTrace {
         self.fixed.stats.instructions
     }
 
-    /// Memory-system events a run replays (accesses that are not folded
-    /// guaranteed hits).
+    /// Memory-system events a run may replay: accesses that are neither
+    /// folded guaranteed hits nor lookups of a TLB that cannot fill.
     pub fn events(&self) -> usize {
         self.events.len()
     }
+}
+
+/// Fold the lookups of a TLB that sees at most `entries` distinct pages:
+/// each page misses once and the other `lookups` hit. Returns whether the
+/// TLB was folded, and then empties its page table, which no event names.
+fn fold_tlb(tlb: &TlbConfig, pages: &mut Keys, lookups: u64, counts: &mut (u64, u64)) -> bool {
+    let distinct = pages.keys.len();
+    if distinct > tlb.entries {
+        return false;
+    }
+    *counts = (lookups - distinct as u64, distinct as u64);
+    pages.keys = Vec::new();
+    true
+}
+
+/// The distinct lines one L1 cache sees, each with the outcome of its
+/// events when nothing is evicted and their positions among the events.
+#[derive(Debug, Clone)]
+pub(crate) struct Lines {
+    pub(crate) keys: Vec<u64>,
+    pub(crate) outcomes: Vec<LineOutcome>,
+    /// `positions[starts[i]..starts[i + 1]]` are the positions of line
+    /// `i`'s events, in program order.
+    starts: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+/// What one line's events give when nothing is evicted.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LineOutcome {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    /// The position of the load or fetch that misses and brings the line
+    /// in, if one does: the only event of the line that pays the bus.
+    pub(crate) fill: Option<u32>,
+    /// Whether any event allocates the line, that is, whether the line
+    /// ever takes a way of its set.
+    pub(crate) allocates: bool,
+}
+
+impl Lines {
+    /// Index the events `line_of` maps to a line of `keys`. A load or
+    /// fetch allocates its line on a miss; a store does only with
+    /// `allocate_on_write`.
+    fn new(
+        keys: Vec<u64>,
+        events: &[Event],
+        allocate_on_write: bool,
+        line_of: impl Fn(Event) -> Option<u32>,
+    ) -> Self {
+        let mut outcomes = vec![LineOutcome::default(); keys.len()];
+        for (pos, &e) in events.iter().enumerate() {
+            let Some(i) = line_of(e) else {
+                continue;
+            };
+            // With nothing evicted, a line is present from the access
+            // that allocates it on.
+            let line = &mut outcomes[i as usize];
+            let is_store = matches!(e, Event::Store(_));
+            if line.allocates {
+                line.hits += 1;
+            } else {
+                line.misses += 1;
+                line.allocates = !is_store || allocate_on_write;
+                // A store miss pays no bus transaction.
+                if !is_store {
+                    line.fill = Some(pos as u32);
+                }
+            }
+        }
+        // Counting sort of the event positions by line.
+        let mut starts = Vec::with_capacity(keys.len() + 1);
+        let mut total = 0u32;
+        starts.push(0);
+        for line in &outcomes {
+            total += (line.hits + line.misses) as u32;
+            starts.push(total);
+        }
+        let mut next = starts.clone();
+        let mut positions = vec![0; total as usize];
+        for (pos, &e) in events.iter().enumerate() {
+            if let Some(i) = line_of(e) {
+                let slot = &mut next[i as usize];
+                positions[*slot as usize] = pos as u32;
+                *slot += 1;
+            }
+        }
+        Lines {
+            keys,
+            outcomes,
+            starts,
+            positions,
+        }
+    }
+
+    /// The positions of line `i`'s events, in program order.
+    pub(crate) fn events(&self, i: usize) -> &[u32] {
+        &self.positions[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
+/// Set bit `pos` of a bitmap over event positions.
+pub(crate) fn mark(bits: &mut [u64], pos: u32) {
+    bits[pos as usize / 64] |= 1 << (pos % 64);
 }
 
 /// The distinct keys (pages or lines) one structure sees, in first-use

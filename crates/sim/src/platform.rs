@@ -6,7 +6,7 @@ use proxima_prng::{PrngKind, RandomSource, SplitMix64};
 
 use crate::bus::BusModel;
 use crate::cache::{CacheConfig, PlacementPolicy, ReplacementPolicy, SetAssocCache};
-use crate::decoded::{DecodedTrace, Event};
+use crate::decoded::{mark, DecodedTrace, Event, Lines};
 use crate::fpu::FpuLatencyMode;
 use crate::inst::Inst;
 use crate::mem::DramModel;
@@ -168,42 +168,84 @@ pub struct Platform {
 /// between runs so a run allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct RunTables {
-    /// The set of each distinct IL1 / DL1 line under this run's seed.
-    il1_sets: Vec<u64>,
-    dl1_sets: Vec<u64>,
+    il1: SetTable,
+    dl1: SetTable,
     /// The slot each distinct ITLB / DTLB page was last installed in
     /// (`usize::MAX`: not yet this run).
     itlb_slots: Vec<usize>,
     dtlb_slots: Vec<usize>,
+    /// One bit per event: set for the events this run replays.
+    replay: Vec<u64>,
 }
 
-impl RunTables {
-    fn prepare(&mut self, trace: &DecodedTrace, il1_seed: u64, dl1_seed: u64) {
-        let place = |sets: &mut Vec<u64>, cache: &CacheConfig, lines: &[u64], seed: u64| {
-            let n_sets = cache.n_sets();
-            sets.clear();
-            sets.extend(
-                lines
-                    .iter()
-                    .map(|&line| cache.placement.set_index(line, n_sets, seed)),
-            );
-        };
-        place(
-            &mut self.il1_sets,
-            &trace.config.il1,
-            &trace.il1_lines,
-            il1_seed,
+/// One L1 cache's placement of a decoded trace's lines under one run's
+/// seed.
+#[derive(Debug, Clone, Default)]
+struct SetTable {
+    /// The set of each distinct line.
+    sets: Vec<u64>,
+    /// The allocating lines each set receives.
+    lines_per_set: Vec<u64>,
+}
+
+/// What the lines of one cache's quiet sets give a run without being
+/// replayed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Quiet {
+    hits: u64,
+    misses: u64,
+    /// Fills left out of the replay, each of which costs one bus
+    /// transaction that draws nothing.
+    fills: u64,
+}
+
+impl SetTable {
+    /// Place every line of `lines` and classify its set. Mark in `replay`
+    /// every event of a line in a contended set, and, if `replay_fills`,
+    /// the fill of each line in a quiet set; return what the quiet lines
+    /// give without their replayed fills.
+    fn prepare(
+        &mut self,
+        cache: &CacheConfig,
+        lines: &Lines,
+        seed: u64,
+        replay_fills: bool,
+        replay: &mut [u64],
+    ) -> Quiet {
+        let n_sets = cache.n_sets();
+        self.sets.clear();
+        self.sets.extend(
+            lines
+                .keys
+                .iter()
+                .map(|&line| cache.placement.set_index(line, n_sets, seed)),
         );
-        place(
-            &mut self.dl1_sets,
-            &trace.config.dl1,
-            &trace.dl1_lines,
-            dl1_seed,
-        );
-        self.itlb_slots.clear();
-        self.itlb_slots.resize(trace.itlb_pages.len(), usize::MAX);
-        self.dtlb_slots.clear();
-        self.dtlb_slots.resize(trace.dtlb_pages.len(), usize::MAX);
+        self.lines_per_set.clear();
+        self.lines_per_set.resize(n_sets as usize, 0);
+        for (&set, line) in self.sets.iter().zip(&lines.outcomes) {
+            self.lines_per_set[set as usize] += u64::from(line.allocates);
+        }
+        let mut quiet = Quiet::default();
+        for (i, (&set, line)) in self.sets.iter().zip(&lines.outcomes).enumerate() {
+            if self.lines_per_set[set as usize] > cache.ways {
+                for &pos in lines.events(i) {
+                    mark(replay, pos);
+                }
+                continue;
+            }
+            quiet.hits += line.hits;
+            quiet.misses += line.misses;
+            if let Some(pos) = line.fill {
+                if replay_fills {
+                    // The cache model counts this miss when it replays it.
+                    mark(replay, pos);
+                    quiet.misses -= 1;
+                } else {
+                    quiet.fills += 1;
+                }
+            }
+        }
+        quiet
     }
 }
 
@@ -262,55 +304,87 @@ impl Platform {
         self.il1.reseed(il1_seed);
         self.dl1.reseed(dl1_seed);
         let mut rng = self.config.prng.build(seeder.next_u64());
-        self.tables.prepare(trace, il1_seed, dl1_seed);
 
+        // A fill that draws nothing costs the same at every position.
         let bus = self.config.bus;
         let mem_latency_base = self.config.dram.access_latency();
+        let quiet_fill_cycles = bus.fixed_transaction_cycles().map(|c| c + mem_latency_base);
+        let replay_fills = quiet_fill_cycles.is_none();
         let tables = &mut self.tables;
+        tables.replay.clear();
+        tables.replay.extend_from_slice(&trace.tlb_events);
+        let quiet_il1 = tables.il1.prepare(
+            &self.config.il1,
+            &trace.il1,
+            il1_seed,
+            replay_fills,
+            &mut tables.replay,
+        );
+        let quiet_dl1 = tables.dl1.prepare(
+            &self.config.dl1,
+            &trace.dl1,
+            dl1_seed,
+            replay_fills,
+            &mut tables.replay,
+        );
+        tables.itlb_slots.clear();
+        tables.itlb_slots.resize(trace.itlb_pages.len(), usize::MAX);
+        tables.dtlb_slots.clear();
+        tables.dtlb_slots.resize(trace.dtlb_pages.len(), usize::MAX);
+
         let mut walks: u64 = 0;
-        let mut memory_cycles: u64 = 0;
-        for &event in &trace.events {
-            match event {
-                Event::Itlb(i) => {
-                    let i = i as usize;
-                    let page = trace.itlb_pages[i];
-                    if !self
-                        .itlb
-                        .access_page(page, &mut tables.itlb_slots[i], &mut rng)
-                    {
-                        walks += 1;
+        let mut memory_cycles: u64 =
+            (quiet_il1.fills + quiet_dl1.fills) * quiet_fill_cycles.unwrap_or(0);
+        // The replayed events in program order: the set bits of `replay`,
+        // a word at a time.
+        for (w, &word) in tables.replay.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let pos = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                match trace.events[pos] {
+                    Event::Itlb(i) => {
+                        let i = i as usize;
+                        let page = trace.itlb_pages[i];
+                        if !self
+                            .itlb
+                            .access_page(page, &mut tables.itlb_slots[i], &mut rng)
+                        {
+                            walks += 1;
+                        }
                     }
-                }
-                Event::Fetch(i) => {
-                    let i = i as usize;
-                    let (set, line) = (tables.il1_sets[i], trace.il1_lines[i]);
-                    if !self.il1.access_in_set(set, line, false, &mut rng).is_hit() {
-                        memory_cycles += bus.transaction_cycles(&mut rng) + mem_latency_base;
+                    Event::Fetch(i) => {
+                        let i = i as usize;
+                        let (set, line) = (tables.il1.sets[i], trace.il1.keys[i]);
+                        if !self.il1.access_in_set(set, line, false, &mut rng).is_hit() {
+                            memory_cycles += bus.transaction_cycles(&mut rng) + mem_latency_base;
+                        }
                     }
-                }
-                Event::Dtlb(i) => {
-                    let i = i as usize;
-                    let page = trace.dtlb_pages[i];
-                    if !self
-                        .dtlb
-                        .access_page(page, &mut tables.dtlb_slots[i], &mut rng)
-                    {
-                        walks += 1;
+                    Event::Dtlb(i) => {
+                        let i = i as usize;
+                        let page = trace.dtlb_pages[i];
+                        if !self
+                            .dtlb
+                            .access_page(page, &mut tables.dtlb_slots[i], &mut rng)
+                        {
+                            walks += 1;
+                        }
                     }
-                }
-                Event::Load(i) => {
-                    let i = i as usize;
-                    let (set, line) = (tables.dl1_sets[i], trace.dl1_lines[i]);
-                    if !self.dl1.access_in_set(set, line, false, &mut rng).is_hit() {
-                        memory_cycles += bus.transaction_cycles(&mut rng) + mem_latency_base;
+                    Event::Load(i) => {
+                        let i = i as usize;
+                        let (set, line) = (tables.dl1.sets[i], trace.dl1.keys[i]);
+                        if !self.dl1.access_in_set(set, line, false, &mut rng).is_hit() {
+                            memory_cycles += bus.transaction_cycles(&mut rng) + mem_latency_base;
+                        }
                     }
-                }
-                Event::Store(i) => {
-                    // Write-through, no-write-allocate: the store posts to
-                    // the write buffer; the cache is updated only on hit.
-                    let i = i as usize;
-                    let (set, line) = (tables.dl1_sets[i], trace.dl1_lines[i]);
-                    let _ = self.dl1.access_in_set(set, line, true, &mut rng);
+                    Event::Store(i) => {
+                        // Write-through, no-write-allocate: the store posts
+                        // to the write buffer; the cache is updated only on
+                        // hit.
+                        let i = i as usize;
+                        let (set, line) = (tables.dl1.sets[i], trace.dl1.keys[i]);
+                        let _ = self.dl1.access_in_set(set, line, true, &mut rng);
+                    }
                 }
             }
         }
@@ -320,10 +394,12 @@ impl Platform {
         let stats = &mut result.stats;
         let (il1, dl1) = (self.il1.stats(), self.dl1.stats());
         let (itlb, dtlb) = (self.itlb.stats(), self.dtlb.stats());
-        stats.il1 = (stats.il1.0 + il1.hits, il1.misses);
-        stats.dl1 = (stats.dl1.0 + dl1.hits, dl1.misses);
-        stats.itlb = (stats.itlb.0 + itlb.0, itlb.1);
-        stats.dtlb = (stats.dtlb.0 + dtlb.0, dtlb.1);
+        stats.il1.0 += il1.hits + quiet_il1.hits;
+        stats.il1.1 += il1.misses + quiet_il1.misses;
+        stats.dl1.0 += dl1.hits + quiet_dl1.hits;
+        stats.dl1.1 += dl1.misses + quiet_dl1.misses;
+        stats.itlb = (stats.itlb.0 + itlb.0, stats.itlb.1 + itlb.1);
+        stats.dtlb = (stats.dtlb.0 + dtlb.0, stats.dtlb.1 + dtlb.1);
         stats.memory_cycles = memory_cycles;
         result
     }

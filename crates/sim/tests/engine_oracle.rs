@@ -4,12 +4,14 @@
 //! it steps through every instruction and sends every access to the
 //! public cache and TLB models. The decoded engine must give the same
 //! `RunResult` — cycles and every counter — on any trace, configuration
-//! and seed. The TVCA traces never evict a TLB entry and run only
-//! random-modulo placement with random replacement, so these traces are
-//! built to reach what TVCA does not: few pages and lines (TLBs and sets
-//! overflow), taken branches back into the fetched line, store misses
-//! followed by loads of the same line, and pages alternating back and
-//! forth, on every placement and replacement policy.
+//! and seed. The TVCA traces never evict a TLB entry, rarely contend for
+//! a cache set, and run only random-modulo placement with random
+//! replacement, so these traces are built to reach what TVCA does not:
+//! few pages and lines (TLBs and sets overflow, so runs replay contended
+//! sets beside quiet ones), taken branches back into the fetched line,
+//! store misses followed by loads of the same line, and pages alternating
+//! back and forth, on every placement and replacement policy and with
+//! 0–3 bus interferers.
 
 use proptest::prelude::*;
 use proxima_prng::{PrngKind, RandomSource, SplitMix64};
@@ -395,22 +397,34 @@ fn small(replacement: ReplacementPolicy, allocate_on_write: bool) -> PlatformCon
 
 #[test]
 fn a_tlb_repeat_is_a_folded_hit() {
-    // Eight instructions in one line of one page: one ITLB lookup and one
-    // IL1 fetch; the other seven lookups are hits folded at decode.
-    let trace: Vec<Inst> = alu_run(0x1000, 8).collect();
-    let config = PlatformConfig::mbpta_compliant();
+    // Eight instructions in one line on each of three pages, through a
+    // two-entry ITLB that must evict: one ITLB lookup and one IL1 fetch
+    // per page; the other seven lookups of each page are hits folded at
+    // decode.
+    let trace: Vec<Inst> = [0x1000, 0x2000, 0x3000]
+        .into_iter()
+        .flat_map(|pc| alu_run(pc, 8))
+        .collect();
+    let config = small(ReplacementPolicy::Lru, false);
     let decoded = assert_matches_oracle(&config, &trace, 0..8);
-    assert_eq!(decoded.events(), 2);
+    assert_eq!(decoded.events(), 6, "three ITLB lookups, three IL1 fetches");
     let r = Platform::new(config.clone()).execute(&decoded, 1);
-    assert_eq!(r.stats.itlb, (7, 1));
+    assert_eq!(r.stats.itlb, (21, 3));
 
-    // Loads walking one data page: one DTLB lookup.
-    let loads: Vec<Inst> = (0..8)
-        .map(|i| Inst::load(0x1000, 0x9000 + 64 * i))
+    // Loads walking each of three data pages in turn: one DTLB lookup per
+    // page. The one code page fits the ITLB, so its lookups fold.
+    let loads: Vec<Inst> = (0..24)
+        .map(|i| Inst::load(0x1000, 0x9000 + 0x1000 * (i / 8) + 64 * (i % 8)))
         .collect();
     let decoded = assert_matches_oracle(&config, &loads, 0..8);
-    // 1 ITLB + 1 fetch + 1 DTLB + 8 loads of distinct lines.
-    assert_eq!(decoded.events(), 11);
+    assert_eq!(
+        decoded.events(),
+        1 + 3 + 24,
+        "one IL1 fetch, three DTLB lookups, 24 loads of distinct lines"
+    );
+    let r = Platform::new(config).execute(&decoded, 1);
+    assert_eq!(r.stats.dtlb, (21, 3));
+    assert_eq!(r.stats.itlb, (23, 1));
 }
 
 #[test]
@@ -424,7 +438,7 @@ fn a_taken_branch_back_into_the_fetched_line_is_a_folded_hit() {
     }
     let config = PlatformConfig::mbpta_compliant();
     let decoded = assert_matches_oracle(&config, &trace, 0..8);
-    assert_eq!(decoded.events(), 2, "one ITLB lookup, one IL1 fetch");
+    assert_eq!(decoded.events(), 1, "one IL1 fetch; the ITLB cannot fill");
     let r = Platform::new(config).execute(&decoded, 3);
     assert_eq!(r.stats.il1, (9, 1));
 }
@@ -441,7 +455,7 @@ fn a_fetch_after_another_line_is_an_event() {
     }
     let config = small(ReplacementPolicy::Lru, false);
     let decoded = assert_matches_oracle(&config, &trace, 0..4);
-    assert_eq!(decoded.events(), 1 + 12);
+    assert_eq!(decoded.events(), 12, "twelve IL1 fetches; one code page");
 }
 
 #[test]
@@ -455,8 +469,7 @@ fn a_dl1_access_after_a_load_of_its_line_is_a_folded_hit() {
     ];
     let config = small(ReplacementPolicy::Lru, false);
     let decoded = assert_matches_oracle(&config, &trace, 0..4);
-    // 1 ITLB + 1 fetch + 1 DTLB + 1 load.
-    assert_eq!(decoded.events(), 4);
+    assert_eq!(decoded.events(), 2, "one IL1 fetch, one load");
     let r = Platform::new(config).execute(&decoded, 0);
     assert_eq!(r.stats.dl1, (2, 1));
 }
@@ -466,7 +479,11 @@ fn a_store_with_allocate_on_write_makes_its_line_a_folded_hit() {
     let trace = [Inst::store(0x1000, 0x9000), Inst::load(0x1004, 0x9010)];
     let allocate = small(ReplacementPolicy::Lru, true);
     let decoded = assert_matches_oracle(&allocate, &trace, 0..4);
-    assert_eq!(decoded.events(), 4, "the load is a folded hit");
+    assert_eq!(
+        decoded.events(),
+        2,
+        "one IL1 fetch, one store; the load is a folded hit"
+    );
     assert_eq!(
         Platform::new(allocate).execute(&decoded, 0).stats.dl1,
         (1, 1)
@@ -480,7 +497,11 @@ fn a_load_after_a_no_write_allocate_store_miss_is_an_event() {
     let trace = [Inst::store(0x1000, 0x9000), Inst::load(0x1004, 0x9010)];
     let config = small(ReplacementPolicy::Lru, false);
     let decoded = assert_matches_oracle(&config, &trace, 0..4);
-    assert_eq!(decoded.events(), 5, "store and load are both events");
+    assert_eq!(
+        decoded.events(),
+        3,
+        "one IL1 fetch; the store and the load are both events"
+    );
     assert_eq!(Platform::new(config).execute(&decoded, 0).stats.dl1, (0, 2));
 }
 
@@ -496,7 +517,7 @@ fn a_folded_hit_keeps_its_line_foldable() {
     ];
     let config = small(ReplacementPolicy::Lru, false);
     let decoded = assert_matches_oracle(&config, &trace, 0..4);
-    assert_eq!(decoded.events(), 4);
+    assert_eq!(decoded.events(), 2, "one IL1 fetch, one load");
     assert_eq!(Platform::new(config).execute(&decoded, 0).stats.dl1, (3, 1));
 }
 
