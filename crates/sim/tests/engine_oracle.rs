@@ -601,6 +601,179 @@ fn a_per_run_set_table_gives_every_placement_the_hashed_set() {
 }
 
 #[test]
+fn a_tlb_folds_at_entries_pages_and_replays_one_page_more() {
+    // Loads cycling over four, then five data pages through a four-entry
+    // DTLB, one code page: four pages never fill it, so every lookup
+    // folds (each page misses once); five pages evict, so every lookup
+    // stays an event.
+    let config = PlatformConfig {
+        dtlb: TlbConfig {
+            entries: 4,
+            ..PlatformConfig::mbpta_compliant().dtlb
+        },
+        ..PlatformConfig::mbpta_compliant()
+    };
+    for pages in [4u64, 5] {
+        let trace: Vec<Inst> = (0..40)
+            .map(|i| Inst::load(0x1000, 0x10_0000 + 0x1000 * (i % pages)))
+            .collect();
+        let decoded = assert_matches_oracle(&config, &trace, 0..16);
+        let r = Platform::new(config.clone()).execute(&decoded, 1);
+        if pages == 4 {
+            assert_eq!(decoded.events(), 1 + 40, "one IL1 fetch, 40 loads");
+            assert_eq!(r.stats.dtlb, (36, 4));
+        } else {
+            assert_eq!(
+                decoded.events(),
+                1 + 40 + 40,
+                "one IL1 fetch, 40 DTLB lookups, 40 loads"
+            );
+            assert!(r.stats.dtlb.1 > 5, "five pages in four entries evict");
+        }
+    }
+}
+
+/// A 4-way, 16-set cache of 32-byte lines under `placement` and
+/// `replacement`, as both L1s of an otherwise paper-like platform.
+fn with_l1(
+    placement: PlacementPolicy,
+    replacement: ReplacementPolicy,
+    allocate_on_write: bool,
+) -> PlatformConfig {
+    let cache = CacheConfig {
+        size_bytes: 4 * 32 * 16,
+        ways: 4,
+        line_size: 32,
+        placement,
+        replacement,
+        allocate_on_write,
+    };
+    PlatformConfig {
+        il1: cache,
+        dl1: cache,
+        ..PlatformConfig::mbpta_compliant()
+    }
+}
+
+#[test]
+fn a_contended_set_is_replayed_beside_a_quiet_one() {
+    // Five lines aliasing to one set of a 4-way cache under modulo
+    // placement evict each other at random; four lines of other sets
+    // never leave. Only the victims vary with the seed.
+    let config = with_l1(PlacementPolicy::Modulo, ReplacementPolicy::Random, false);
+    let trace: Vec<Inst> = (0..300u64)
+        .map(|i| {
+            let addr = if i % 2 == 0 {
+                0x10_0000 + 0x200 * ((i / 2) % 5)
+            } else {
+                0x10_0020 + 0x20 * ((i / 2) % 4)
+            };
+            Inst::load(0x1000 + 4 * (i % 8), addr)
+        })
+        .collect();
+    assert_matches_oracle(&config, &trace, 0..64);
+    let mut platform = Platform::new(config.clone());
+    let decoded = DecodedTrace::new(&config, &trace);
+    let misses: std::collections::HashSet<u64> = (0..64)
+        .map(|seed| platform.execute(&decoded, seed).stats.dl1.1)
+        .collect();
+    assert!(misses.len() > 1, "random victims vary with the seed");
+    assert!(misses.iter().all(|&m| m > 9), "beyond the nine cold misses");
+}
+
+#[test]
+fn a_line_quiet_at_one_seed_is_contended_at_another() {
+    // Two lines of a direct-mapped cache from different alignment
+    // windows: random-modulo placement puts them in one set at some
+    // seeds (each then evicts the other) and apart at others (each
+    // misses once).
+    let cache = CacheConfig {
+        size_bytes: 32 * 8,
+        ways: 1,
+        line_size: 32,
+        placement: PlacementPolicy::RandomModulo,
+        replacement: ReplacementPolicy::Random,
+        allocate_on_write: false,
+    };
+    let config = PlatformConfig {
+        dl1: cache,
+        ..PlatformConfig::mbpta_compliant()
+    };
+    let trace: Vec<Inst> = (0..40u64)
+        .map(|i| Inst::load(0x1000, 0x10_0040 + 0x100 * (i % 2)))
+        .collect();
+    assert_matches_oracle(&config, &trace, 0..64);
+    let mut platform = Platform::new(config.clone());
+    let decoded = DecodedTrace::new(&config, &trace);
+    let misses: Vec<u64> = (0..64)
+        .map(|seed| platform.execute(&decoded, seed).stats.dl1.1)
+        .collect();
+    assert!(misses.contains(&2), "apart at some seed: {misses:?}");
+    assert!(misses.contains(&40), "together at some seed: {misses:?}");
+}
+
+#[test]
+fn a_no_write_allocate_store_before_a_first_load_in_a_quiet_set() {
+    // The store misses without allocating; the load after it is the
+    // line's fill; the next load of the line hits; the store after a load
+    // of its line is a folded hit.
+    let trace = [
+        Inst::store(0x1000, 0x9000),
+        Inst::load(0x1004, 0x9000),
+        Inst::load(0x1008, 0x9040),
+        Inst::load(0x100c, 0x9000),
+        Inst::store(0x1010, 0x9004),
+        Inst::load(0x1014, 0x9040),
+    ];
+    for interferers in 0..4 {
+        let config = PlatformConfig {
+            bus: BusModel::leon3(interferers),
+            ..PlatformConfig::mbpta_compliant()
+        };
+        let decoded = assert_matches_oracle(&config, &trace, 0..16);
+        assert_eq!(decoded.events(), 1 + 5, "one IL1 fetch, five DL1 events");
+        let r = Platform::new(config).execute(&decoded, 0);
+        assert_eq!(r.stats.dl1, (3, 3), "two fills and the store miss");
+    }
+}
+
+#[test]
+fn lines_allocated_only_by_stores_count_toward_their_set() {
+    // Two lines loaded and a third only stored to, all in one set of a
+    // 2-way write-allocate cache: the stores allocate, so the set holds
+    // three lines and evicts.
+    let config = small(ReplacementPolicy::Lru, true);
+    let mut trace = Vec::new();
+    for _ in 0..10 {
+        trace.push(Inst::load(0x1000, 0x10_0000));
+        trace.push(Inst::load(0x1000, 0x10_0080));
+        trace.push(Inst::store(0x1000, 0x10_0100));
+    }
+    assert_matches_oracle(&config, &trace, 0..4);
+    let decoded = DecodedTrace::new(&config, &trace);
+    let r = Platform::new(config).execute(&decoded, 0);
+    assert_eq!(r.stats.dl1, (0, 30), "LRU evicts the line used next");
+}
+
+#[test]
+fn quiet_fills_draw_the_bus_in_program_order() {
+    // With interferers every fill draws the bus, so the fills of quiet
+    // lines interleave with the victim draws of a contended set.
+    let mut words = SplitMix64::new(23);
+    let ops: Vec<u64> = (0..2000).map(|_| words.next_u64()).collect();
+    let trace = trace_from(&ops);
+    for interferers in 1..4 {
+        for replacement in REPLACEMENTS {
+            let config = PlatformConfig {
+                bus: BusModel::leon3(interferers),
+                ..with_l1(PlacementPolicy::RandomModulo, replacement, false)
+            };
+            assert_matches_oracle(&config, &trace, 0..16);
+        }
+    }
+}
+
+#[test]
 fn an_empty_trace_costs_nothing() {
     let config = PlatformConfig::mbpta_compliant();
     let decoded = assert_matches_oracle(&config, &[], 0..2);
