@@ -220,24 +220,47 @@ impl DecodedTrace {
             }
         }
 
-        let fold_itlb = fold_tlb(&config.itlb, &mut itlb, trace.len() as u64, &mut fixed.itlb);
-        let fold_dtlb = fold_tlb(&config.dtlb, &mut dtlb, data_accesses, &mut fixed.dtlb);
-        events.retain(|e| match e {
-            Event::Itlb(_) => !fold_itlb,
-            Event::Dtlb(_) => !fold_dtlb,
-            _ => true,
-        });
         assert!(
             u32::try_from(events.len()).is_ok(),
             "a decoded trace holds at most 2^32 - 1 events"
         );
+        let fold_itlb = fold_tlb(&config.itlb, &mut itlb, trace.len() as u64, &mut fixed.itlb);
+        let fold_dtlb = fold_tlb(&config.dtlb, &mut dtlb, data_accesses, &mut fixed.dtlb);
+        let walks = fixed.itlb.1 + fixed.dtlb.1;
+
+        // Drop the folded lookups, mark the others, and give each line
+        // the outcome of its events.
+        let mut il1 = Lines::new(il1.keys);
+        let mut dl1 = Lines::new(dl1.keys);
         let mut tlb_events = vec![0; events.len().div_ceil(64)];
-        for (pos, e) in events.iter().enumerate() {
-            if matches!(e, Event::Itlb(_) | Event::Dtlb(_)) {
-                mark(&mut tlb_events, pos as u32);
+        let mut kept = 0;
+        for k in 0..events.len() {
+            let e = events[k];
+            let pos = kept as u32;
+            match e {
+                Event::Itlb(_) if fold_itlb => continue,
+                Event::Dtlb(_) if fold_dtlb => continue,
+                Event::Itlb(_) | Event::Dtlb(_) => mark(&mut tlb_events, pos),
+                Event::Fetch(i) => il1.note(i, pos, true, true),
+                Event::Load(i) => dl1.note(i, pos, true, true),
+                Event::Store(i) => dl1.note(i, pos, allocate_on_write, false),
+            }
+            events[kept] = e;
+            kept += 1;
+        }
+        events.truncate(kept);
+        tlb_events.truncate(kept.div_ceil(64));
+        // Sort the event positions by line: backwards, so each line's
+        // come out in program order.
+        il1.count();
+        dl1.count();
+        for (pos, &e) in events.iter().enumerate().rev() {
+            match e {
+                Event::Fetch(i) => il1.place(i, pos as u32),
+                Event::Load(i) | Event::Store(i) => dl1.place(i, pos as u32),
+                Event::Itlb(_) | Event::Dtlb(_) => {}
             }
         }
-        let walks = fixed.itlb.1 + fixed.dtlb.1;
 
         DecodedTrace {
             config: config.clone(),
@@ -245,18 +268,12 @@ impl DecodedTrace {
                 cycles: pipeline_cycles + fixed.fpu_stall_cycles + walks * t.tlb_walk_cycles,
                 stats: fixed,
             },
-            il1: Lines::new(il1.keys, &events, false, |e| match e {
-                Event::Fetch(i) => Some(i),
-                _ => None,
-            }),
-            dl1: Lines::new(dl1.keys, &events, allocate_on_write, |e| match e {
-                Event::Load(i) | Event::Store(i) => Some(i),
-                _ => None,
-            }),
             events,
             tlb_events,
             itlb_pages: itlb.keys,
             dtlb_pages: dtlb.keys,
+            il1,
+            dl1,
         }
     }
 
@@ -316,58 +333,54 @@ pub(crate) struct LineOutcome {
 }
 
 impl Lines {
-    /// Index the events `line_of` maps to a line of `keys`. A load or
-    /// fetch allocates its line on a miss; a store does only with
-    /// `allocate_on_write`.
-    fn new(
-        keys: Vec<u64>,
-        events: &[Event],
-        allocate_on_write: bool,
-        line_of: impl Fn(Event) -> Option<u32>,
-    ) -> Self {
-        let mut outcomes = vec![LineOutcome::default(); keys.len()];
-        for (pos, &e) in events.iter().enumerate() {
-            let Some(i) = line_of(e) else {
-                continue;
-            };
-            // With nothing evicted, a line is present from the access
-            // that allocates it on.
-            let line = &mut outcomes[i as usize];
-            let is_store = matches!(e, Event::Store(_));
-            if line.allocates {
-                line.hits += 1;
-            } else {
-                line.misses += 1;
-                line.allocates = !is_store || allocate_on_write;
-                // A store miss pays no bus transaction.
-                if !is_store {
-                    line.fill = Some(pos as u32);
-                }
-            }
-        }
-        // Counting sort of the event positions by line.
-        let mut starts = Vec::with_capacity(keys.len() + 1);
-        let mut total = 0u32;
-        starts.push(0);
-        for line in &outcomes {
-            total += (line.hits + line.misses) as u32;
-            starts.push(total);
-        }
-        let mut next = starts.clone();
-        let mut positions = vec![0; total as usize];
-        for (pos, &e) in events.iter().enumerate() {
-            if let Some(i) = line_of(e) {
-                let slot = &mut next[i as usize];
-                positions[*slot as usize] = pos as u32;
-                *slot += 1;
-            }
-        }
+    fn new(keys: Vec<u64>) -> Self {
         Lines {
+            outcomes: vec![LineOutcome::default(); keys.len()],
+            starts: vec![0; keys.len() + 1],
+            positions: Vec::new(),
             keys,
-            outcomes,
-            starts,
-            positions,
         }
+    }
+
+    /// Take the event at `pos` on line `i`, in program order. It
+    /// `allocates` the line on a miss (a load or fetch always does, a
+    /// store only with `allocate_on_write`), and `fills` it, paying the
+    /// bus, if it is a load or fetch.
+    fn note(&mut self, i: u32, pos: u32, allocates: bool, fills: bool) {
+        // With nothing evicted, a line is present from the access that
+        // allocates it on.
+        let line = &mut self.outcomes[i as usize];
+        if line.allocates {
+            line.hits += 1;
+        } else {
+            line.misses += 1;
+            line.allocates = allocates;
+            if fills {
+                line.fill = Some(pos);
+            }
+        }
+    }
+
+    /// Make room for the positions of the events noted: `starts[i]`
+    /// becomes the end of line `i`'s range, for [`Lines::place`] to
+    /// count down from.
+    fn count(&mut self) {
+        let mut total = 0;
+        for (end, line) in self.starts.iter_mut().zip(&self.outcomes) {
+            total += (line.hits + line.misses) as u32;
+            *end = total;
+        }
+        self.starts[self.outcomes.len()] = total;
+        self.positions = vec![0; total as usize];
+    }
+
+    /// Record the event at `pos` on line `i`. Called for each event in
+    /// reverse program order, it leaves `starts[i]` at the start of line
+    /// `i`'s range.
+    fn place(&mut self, i: u32, pos: u32) {
+        let start = &mut self.starts[i as usize];
+        *start -= 1;
+        self.positions[*start as usize] = pos;
     }
 
     /// The positions of line `i`'s events, in program order.
