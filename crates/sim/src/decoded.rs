@@ -63,7 +63,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::fpu::FpuModel;
 use crate::inst::{Inst, InstKind};
 use crate::platform::{PlatformConfig, RunResult, RunStats};
-use crate::tlb::TlbConfig;
 
 /// One memory-system access a run may replay. The index names the key in
 /// the structure's table of distinct pages or lines.
@@ -128,130 +127,62 @@ impl DecodedTrace {
     /// structure sees more than `u32::MAX` distinct keys, or if the trace
     /// has more than `u32::MAX` events.
     pub fn new(config: &PlatformConfig, trace: &[Inst]) -> Self {
-        let t = config.timing;
-        let fpu = FpuModel::new(config.fpu_mode);
-        let fetch_line_size = config.il1.line_size;
-        let allocate_on_write = config.dl1.allocate_on_write;
-
-        let mut itlb = Keys::default();
-        let mut il1 = Keys::default();
-        let mut dtlb = Keys::default();
-        let mut dl1 = Keys::default();
-        let mut events = Vec::new();
-        let mut fixed = RunStats {
-            instructions: trace.len() as u64,
-            ..RunStats::default()
-        };
-        // Base CPI and the multiply, divide, taken-branch and store extras.
-        let mut pipeline_cycles: u64 = 0;
-        let mut data_accesses: u64 = 0;
-
-        let mut last_itlb: Option<u64> = None;
-        let mut last_dtlb: Option<u64> = None;
-        // The line an IL1 fetch would skip (sequential code), and the
-        // line IL1 was last accessed for. A taken branch clears the
-        // first but not the second.
-        let mut fetch_line_hot: Option<u64> = None;
-        let mut last_fetch: Option<u64> = None;
-        // The line the last DL1 access left present, if it surely did.
-        let mut dl1_present: Option<u64> = None;
-
-        for inst in trace {
-            pipeline_cycles += t.base_cpi;
-
-            let page = inst.pc.page(config.itlb.page_size);
-            if last_itlb == Some(page) {
-                fixed.itlb.0 += 1;
-            } else {
-                last_itlb = Some(page);
-                events.push(Event::Itlb(itlb.id(page)));
-            }
-            let fetch_line = inst.pc.line(fetch_line_size);
-            if fetch_line_hot != Some(fetch_line) {
-                fetch_line_hot = Some(fetch_line);
-                if last_fetch == Some(fetch_line) {
-                    fixed.il1.0 += 1;
-                } else {
-                    last_fetch = Some(fetch_line);
-                    events.push(Event::Fetch(il1.id(fetch_line)));
-                }
-            }
-
-            match inst.kind {
-                InstKind::IntAlu | InstKind::Nop => {}
-                InstKind::IntMul => pipeline_cycles += t.int_mul_extra,
-                InstKind::IntDiv => pipeline_cycles += t.int_div_extra,
-                InstKind::Branch { taken } => {
-                    if taken {
-                        pipeline_cycles += t.taken_branch_extra;
-                        // A taken branch redirects the fetch stream.
-                        fetch_line_hot = None;
-                    }
-                }
-                InstKind::FpAdd => fixed.fpu_stall_cycles += fpu.add_latency() - 1,
-                InstKind::FpMul => fixed.fpu_stall_cycles += fpu.mul_latency() - 1,
-                InstKind::FpDiv(class) => fixed.fpu_stall_cycles += fpu.div_latency(class) - 1,
-                InstKind::FpSqrt(class) => fixed.fpu_stall_cycles += fpu.sqrt_latency(class) - 1,
-                InstKind::Load(addr) | InstKind::Store(addr) => {
-                    data_accesses += 1;
-                    let is_store = matches!(inst.kind, InstKind::Store(_));
-                    let page = addr.page(config.dtlb.page_size);
-                    if last_dtlb == Some(page) {
-                        fixed.dtlb.0 += 1;
-                    } else {
-                        last_dtlb = Some(page);
-                        events.push(Event::Dtlb(dtlb.id(page)));
-                    }
-                    let line = addr.line(config.dl1.line_size);
-                    if dl1_present == Some(line) {
-                        // A hit leaves the line present, store or load.
-                        fixed.dl1.0 += 1;
-                    } else if is_store {
-                        events.push(Event::Store(dl1.id(line)));
-                        dl1_present = allocate_on_write.then_some(line);
-                    } else {
-                        events.push(Event::Load(dl1.id(line)));
-                        dl1_present = Some(line);
-                    }
-                    if is_store {
-                        pipeline_cycles += t.store_extra;
-                    }
-                }
-            }
+        // Scan as if neither TLB could fill. A TLB that turns out to see
+        // more pages than it has entries is scanned again, keeping its
+        // lookups as events.
+        let mut scan = Scan::new(config, trace, false, false);
+        let keep_itlb = scan.itlb.keys.len() > config.itlb.entries;
+        let keep_dtlb = scan.dtlb.keys.len() > config.dtlb.entries;
+        if keep_itlb || keep_dtlb {
+            scan = Scan::new(config, trace, keep_itlb, keep_dtlb);
         }
-
+        let Scan {
+            mut fixed,
+            pipeline_cycles,
+            data_accesses,
+            events,
+            mut itlb,
+            il1,
+            mut dtlb,
+            dl1,
+        } = scan;
         assert!(
             u32::try_from(events.len()).is_ok(),
             "a decoded trace holds at most 2^32 - 1 events"
         );
-        let fold_itlb = fold_tlb(&config.itlb, &mut itlb, trace.len() as u64, &mut fixed.itlb);
-        let fold_dtlb = fold_tlb(&config.dtlb, &mut dtlb, data_accesses, &mut fixed.dtlb);
-        let walks = fixed.itlb.1 + fixed.dtlb.1;
 
-        // Drop the folded lookups, mark the others, and give each line
-        // the outcome of its events.
+        // A TLB that cannot fill: each page misses once, and every other
+        // lookup hits. No event names its pages.
+        let mut walks = 0;
+        for (keep, pages, lookups, counts) in [
+            (keep_itlb, &mut itlb, fixed.instructions, &mut fixed.itlb),
+            (keep_dtlb, &mut dtlb, data_accesses, &mut fixed.dtlb),
+        ] {
+            if !keep {
+                let distinct = pages.keys.len() as u64;
+                *counts = (lookups - distinct, distinct);
+                walks += distinct;
+                pages.keys = Vec::new();
+            }
+        }
+
+        // Mark the lookups of kept TLBs, and give each line the outcome
+        // of its events.
+        let allocate_on_write = config.dl1.allocate_on_write;
         let mut il1 = Lines::new(il1.keys);
         let mut dl1 = Lines::new(dl1.keys);
         let mut tlb_events = vec![0; events.len().div_ceil(64)];
-        let mut kept = 0;
-        for k in 0..events.len() {
-            let e = events[k];
-            let pos = kept as u32;
+        for (pos, &e) in events.iter().enumerate() {
+            let pos = pos as u32;
             match e {
-                Event::Itlb(_) if fold_itlb => continue,
-                Event::Dtlb(_) if fold_dtlb => continue,
                 Event::Itlb(_) | Event::Dtlb(_) => mark(&mut tlb_events, pos),
                 Event::Fetch(i) => il1.note(i, pos, true, true),
                 Event::Load(i) => dl1.note(i, pos, true, true),
                 Event::Store(i) => dl1.note(i, pos, allocate_on_write, false),
             }
-            events[kept] = e;
-            kept += 1;
         }
-        events.truncate(kept);
-        tlb_events.truncate(kept.div_ceil(64));
-        // Sort the event positions by line: backwards, so each line's
-        // come out in program order.
+        // Sort the event positions by line, walking backwards so that
+        // each line's positions come out in program order.
         il1.count();
         dl1.count();
         for (pos, &e) in events.iter().enumerate().rev() {
@@ -265,7 +196,9 @@ impl DecodedTrace {
         DecodedTrace {
             config: config.clone(),
             fixed: RunResult {
-                cycles: pipeline_cycles + fixed.fpu_stall_cycles + walks * t.tlb_walk_cycles,
+                cycles: pipeline_cycles
+                    + fixed.fpu_stall_cycles
+                    + walks * config.timing.tlb_walk_cycles,
                 stats: fixed,
             },
             events,
@@ -294,17 +227,137 @@ impl DecodedTrace {
     }
 }
 
-/// Fold the lookups of a TLB that sees at most `entries` distinct pages:
-/// each page misses once and the other `lookups` hit. Returns whether the
-/// TLB was folded, and then empties its page table, which no event names.
-fn fold_tlb(tlb: &TlbConfig, pages: &mut Keys, lookups: u64, counts: &mut (u64, u64)) -> bool {
-    let distinct = pages.keys.len();
-    if distinct > tlb.entries {
-        return false;
+/// One walk over a trace: the seed-independent costs, the events, and
+/// the distinct keys of each structure.
+struct Scan {
+    /// Counters so far: the instruction count, FPU stalls and folded
+    /// repeat hits.
+    fixed: RunStats,
+    /// Base CPI and the multiply, divide, taken-branch and store extras.
+    pipeline_cycles: u64,
+    /// Loads and stores: the DTLB's lookups.
+    data_accesses: u64,
+    events: Vec<Event>,
+    itlb: Keys,
+    il1: Keys,
+    dtlb: Keys,
+    dl1: Keys,
+}
+
+impl Scan {
+    /// Walk `trace`, keeping ITLB and DTLB lookups as events only if
+    /// `keep_itlb` and `keep_dtlb`; the pages of both are counted either
+    /// way.
+    fn new(config: &PlatformConfig, trace: &[Inst], keep_itlb: bool, keep_dtlb: bool) -> Self {
+        let t = config.timing;
+        let fpu = FpuModel::new(config.fpu_mode);
+        let fetch_line_size = config.il1.line_size;
+        let allocate_on_write = config.dl1.allocate_on_write;
+        let mut scan = Scan {
+            fixed: RunStats {
+                instructions: trace.len() as u64,
+                ..RunStats::default()
+            },
+            pipeline_cycles: 0,
+            data_accesses: 0,
+            events: Vec::new(),
+            itlb: Keys::default(),
+            il1: Keys::default(),
+            dtlb: Keys::default(),
+            dl1: Keys::default(),
+        };
+        let Scan {
+            fixed,
+            pipeline_cycles,
+            data_accesses,
+            events,
+            itlb,
+            il1,
+            dtlb,
+            dl1,
+        } = &mut scan;
+
+        let mut last_itlb: Option<u64> = None;
+        let mut last_dtlb: Option<u64> = None;
+        // The line an IL1 fetch would skip (sequential code), and the
+        // line IL1 was last accessed for. A taken branch clears the
+        // first but not the second.
+        let mut fetch_line_hot: Option<u64> = None;
+        let mut last_fetch: Option<u64> = None;
+        // The line the last DL1 access left present, if it surely did.
+        let mut dl1_present: Option<u64> = None;
+
+        for inst in trace {
+            *pipeline_cycles += t.base_cpi;
+
+            let page = inst.pc.page(config.itlb.page_size);
+            if last_itlb == Some(page) {
+                fixed.itlb.0 += 1;
+            } else {
+                last_itlb = Some(page);
+                let id = itlb.id(page);
+                if keep_itlb {
+                    events.push(Event::Itlb(id));
+                }
+            }
+            let fetch_line = inst.pc.line(fetch_line_size);
+            if fetch_line_hot != Some(fetch_line) {
+                fetch_line_hot = Some(fetch_line);
+                if last_fetch == Some(fetch_line) {
+                    fixed.il1.0 += 1;
+                } else {
+                    last_fetch = Some(fetch_line);
+                    events.push(Event::Fetch(il1.id(fetch_line)));
+                }
+            }
+
+            match inst.kind {
+                InstKind::IntAlu | InstKind::Nop => {}
+                InstKind::IntMul => *pipeline_cycles += t.int_mul_extra,
+                InstKind::IntDiv => *pipeline_cycles += t.int_div_extra,
+                InstKind::Branch { taken } => {
+                    if taken {
+                        *pipeline_cycles += t.taken_branch_extra;
+                        // A taken branch redirects the fetch stream.
+                        fetch_line_hot = None;
+                    }
+                }
+                InstKind::FpAdd => fixed.fpu_stall_cycles += fpu.add_latency() - 1,
+                InstKind::FpMul => fixed.fpu_stall_cycles += fpu.mul_latency() - 1,
+                InstKind::FpDiv(class) => fixed.fpu_stall_cycles += fpu.div_latency(class) - 1,
+                InstKind::FpSqrt(class) => fixed.fpu_stall_cycles += fpu.sqrt_latency(class) - 1,
+                InstKind::Load(addr) | InstKind::Store(addr) => {
+                    *data_accesses += 1;
+                    let is_store = matches!(inst.kind, InstKind::Store(_));
+                    let page = addr.page(config.dtlb.page_size);
+                    if last_dtlb == Some(page) {
+                        fixed.dtlb.0 += 1;
+                    } else {
+                        last_dtlb = Some(page);
+                        let id = dtlb.id(page);
+                        if keep_dtlb {
+                            events.push(Event::Dtlb(id));
+                        }
+                    }
+                    let line = addr.line(config.dl1.line_size);
+                    if dl1_present == Some(line) {
+                        // A hit leaves the line present, store or load.
+                        fixed.dl1.0 += 1;
+                    } else if is_store {
+                        events.push(Event::Store(dl1.id(line)));
+                        dl1_present = allocate_on_write.then_some(line);
+                    } else {
+                        events.push(Event::Load(dl1.id(line)));
+                        dl1_present = Some(line);
+                    }
+                    if is_store {
+                        *pipeline_cycles += t.store_extra;
+                    }
+                }
+            }
+        }
+        scan
     }
-    *counts = (lookups - distinct as u64, distinct as u64);
-    pages.keys = Vec::new();
-    true
 }
 
 /// The distinct lines one L1 cache sees, each with the outcome of its
