@@ -52,7 +52,7 @@ impl BusModel {
     /// The delay of every transaction when arbitration draws nothing
     /// (no interfering core), or `None` when each transaction draws its
     /// delay from the RNG.
-    pub fn fixed_transaction_cycles(&self) -> Option<u64> {
+    pub(crate) fn fixed_transaction_cycles(&self) -> Option<u64> {
         (self.interfering == 0).then_some(self.slot_cycles)
     }
 

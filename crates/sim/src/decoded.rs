@@ -253,29 +253,18 @@ impl Scan {
         let fpu = FpuModel::new(config.fpu_mode);
         let fetch_line_size = config.il1.line_size;
         let allocate_on_write = config.dl1.allocate_on_write;
-        let mut scan = Scan {
-            fixed: RunStats {
-                instructions: trace.len() as u64,
-                ..RunStats::default()
-            },
-            pipeline_cycles: 0,
-            data_accesses: 0,
-            events: Vec::new(),
-            itlb: Keys::default(),
-            il1: Keys::default(),
-            dtlb: Keys::default(),
-            dl1: Keys::default(),
+
+        let mut itlb = Keys::default();
+        let mut il1 = Keys::default();
+        let mut dtlb = Keys::default();
+        let mut dl1 = Keys::default();
+        let mut events = Vec::new();
+        let mut fixed = RunStats {
+            instructions: trace.len() as u64,
+            ..RunStats::default()
         };
-        let Scan {
-            fixed,
-            pipeline_cycles,
-            data_accesses,
-            events,
-            itlb,
-            il1,
-            dtlb,
-            dl1,
-        } = &mut scan;
+        let mut pipeline_cycles: u64 = 0;
+        let mut data_accesses: u64 = 0;
 
         let mut last_itlb: Option<u64> = None;
         let mut last_dtlb: Option<u64> = None;
@@ -288,7 +277,7 @@ impl Scan {
         let mut dl1_present: Option<u64> = None;
 
         for inst in trace {
-            *pipeline_cycles += t.base_cpi;
+            pipeline_cycles += t.base_cpi;
 
             let page = inst.pc.page(config.itlb.page_size);
             if last_itlb == Some(page) {
@@ -313,11 +302,11 @@ impl Scan {
 
             match inst.kind {
                 InstKind::IntAlu | InstKind::Nop => {}
-                InstKind::IntMul => *pipeline_cycles += t.int_mul_extra,
-                InstKind::IntDiv => *pipeline_cycles += t.int_div_extra,
+                InstKind::IntMul => pipeline_cycles += t.int_mul_extra,
+                InstKind::IntDiv => pipeline_cycles += t.int_div_extra,
                 InstKind::Branch { taken } => {
                     if taken {
-                        *pipeline_cycles += t.taken_branch_extra;
+                        pipeline_cycles += t.taken_branch_extra;
                         // A taken branch redirects the fetch stream.
                         fetch_line_hot = None;
                     }
@@ -327,7 +316,7 @@ impl Scan {
                 InstKind::FpDiv(class) => fixed.fpu_stall_cycles += fpu.div_latency(class) - 1,
                 InstKind::FpSqrt(class) => fixed.fpu_stall_cycles += fpu.sqrt_latency(class) - 1,
                 InstKind::Load(addr) | InstKind::Store(addr) => {
-                    *data_accesses += 1;
+                    data_accesses += 1;
                     let is_store = matches!(inst.kind, InstKind::Store(_));
                     let page = addr.page(config.dtlb.page_size);
                     if last_dtlb == Some(page) {
@@ -351,12 +340,21 @@ impl Scan {
                         dl1_present = Some(line);
                     }
                     if is_store {
-                        *pipeline_cycles += t.store_extra;
+                        pipeline_cycles += t.store_extra;
                     }
                 }
             }
         }
-        scan
+        Scan {
+            fixed,
+            pipeline_cycles,
+            data_accesses,
+            events,
+            itlb,
+            il1,
+            dtlb,
+            dl1,
+        }
     }
 }
 

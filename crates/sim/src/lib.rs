@@ -27,14 +27,18 @@
 //! Execution is trace-driven: programs are sequences of [`Inst`] records
 //! (instruction kind + addresses), and the pipeline model charges per-stage
 //! latencies plus cache/TLB/bus/DRAM stall cycles. Absolute cycle counts are
-//! not those of the FPGA board; the *distributions* that MBPTA consumes are
-//! faithfully shaped (see `DESIGN.md` §2 for the substitution argument).
+//! not those of the FPGA board. MBPTA consumes only the shape of the
+//! execution-time distribution, and here that shape comes from the same
+//! sources as on the board: which lines share a set and which way a miss
+//! evicts, drawn afresh each run, plus bounded bus and FPU latencies.
 //!
 //! A trace is decoded once per configuration into a [`DecodedTrace`]: the
 //! costs that do not depend on the seed become constants, and a run
-//! replays only the memory-system events (TLB lookups, IL1 fetches, DL1
-//! loads and stores) on the cache and TLB models, bit-identical to
-//! stepping through every instruction (see [`decoded`]).
+//! replays on the cache and TLB models only the memory-system events
+//! whose outcome the seed can change — those of cache sets that must
+//! choose a victim under the run's placement, and of TLBs that can fill
+//! — bit-identical to stepping through every instruction (see
+//! [`decoded`]).
 //! [`Platform::execute`] runs a decoded trace; [`Platform::run`] decodes
 //! and runs in one call; [`Platform::campaign`] decodes once for all its
 //! runs.
