@@ -1,7 +1,8 @@
 //! Shared harness code for the experiment binaries and Criterion benches.
 //!
-//! Each `exp_*` binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` §4 and `EXPERIMENTS.md`); this library holds the common
+//! Each `exp_*` binary regenerates one table or figure of the paper
+//! (README's "Benchmarks and experiments" lists them, and
+//! `tests/exp_golden.rs` pins their stdout); this library holds the common
 //! campaign plumbing so every experiment uses exactly the same protocol.
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,9 @@
 //! is proprietary, so this crate builds a synthetic equivalent with the
 //! same structure and the same interaction with the timing-relevant
 //! hardware (cache footprint, FPU divide/sqrt usage, multi-path control
-//! flow); see `DESIGN.md` §2 for the substitution argument.
+//! flow). MBPTA sees an application only through the execution-time
+//! distribution those interactions produce, so a program with the same
+//! footprint, FPU mix and paths stands in for the original.
 //!
 //! Contents:
 //!
