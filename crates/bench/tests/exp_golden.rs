@@ -34,18 +34,17 @@ fn check(name: &str, exe: &str) {
         )
     });
     if got != want {
-        let (line, (g, w)) = got
+        let line = got
             .lines()
-            .map(Some)
-            .chain(std::iter::repeat(None))
-            .zip(want.lines().map(Some).chain(std::iter::repeat(None)))
-            .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .expect("outputs differ in some line");
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
         panic!(
-            "{name} stdout drifted from {} at line {}:\n  got:  {g:?}\n  want: {w:?}",
+            "{name} stdout drifted from {} at line {}:\n  got:  {:?}\n  want: {:?}",
             path.display(),
-            line + 1
+            line + 1,
+            got.lines().nth(line),
+            want.lines().nth(line)
         );
     }
 }

@@ -59,7 +59,7 @@ impl Fnv {
     }
 }
 
-fn personalities() -> [(&'static str, PlatformConfig); 5] {
+fn configurations() -> [(&'static str, PlatformConfig); 5] {
     let rand = PlatformConfig::mbpta_compliant();
     let small_tlb = TlbConfig {
         entries: 16,
@@ -163,7 +163,7 @@ const RUN_DIGESTS: [(&str, &str, u64); 50] = [
 fn every_run_result_field_is_pinned() {
     let mut computed = Vec::new();
     for (trace_name, trace) in all_traces() {
-        for (config_name, config) in personalities() {
+        for (config_name, config) in configurations() {
             let mut platform = Platform::new(config);
             let mut hash = Fnv::new();
             for seed in 0..SEEDS {
