@@ -14,10 +14,18 @@
 //! and 16-entry TLBs, which TVCA's 18 data pages overflow, so its DTLB
 //! evicts. Their constants were captured before a run skipped the
 //! accesses no seed can change.
+//!
+//! Four more, all on the RAND platform otherwise, reach the cache
+//! policies and geometries the personalities leave out: a 2 KB IL1 with
+//! a 4 KB DL1, where every set of every TVCA path is contended;
+//! random-modulo placement with LRU and with round-robin replacement;
+//! and hash-random placement, whose windows hold one line each. Their
+//! constants were captured before a run folded the repeats of one line
+//! inside a contended set.
 
 use proxima::prelude::*;
 use proxima::sim::bus::BusModel;
-use proxima::sim::{RunResult, TlbConfig};
+use proxima::sim::{CacheConfig, PlacementPolicy, ReplacementPolicy, RunResult, TlbConfig};
 
 /// Seeds per (trace, personality) pair.
 const SEEDS: u64 = 64;
@@ -59,11 +67,24 @@ impl Fnv {
     }
 }
 
-fn configurations() -> [(&'static str, PlatformConfig); 5] {
+fn configurations() -> [(&'static str, PlatformConfig); 9] {
     let rand = PlatformConfig::mbpta_compliant();
     let small_tlb = TlbConfig {
         entries: 16,
         ..rand.dtlb
+    };
+    let l1 = |placement, replacement| PlatformConfig {
+        il1: CacheConfig {
+            placement,
+            replacement,
+            ..rand.il1
+        },
+        dl1: CacheConfig {
+            placement,
+            replacement,
+            ..rand.dl1
+        },
+        ..rand.clone()
     };
     [
         ("mbpta_compliant", rand.clone()),
@@ -81,8 +102,34 @@ fn configurations() -> [(&'static str, PlatformConfig); 5] {
             PlatformConfig {
                 itlb: small_tlb,
                 dtlb: small_tlb,
-                ..rand
+                ..rand.clone()
             },
+        ),
+        (
+            "l1_2k_4k",
+            PlatformConfig {
+                il1: CacheConfig {
+                    size_bytes: 2 * 1024,
+                    ..rand.il1
+                },
+                dl1: CacheConfig {
+                    size_bytes: 4 * 1024,
+                    ..rand.dl1
+                },
+                ..rand.clone()
+            },
+        ),
+        (
+            "lru",
+            l1(PlacementPolicy::RandomModulo, ReplacementPolicy::Lru),
+        ),
+        (
+            "round_robin",
+            l1(PlacementPolicy::RandomModulo, ReplacementPolicy::RoundRobin),
+        ),
+        (
+            "hash_random",
+            l1(PlacementPolicy::HashRandom, ReplacementPolicy::Random),
         ),
     ]
 }
@@ -106,57 +153,97 @@ fn all_traces() -> Vec<(String, Vec<Inst>)> {
 }
 
 /// `(trace, configuration, digest)` of `Platform::run` at seeds `0..64`.
-const RUN_DIGESTS: [(&str, &str, u64); 50] = [
+const RUN_DIGESTS: [(&str, &str, u64); 90] = [
     ("nominal", "mbpta_compliant", 0x261d_5953_b3c0_f021),
     ("nominal", "deterministic", 0xf3b9_7e01_5e4e_4f25),
     ("nominal", "mbpta_operation", 0x196e_c029_57f7_98ed),
     ("nominal", "bus_interferers_3", 0x9d56_db65_8ebd_52b3),
     ("nominal", "tlb_entries_16", 0x1fed_7351_f226_29cd),
+    ("nominal", "l1_2k_4k", 0xf3e0_4c3f_5b4f_7c3c),
+    ("nominal", "lru", 0x3aa4_302d_f9db_dcc8),
+    ("nominal", "round_robin", 0x434c_3ff4_72de_6617),
+    ("nominal", "hash_random", 0xcd2d_cbfc_96a0_a9ef),
     ("saturated-x", "mbpta_compliant", 0x8549_d8c2_f521_36b2),
     ("saturated-x", "deterministic", 0x0b67_c7bb_23a6_6825),
     ("saturated-x", "mbpta_operation", 0xab0f_f900_6891_0856),
     ("saturated-x", "bus_interferers_3", 0x4242_1d41_5e01_9a71),
     ("saturated-x", "tlb_entries_16", 0x86f4_a7ab_d8c4_5162),
+    ("saturated-x", "l1_2k_4k", 0xa030_e331_bdd2_ec22),
+    ("saturated-x", "lru", 0x2559_ab20_3489_3c62),
+    ("saturated-x", "round_robin", 0xfd2e_d522_48e5_d43c),
+    ("saturated-x", "hash_random", 0x7a9d_6870_39e7_8fc9),
     ("saturated-y", "mbpta_compliant", 0x3dc5_7ba4_a61b_3792),
     ("saturated-y", "deterministic", 0x0b67_c7bb_23a6_6825),
     ("saturated-y", "mbpta_operation", 0x4bac_4fae_a109_28ae),
     ("saturated-y", "bus_interferers_3", 0x6fa6_c885_2b38_6ad3),
     ("saturated-y", "tlb_entries_16", 0x3281_bbd3_540f_ecfa),
+    ("saturated-y", "l1_2k_4k", 0x292e_1d92_3d16_4db5),
+    ("saturated-y", "lru", 0x2559_ab20_3489_3c62),
+    ("saturated-y", "round_robin", 0xfd2e_d522_48e5_d43c),
+    ("saturated-y", "hash_random", 0x8cec_87e3_65a7_145e),
     ("fault-recovery", "mbpta_compliant", 0xa637_2d27_488b_d598),
     ("fault-recovery", "deterministic", 0x0cae_c4c3_6a03_54a5),
     ("fault-recovery", "mbpta_operation", 0x629b_60a1_c7e4_9011),
     ("fault-recovery", "bus_interferers_3", 0x1ee1_cbd0_ca2f_4513),
     ("fault-recovery", "tlb_entries_16", 0x46b4_fcc8_9534_a14d),
+    ("fault-recovery", "l1_2k_4k", 0xff45_6652_533c_58cb),
+    ("fault-recovery", "lru", 0x7edc_0ad3_03aa_de4e),
+    ("fault-recovery", "round_robin", 0x40b5_2adc_6d3e_83ef),
+    ("fault-recovery", "hash_random", 0xa9de_f081_56e7_1672),
     ("fir", "mbpta_compliant", 0x4144_5e76_b672_9125),
     ("fir", "deterministic", 0x4144_5e76_b672_9125),
     ("fir", "mbpta_operation", 0x4144_5e76_b672_9125),
     ("fir", "bus_interferers_3", 0x1c05_0a2b_1765_70a8),
     ("fir", "tlb_entries_16", 0x4144_5e76_b672_9125),
+    ("fir", "l1_2k_4k", 0x4144_5e76_b672_9125),
+    ("fir", "lru", 0x4144_5e76_b672_9125),
+    ("fir", "round_robin", 0x4144_5e76_b672_9125),
+    ("fir", "hash_random", 0x4144_5e76_b672_9125),
     ("matmul", "mbpta_compliant", 0xb2ae_f63a_5e74_2925),
     ("matmul", "deterministic", 0xb2ae_f63a_5e74_2925),
     ("matmul", "mbpta_operation", 0xb2ae_f63a_5e74_2925),
     ("matmul", "bus_interferers_3", 0xc8ca_393c_eb10_2e7e),
     ("matmul", "tlb_entries_16", 0xb2ae_f63a_5e74_2925),
+    ("matmul", "l1_2k_4k", 0xb2ae_f63a_5e74_2925),
+    ("matmul", "lru", 0xb2ae_f63a_5e74_2925),
+    ("matmul", "round_robin", 0xb2ae_f63a_5e74_2925),
+    ("matmul", "hash_random", 0xb2ae_f63a_5e74_2925),
     ("crc", "mbpta_compliant", 0x2fae_0da0_ea98_1ca5),
     ("crc", "deterministic", 0x2fae_0da0_ea98_1ca5),
     ("crc", "mbpta_operation", 0x2fae_0da0_ea98_1ca5),
     ("crc", "bus_interferers_3", 0xa4c2_0b3d_420b_e84a),
     ("crc", "tlb_entries_16", 0x2fae_0da0_ea98_1ca5),
+    ("crc", "l1_2k_4k", 0x2fae_0da0_ea98_1ca5),
+    ("crc", "lru", 0x2fae_0da0_ea98_1ca5),
+    ("crc", "round_robin", 0x2fae_0da0_ea98_1ca5),
+    ("crc", "hash_random", 0x2fae_0da0_ea98_1ca5),
     ("table-interp", "mbpta_compliant", 0xb2bb_8ee8_9020_3325),
     ("table-interp", "deterministic", 0xe80f_529b_e053_1c25),
     ("table-interp", "mbpta_operation", 0xe80f_529b_e053_1c25),
     ("table-interp", "bus_interferers_3", 0xb7d3_9e60_25e2_26a0),
     ("table-interp", "tlb_entries_16", 0xb2bb_8ee8_9020_3325),
+    ("table-interp", "l1_2k_4k", 0xaf26_eb82_ba2f_e1dc),
+    ("table-interp", "lru", 0xb2bb_8ee8_9020_3325),
+    ("table-interp", "round_robin", 0xb2bb_8ee8_9020_3325),
+    ("table-interp", "hash_random", 0x1882_5c3b_c5d7_ffce),
     ("vec-norm", "mbpta_compliant", 0x8085_f1c9_d207_cf25),
     ("vec-norm", "deterministic", 0xa27c_30f1_e25b_ab25),
     ("vec-norm", "mbpta_operation", 0xa27c_30f1_e25b_ab25),
     ("vec-norm", "bus_interferers_3", 0xd199_809c_e60d_5bf5),
     ("vec-norm", "tlb_entries_16", 0x8085_f1c9_d207_cf25),
+    ("vec-norm", "l1_2k_4k", 0x8085_f1c9_d207_cf25),
+    ("vec-norm", "lru", 0x8085_f1c9_d207_cf25),
+    ("vec-norm", "round_robin", 0x8085_f1c9_d207_cf25),
+    ("vec-norm", "hash_random", 0x8085_f1c9_d207_cf25),
     ("stride-sweep", "mbpta_compliant", 0x2fcb_b117_f850_3325),
     ("stride-sweep", "deterministic", 0x2bb5_75b0_4a44_9e25),
     ("stride-sweep", "mbpta_operation", 0x2fcb_b117_f850_3325),
     ("stride-sweep", "bus_interferers_3", 0xf87e_c62e_6e4a_5ca5),
     ("stride-sweep", "tlb_entries_16", 0x2fcb_b117_f850_3325),
+    ("stride-sweep", "l1_2k_4k", 0x2fcb_b117_f850_3325),
+    ("stride-sweep", "lru", 0x2fcb_b117_f850_3325),
+    ("stride-sweep", "round_robin", 0x2fcb_b117_f850_3325),
+    ("stride-sweep", "hash_random", 0x2fcb_b117_f850_3325),
 ];
 
 #[test]
