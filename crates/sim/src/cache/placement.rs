@@ -46,19 +46,38 @@ impl PlacementPolicy {
     /// Panics if `n_sets` is not a power of two (hardware index bits).
     pub fn set_index(self, line: u64, n_sets: u64, seed: u64) -> u64 {
         assert!(n_sets.is_power_of_two(), "n_sets must be a power of two");
-        let idx = line & (n_sets - 1);
-        let window = line / n_sets; // upper address bits
+        let (window, idx) = self.split(line, n_sets);
+        (idx + self.offset(window, n_sets, seed)) & (n_sets - 1)
+    }
+
+    /// Split `line` into its placement window and its index in the
+    /// window. Every policy places a line at `(idx + offset(window,
+    /// seed)) mod n_sets`, so the lines of one window take distinct sets
+    /// under every seed, and one hash per window places all of them.
+    pub(crate) fn split(self, line: u64, n_sets: u64) -> (u64, u64) {
         match self {
-            PlacementPolicy::Modulo => idx,
-            PlacementPolicy::RandomModulo => {
-                // Rotate the window's lines by a window-specific random
-                // offset: lines within a window keep distinct sets.
-                let rot = hash64(seed ^ window.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & (n_sets - 1);
-                (idx + rot) & (n_sets - 1)
+            // The upper address bits name the window, the lower the index.
+            PlacementPolicy::Modulo | PlacementPolicy::RandomModulo => {
+                (line / n_sets, line & (n_sets - 1))
             }
+            // Every line is a window of its own.
+            PlacementPolicy::HashRandom => (line, 0),
+        }
+    }
+
+    /// The rotation of `window`'s lines under the placement `seed`, in
+    /// `0..n_sets`.
+    pub(crate) fn offset(self, window: u64, n_sets: u64, seed: u64) -> u64 {
+        match self {
+            PlacementPolicy::Modulo => 0,
+            // A window-specific random rotation: lines within a window
+            // keep distinct sets.
+            PlacementPolicy::RandomModulo => {
+                hash64(seed ^ window.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & (n_sets - 1)
+            }
+            // An independent random set per line.
             PlacementPolicy::HashRandom => {
-                // Independent random set per line.
-                hash64(seed ^ line.wrapping_mul(0xD6E8_FEB8_6659_FD93)) & (n_sets - 1)
+                hash64(seed ^ window.wrapping_mul(0xD6E8_FEB8_6659_FD93)) & (n_sets - 1)
             }
         }
     }
@@ -206,6 +225,23 @@ mod tests {
             found,
             "hash placement should produce intra-window collisions"
         );
+    }
+
+    #[test]
+    fn lines_in_order_come_window_by_window_in_index_order() {
+        // Decoding groups a cache's lines by window by sorting them by
+        // line number, under every policy.
+        for policy in [
+            PlacementPolicy::Modulo,
+            PlacementPolicy::RandomModulo,
+            PlacementPolicy::HashRandom,
+        ] {
+            let split: Vec<(u64, u64)> = (0..4 * N_SETS)
+                .map(|line| policy.split(line, N_SETS))
+                .collect();
+            assert!(split.windows(2).all(|p| p[0] < p[1]), "{policy}");
+            assert!(split.iter().all(|&(_, idx)| idx < N_SETS));
+        }
     }
 
     #[test]

@@ -172,6 +172,25 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// Invalidate the lines of the sets `touched` names (one bit per set)
+    /// and reset statistics: the per-run flush, when every other set is
+    /// known to be empty already.
+    pub(crate) fn flush_sets(&mut self, touched: &[u64]) {
+        let ways = self.config.ways as usize;
+        for (w, &word) in touched.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let set = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.tags[set * ways..(set + 1) * ways].fill(None);
+                self.stamps[set * ways..(set + 1) * ways].fill(0);
+                self.rr_ptrs[set] = 0;
+            }
+        }
+        self.tick = 0;
+        self.stats = CacheStats::default();
+    }
+
     /// Install the per-run placement seed (a fresh seed per run is the
     /// "set a new seed for each experiment" step of the paper's protocol).
     pub fn reseed(&mut self, placement_seed: u64) {

@@ -12,7 +12,8 @@
 //!   structure's table of distinct keys;
 //! * it folds every lookup of a TLB that can never fill into constants;
 //! * it gives each distinct IL1 and DL1 line the outcome its events have
-//!   when nothing is evicted, and the positions of those events.
+//!   when nothing is evicted, and the positions of those events;
+//! * it groups each cache's allocating lines by placement window.
 //!
 //! [`Platform::execute`](crate::Platform::execute) then replays, in
 //! program order, only the events whose outcome can depend on the seed,
@@ -44,22 +45,40 @@
 //!   allocating lines map to under a run's placement never chooses a
 //!   victim, so each of its lines has the outcome decoded for it and the
 //!   set draws nothing; nothing reads its LRU stamps or its round-robin
-//!   pointer. A run replays every event of a line in a *contended* set
-//!   (more allocating lines than ways), so recency and round-robin order
-//!   inside it are exact; stamps are only ever compared within one set.
-//!   When the bus has interferers, every fill draws, so a run also
-//!   replays each quiet line's fill, at its own position.
-//! * **Replacement state.** Skipping a folded hit leaves its entry's LRU
-//!   stamp one tick older, but that entry was already the most recent of
-//!   its structure, so the recency order `victim` reads is unchanged.
-//!   Round-robin pointers move only when a victim is chosen.
-//! * **Placement.** Every placement policy is a pure function of (line,
-//!   set count, seed), so computing each distinct line's set once per
-//!   run gives the set every access to it would compute.
+//!   pointer. A line that no event allocates (a no-write-allocate line
+//!   that is only stored to) never enters its set, so it misses at every
+//!   event, in any set, and changes nothing there. When the bus has
+//!   interferers, every fill draws, so a run also replays each quiet
+//!   line's fill, at its own position.
+//! * **Contended sets.** In a set with more allocating lines than ways,
+//!   a run takes the set's events in program order, one run of one
+//!   line's events at a time, up to the next event of another allocating
+//!   line of the set. It replays the events of each run up to and
+//!   including the first that allocates: until then the line may have
+//!   been evicted. The rest of the run hits: only a miss in the set can
+//!   evict, and none came in between. So every miss, and with it every
+//!   victim draw and every bus payment of the set, is replayed, in
+//!   program order. This is the guaranteed-hit rule applied per set.
+//! * **Replacement state.** Skipping a hit that follows an access to the
+//!   same line of its set (or of its structure) leaves that entry's LRU
+//!   stamp one tick older, but the entry was already the most recent of
+//!   its set, so the recency order `victim` reads is unchanged; stamps
+//!   are only ever compared within one set. Round-robin pointers move
+//!   only when a victim is chosen.
+//! * **Placement.** Every placement policy places a line at `(idx +
+//!   offset(window, seed)) mod n_sets`, where the window and the index
+//!   are fixed by the line (see `PlacementPolicy::split`). So a run
+//!   hashes once per window, counts each set's allocating lines from the
+//!   windows' bitmaps rotated by their offsets, and visits only the lines
+//!   of contended sets.
+//! * **Reset.** Only replayed events change a cache, so at the start of
+//!   a run only the sets the previous run replayed into can hold a line;
+//!   the run empties those instead of the whole cache.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::cache::CacheConfig;
 use crate::fpu::FpuModel;
 use crate::inst::{Inst, InstKind};
 use crate::platform::{PlatformConfig, RunResult, RunStats};
@@ -181,10 +200,11 @@ impl DecodedTrace {
                 Event::Store(i) => dl1.note(i, pos, allocate_on_write, false),
             }
         }
-        // Sort the event positions by line, walking backwards so that
-        // each line's positions come out in program order.
-        il1.count();
-        dl1.count();
+        // Order each cache's lines by placement key, and sort the event
+        // positions by line, walking backwards so that each line's
+        // positions come out in program order.
+        il1.sort(&config.il1);
+        dl1.sort(&config.dl1);
         for (pos, &e) in events.iter().enumerate().rev() {
             match e {
                 Event::Fetch(i) => il1.place(i, pos as u32),
@@ -360,14 +380,37 @@ impl Scan {
 
 /// The distinct lines one L1 cache sees, each with the outcome of its
 /// events when nothing is evicted and their positions among the events.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Lines {
     pub(crate) keys: Vec<u64>,
     pub(crate) outcomes: Vec<LineOutcome>,
     /// `positions[starts[i]..starts[i + 1]]` are the positions of line
     /// `i`'s events, in program order.
-    starts: Vec<u32>,
-    positions: Vec<u32>,
+    pub(crate) starts: Vec<u32>,
+    pub(crate) positions: Vec<u32>,
+    /// The lines some event allocates, by key. The allocating lines of
+    /// one placement window thus take one range of `order`, and the line
+    /// at index `x` of a window follows the window's lines below `x`.
+    pub(crate) order: Vec<u32>,
+    /// The placement windows of the allocating lines, in key order.
+    pub(crate) windows: Vec<Window>,
+    /// One bitmap of `words` words per window: bit `x` is set if the
+    /// window's line at index `x` allocates.
+    pub(crate) window_bits: Vec<u64>,
+    /// Words per window bitmap: one bit per set.
+    pub(crate) words: usize,
+    /// The outcomes of every line, summed.
+    pub(crate) total: Tally,
+}
+
+/// A placement window: the allocating lines that share one placement
+/// offset under every seed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window {
+    /// The window the placement policy names.
+    pub(crate) key: u64,
+    /// Where the window's lines start in [`Lines::order`].
+    pub(crate) first: u32,
 }
 
 /// What one line's events give when nothing is evicted.
@@ -383,13 +426,36 @@ pub(crate) struct LineOutcome {
     pub(crate) allocates: bool,
 }
 
+/// Hits, misses and fills (misses that load a line and pay the bus),
+/// summed over lines.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) fills: u64,
+}
+
+impl Tally {
+    fn add(&mut self, line: &LineOutcome) {
+        self.hits += line.hits;
+        self.misses += line.misses;
+        self.fills += u64::from(line.fill.is_some());
+    }
+
+    /// Take out what `line` gives.
+    pub(crate) fn remove(&mut self, line: &LineOutcome) {
+        self.hits -= line.hits;
+        self.misses -= line.misses;
+        self.fills -= u64::from(line.fill.is_some());
+    }
+}
+
 impl Lines {
     fn new(keys: Vec<u64>) -> Self {
         Lines {
             outcomes: vec![LineOutcome::default(); keys.len()],
-            starts: vec![0; keys.len() + 1],
-            positions: Vec::new(),
             keys,
+            ..Lines::default()
         }
     }
 
@@ -412,16 +478,50 @@ impl Lines {
         }
     }
 
-    /// Make room for the positions of the events noted: `starts[i]`
-    /// becomes the end of line `i`'s range, for [`Lines::place`] to
+    /// Once every event is noted: order the allocating lines by key,
+    /// index the placement windows of `cache`, sum the outcomes, and make
+    /// room for the positions of the events, for [`Lines::place`] to
     /// count down from.
-    fn count(&mut self) {
-        let mut total = 0;
-        for (end, line) in self.starts.iter_mut().zip(&self.outcomes) {
-            total += (line.hits + line.misses) as u32;
-            *end = total;
+    fn sort(&mut self, cache: &CacheConfig) {
+        let mut order: Vec<(u64, u32)> = (self.keys.iter().zip(&self.outcomes))
+            .enumerate()
+            .filter(|(_, (_, line))| line.allocates)
+            .map(|(id, (&key, _))| (key, id as u32))
+            .collect();
+        order.sort_unstable();
+
+        // Each window's lines come in index order, so each window is one
+        // run of `order`.
+        let n_sets = cache.n_sets();
+        self.words = n_sets.div_ceil(64) as usize;
+        self.order = Vec::with_capacity(order.len());
+        for (key, id) in order {
+            let (window, idx) = cache.placement.split(key, n_sets);
+            if self.windows.last().map(|w| w.key) != Some(window) {
+                self.windows.push(Window {
+                    key: window,
+                    first: self.order.len() as u32,
+                });
+                self.window_bits
+                    .resize(self.window_bits.len() + self.words, 0);
+            }
+            let base = self.window_bits.len() - self.words;
+            self.window_bits[base + idx as usize / 64] |= 1 << (idx % 64);
+            self.order.push(id);
         }
-        self.starts[self.outcomes.len()] = total;
+
+        // `starts[i]` becomes the end of line `i`'s range.
+        let mut total = 0;
+        self.starts = self
+            .outcomes
+            .iter()
+            .map(|line| {
+                self.total.add(line);
+                total += (line.hits + line.misses) as u32;
+                total
+            })
+            .collect();
+        self.starts.push(total);
         self.positions = vec![0; total as usize];
     }
 
@@ -432,11 +532,6 @@ impl Lines {
         let start = &mut self.starts[i as usize];
         *start -= 1;
         self.positions[*start as usize] = pos;
-    }
-
-    /// The positions of line `i`'s events, in program order.
-    pub(crate) fn events(&self, i: usize) -> &[u32] {
-        &self.positions[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 }
 

@@ -35,9 +35,10 @@
 //! A trace is decoded once per configuration into a [`DecodedTrace`]: the
 //! costs that do not depend on the seed become constants, and a run
 //! replays on the cache and TLB models only the memory-system events
-//! whose outcome the seed can change — those of cache sets that must
-//! choose a victim under the run's placement, and of TLBs that can fill
-//! — bit-identical to stepping through every instruction (see
+//! whose outcome the seed can change — in the cache sets that must
+//! choose a victim under the run's placement, the accesses that follow
+//! an access to another line of the set, and the lookups of TLBs that
+//! can fill — bit-identical to stepping through every instruction (see
 //! [`decoded`]).
 //! [`Platform::execute`] runs a decoded trace; [`Platform::run`] decodes
 //! and runs in one call; [`Platform::campaign`] decodes once for all its

@@ -6,7 +6,7 @@ use proxima_prng::{PrngKind, RandomSource, SplitMix64};
 
 use crate::bus::BusModel;
 use crate::cache::{CacheConfig, PlacementPolicy, ReplacementPolicy, SetAssocCache};
-use crate::decoded::{mark, DecodedTrace, Event, Lines};
+use crate::decoded::{mark, DecodedTrace, Event, Lines, Tally};
 use crate::fpu::FpuLatencyMode;
 use crate::inst::Inst;
 use crate::mem::DramModel;
@@ -179,73 +179,246 @@ struct RunTables {
 }
 
 /// One L1 cache's placement of a decoded trace's lines under one run's
-/// seed.
+/// seed. Bitmaps over sets have one bit per set, in words of 64.
 #[derive(Debug, Clone, Default)]
 struct SetTable {
-    /// The set of each distinct line.
+    /// The set of each line this run replays an event of; the entries of
+    /// other lines are stale.
     sets: Vec<u64>,
-    /// The allocating lines each set receives.
-    lines_per_set: Vec<u64>,
-}
-
-/// What the lines of one cache's quiet sets give a run without being
-/// replayed.
-#[derive(Debug, Clone, Copy, Default)]
-struct Quiet {
-    hits: u64,
-    misses: u64,
-    /// Fills left out of the replay, each of which costs one bus
-    /// transaction that draws nothing.
-    fills: u64,
+    /// Each window's placement offset this run.
+    offsets: Vec<u64>,
+    /// The allocating lines each set receives, bit-sliced: bit `b` of a
+    /// set's count is its bit in `counts[b]`, and its bit in the last
+    /// bitmap is set once the count no longer fits.
+    counts: Vec<u64>,
+    /// Each window's bitmap rotated by its offset: the sets its lines
+    /// take.
+    rotated: Vec<u64>,
+    /// The contended sets: more allocating lines than ways.
+    contended: Vec<u64>,
+    /// The sets this run's replay touches, which the next run resets.
+    touched: Vec<u64>,
+    /// The allocating lines of contended sets as `set << 32 | line`.
+    members: Vec<u64>,
+    /// One contended set's merge cursors: for each of its lines not yet
+    /// done, the range of positions left.
+    heads: Vec<(u32, u32)>,
 }
 
 impl SetTable {
-    /// Place every line of `lines` and classify its set. Mark in `replay`
-    /// every event of a line in a contended set, and, if `replay_fills`,
-    /// the fill of each line in a quiet set; return what the quiet lines
-    /// give without their replayed fills.
+    /// Place the lines of `lines` under `seed`, a window at a time, and
+    /// classify their sets. Mark in `replay` the events of contended sets
+    /// that can change what their set holds and, if `replay_fills`, the
+    /// fill of each line in a quiet set; return what every other cache
+    /// event gives.
     fn prepare(
         &mut self,
         cache: &CacheConfig,
         lines: &Lines,
+        events: &[Event],
         seed: u64,
         replay_fills: bool,
         replay: &mut [u64],
-    ) -> Quiet {
+    ) -> Tally {
         let n_sets = cache.n_sets();
-        self.sets.clear();
-        self.sets.extend(
-            lines
-                .keys
-                .iter()
-                .map(|&line| cache.placement.set_index(line, n_sets, seed)),
-        );
-        self.lines_per_set.clear();
-        self.lines_per_set.resize(n_sets as usize, 0);
-        for (&set, line) in self.sets.iter().zip(&lines.outcomes) {
-            self.lines_per_set[set as usize] += u64::from(line.allocates);
-        }
-        let mut quiet = Quiet::default();
-        for (i, (&set, line)) in self.sets.iter().zip(&lines.outcomes).enumerate() {
-            if self.lines_per_set[set as usize] > cache.ways {
-                for &pos in lines.events(i) {
-                    mark(replay, pos);
+        let words = lines.words;
+        // Counts up to `2^planes - 1` are exact, and `ways` is below that.
+        let planes = (u64::BITS - cache.ways.leading_zeros()) as usize;
+        self.offsets.clear();
+        self.counts.clear();
+        self.counts.resize((planes + 1) * words, 0);
+        self.rotated.resize(lines.window_bits.len(), 0);
+        for ((window, bits), rotated) in lines
+            .windows
+            .iter()
+            .zip(lines.window_bits.chunks(words))
+            .zip(self.rotated.chunks_mut(words))
+        {
+            let offset = cache.placement.offset(window.key, n_sets, seed);
+            self.offsets.push(offset);
+            rotate(bits, offset, n_sets, rotated);
+            // Add one to the count of every set the window's lines take.
+            for (i, &add) in rotated.iter().enumerate() {
+                let mut carry = add;
+                for plane in self.counts[i..].iter_mut().step_by(words).take(planes) {
+                    let sum = *plane ^ carry;
+                    carry &= *plane;
+                    *plane = sum;
                 }
-                continue;
+                self.counts[planes * words + i] |= carry;
             }
-            quiet.hits += line.hits;
-            quiet.misses += line.misses;
-            if let Some(pos) = line.fill {
-                if replay_fills {
-                    // The cache model counts this miss when it replays it.
-                    mark(replay, pos);
-                    quiet.misses -= 1;
+        }
+        // A set is contended if its count exceeds `ways`: compare the
+        // counts against `ways` from the top bit down.
+        self.contended.clear();
+        self.contended.extend((0..words).map(|i| {
+            let (mut above, mut equal) = (self.counts[planes * words + i], !0);
+            for b in (0..planes).rev() {
+                let bit = self.counts[b * words + i];
+                if cache.ways >> b & 1 == 1 {
+                    equal &= bit;
                 } else {
-                    quiet.fills += 1;
+                    above |= equal & bit;
+                    equal &= !bit;
+                }
+            }
+            above
+        }));
+
+        // Visit the lines of contended sets only.
+        self.members.clear();
+        for (((window, bits), rotated), &offset) in lines
+            .windows
+            .iter()
+            .zip(lines.window_bits.chunks(words))
+            .zip(self.rotated.chunks(words))
+            .zip(&self.offsets)
+        {
+            for (w, (&taken, &contended)) in rotated.iter().zip(&self.contended).enumerate() {
+                let mut hit = taken & contended;
+                while hit != 0 {
+                    let set = (w * 64) as u64 + u64::from(hit.trailing_zeros());
+                    hit &= hit - 1;
+                    // The line at the window's index `x` follows the
+                    // window's lines below `x`.
+                    let x = ((set + n_sets - offset) & (n_sets - 1)) as usize;
+                    let below: u32 = bits[..x / 64].iter().map(|b| b.count_ones()).sum::<u32>()
+                        + (bits[x / 64] & ((1 << (x % 64)) - 1)).count_ones();
+                    let line = lines.order[(window.first + below) as usize];
+                    self.members.push(set << 32 | u64::from(line));
+                }
+            }
+        }
+        self.members.sort_unstable();
+
+        // A contended line's events give what the replay and the fold
+        // below count; every other line gives its decoded outcome.
+        let mut quiet = lines.total;
+        self.sets.resize(lines.keys.len(), 0);
+        let allocates =
+            |pos: u32| cache.allocate_on_write || !matches!(events[pos as usize], Event::Store(_));
+        for group in self.members.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let set = group[0] >> 32;
+            self.heads.clear();
+            for &member in group {
+                let line = member as u32 as usize;
+                self.sets[line] = set;
+                quiet.remove(&lines.outcomes[line]);
+                self.heads
+                    .push((lines.starts[line], lines.starts[line + 1]));
+            }
+            quiet.hits += fold_set(&lines.positions, &mut self.heads, allocates, replay);
+        }
+
+        self.touched.clone_from(&self.contended);
+        if replay_fills {
+            // Every fill draws the bus: replay the quiet lines' fills too.
+            for ((window, bits), &offset) in lines
+                .windows
+                .iter()
+                .zip(lines.window_bits.chunks(words))
+                .zip(&self.offsets)
+            {
+                let mut rank = window.first as usize;
+                for (w, &word) in bits.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        let x = (w * 64) as u64 + u64::from(word.trailing_zeros());
+                        word &= word - 1;
+                        let set = (x + offset) & (n_sets - 1);
+                        let line = lines.order[rank] as usize;
+                        rank += 1;
+                        let quiet_set = self.contended[set as usize / 64] >> (set % 64) & 1 == 0;
+                        if let (true, Some(pos)) = (quiet_set, lines.outcomes[line].fill) {
+                            // The cache model counts this miss when it
+                            // replays it.
+                            mark(replay, pos);
+                            self.sets[line] = set;
+                            self.touched[set as usize / 64] |= 1 << (set % 64);
+                            quiet.misses -= 1;
+                            quiet.fills -= 1;
+                        }
+                    }
                 }
             }
         }
         quiet
+    }
+}
+
+/// Mark for replay the events of one contended set that can change what
+/// the set holds, given `heads`, the range of `positions` each of the
+/// set's allocating lines spans; return how many events were folded as
+/// hits.
+///
+/// The set's events are taken in program order, one run of a line's
+/// events at a time, up to the next event of another of its lines. A
+/// run's events up to and including its first allocating one are
+/// replayed: the line may be absent until then. The rest hit: nothing
+/// else entered the set since the line was made present, and the line
+/// is already the most recent of its set.
+fn fold_set(
+    positions: &[u32],
+    heads: &mut Vec<(u32, u32)>,
+    allocates: impl Fn(u32) -> bool,
+    replay: &mut [u64],
+) -> u64 {
+    let mut folded = 0;
+    while !heads.is_empty() {
+        // The line whose next event comes first, and the first event of
+        // any other line after it.
+        let (mut first, mut at, mut bound) = (0, u32::MAX, u32::MAX);
+        for (j, &(cursor, _)) in heads.iter().enumerate() {
+            let pos = positions[cursor as usize];
+            if pos < at {
+                (first, at, bound) = (j, pos, at);
+            } else if pos < bound {
+                bound = pos;
+            }
+        }
+        let (mut cursor, end) = heads[first];
+        loop {
+            let pos = positions[cursor as usize];
+            mark(replay, pos);
+            cursor += 1;
+            if allocates(pos) || cursor == end || positions[cursor as usize] > bound {
+                break;
+            }
+        }
+        let run = positions[cursor as usize..end as usize].partition_point(|&pos| pos < bound);
+        folded += run as u64;
+        cursor += run as u32;
+        if cursor == end {
+            heads.swap_remove(first);
+        } else {
+            heads[first].0 = cursor;
+        }
+    }
+    folded
+}
+
+/// Rotate the `n_sets`-bit bitmap `bits` up by `by` places into `out`:
+/// bit `(x + by) mod n_sets` of `out` is bit `x` of `bits`.
+fn rotate(bits: &[u64], by: u64, n_sets: u64, out: &mut [u64]) {
+    if n_sets < 64 {
+        let word = bits[0];
+        out[0] = if by == 0 {
+            word
+        } else {
+            (word << by | word >> (n_sets - by)) & ((1 << n_sets) - 1)
+        };
+        return;
+    }
+    // `words` is a power of two.
+    let last = bits.len() - 1;
+    let (skip, shift) = ((by / 64) as usize, by % 64);
+    for (i, out) in out.iter_mut().enumerate() {
+        let low = bits[i.wrapping_sub(skip) & last];
+        *out = if shift == 0 {
+            low
+        } else {
+            low << shift | bits[i.wrapping_sub(skip + 1) & last] >> (64 - shift)
+        };
     }
 }
 
@@ -292,9 +465,10 @@ impl Platform {
         );
         // Protocol: "We flush caches, reset the FPGA and reload the
         // executable across executions … We also set a new seed for each
-        // experiment."
-        self.il1.flush();
-        self.dl1.flush();
+        // experiment." Only replayed events change a cache, so only the
+        // sets the last run touched hold anything.
+        self.il1.flush_sets(&self.tables.il1.touched);
+        self.dl1.flush_sets(&self.tables.dl1.touched);
         self.itlb.flush();
         self.dtlb.flush();
 
@@ -316,6 +490,7 @@ impl Platform {
         let quiet_il1 = tables.il1.prepare(
             &self.config.il1,
             &trace.il1,
+            &trace.events,
             il1_seed,
             replay_fills,
             &mut tables.replay,
@@ -323,6 +498,7 @@ impl Platform {
         let quiet_dl1 = tables.dl1.prepare(
             &self.config.dl1,
             &trace.dl1,
+            &trace.events,
             dl1_seed,
             replay_fills,
             &mut tables.replay,
