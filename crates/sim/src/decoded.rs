@@ -388,11 +388,11 @@ pub(crate) struct Lines {
     /// `i`'s events, in program order.
     pub(crate) starts: Vec<u32>,
     pub(crate) positions: Vec<u32>,
-    /// The lines some event allocates, by key. The allocating lines of
-    /// one placement window thus take one range of `order`, and the line
-    /// at index `x` of a window follows the window's lines below `x`.
+    /// The lines some event allocates, window by window, each window's
+    /// in index order: the line at index `x` of a window follows the
+    /// window's lines below `x`.
     pub(crate) order: Vec<u32>,
-    /// The placement windows of the allocating lines, in key order.
+    /// The placement windows of the allocating lines, in first-use order.
     pub(crate) windows: Vec<Window>,
     /// One bitmap of `words` words per window: bit `x` is set if the
     /// window's line at index `x` allocates.
@@ -413,11 +413,12 @@ pub(crate) struct Window {
     pub(crate) first: u32,
 }
 
-/// What one line's events give when nothing is evicted.
+/// What one line's events give when nothing is evicted. A trace has
+/// fewer than 2^32 events, so the counts fit 32 bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LineOutcome {
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
+    pub(crate) hits: u32,
+    pub(crate) misses: u32,
     /// The position of the load or fetch that misses and brings the line
     /// in, if one does: the only event of the line that pays the bus.
     pub(crate) fill: Option<u32>,
@@ -437,15 +438,15 @@ pub(crate) struct Tally {
 
 impl Tally {
     fn add(&mut self, line: &LineOutcome) {
-        self.hits += line.hits;
-        self.misses += line.misses;
+        self.hits += u64::from(line.hits);
+        self.misses += u64::from(line.misses);
         self.fills += u64::from(line.fill.is_some());
     }
 
     /// Take out what `line` gives.
     pub(crate) fn remove(&mut self, line: &LineOutcome) {
-        self.hits -= line.hits;
-        self.misses -= line.misses;
+        self.hits -= u64::from(line.hits);
+        self.misses -= u64::from(line.misses);
         self.fills -= u64::from(line.fill.is_some());
     }
 }
@@ -478,36 +479,47 @@ impl Lines {
         }
     }
 
-    /// Once every event is noted: order the allocating lines by key,
-    /// index the placement windows of `cache`, sum the outcomes, and make
-    /// room for the positions of the events, for [`Lines::place`] to
-    /// count down from.
+    /// Once every event is noted: group the allocating lines by
+    /// placement window of `cache`, sum the outcomes, and make room for
+    /// the positions of the events, for [`Lines::place`] to count down
+    /// from.
     fn sort(&mut self, cache: &CacheConfig) {
-        let mut order: Vec<(u64, u32)> = (self.keys.iter().zip(&self.outcomes))
-            .enumerate()
-            .filter(|(_, (_, line))| line.allocates)
-            .map(|(id, (&key, _))| (key, id as u32))
-            .collect();
-        order.sort_unstable();
-
-        // Each window's lines come in index order, so each window is one
-        // run of `order`.
         let n_sets = cache.n_sets();
-        self.words = n_sets.div_ceil(64) as usize;
-        self.order = Vec::with_capacity(order.len());
-        for (key, id) in order {
-            let (window, idx) = cache.placement.split(key, n_sets);
-            if self.windows.last().map(|w| w.key) != Some(window) {
-                self.windows.push(Window {
-                    key: window,
-                    first: self.order.len() as u32,
-                });
-                self.window_bits
-                    .resize(self.window_bits.len() + self.words, 0);
+        let words = n_sets.div_ceil(64) as usize;
+        self.words = words;
+        // The windows, in first-use order, and the indices of their
+        // allocating lines.
+        let mut windows: KeyMap = HashMap::default();
+        for (&key, line) in self.keys.iter().zip(&self.outcomes) {
+            self.total.add(line);
+            if line.allocates {
+                let (window, idx) = cache.placement.split(key, n_sets);
+                let w = *windows.entry(window).or_insert_with(|| {
+                    self.windows.push(Window {
+                        key: window,
+                        first: 0,
+                    });
+                    self.window_bits.resize(self.window_bits.len() + words, 0);
+                    (self.windows.len() - 1) as u32
+                }) as usize;
+                self.window_bits[w * words + idx as usize / 64] |= 1 << (idx % 64);
             }
-            let base = self.window_bits.len() - self.words;
-            self.window_bits[base + idx as usize / 64] |= 1 << (idx % 64);
-            self.order.push(id);
+        }
+        // Each window takes one range of `order`, its lines in index
+        // order.
+        let mut first = 0;
+        for (window, bits) in self.windows.iter_mut().zip(self.window_bits.chunks(words)) {
+            window.first = first;
+            first += bits.iter().map(|b| b.count_ones()).sum::<u32>();
+        }
+        self.order = vec![0; first as usize];
+        for (id, (&key, line)) in self.keys.iter().zip(&self.outcomes).enumerate() {
+            if line.allocates {
+                let (window, idx) = cache.placement.split(key, n_sets);
+                let w = windows[&window] as usize;
+                let bits = &self.window_bits[w * words..(w + 1) * words];
+                self.order[(self.windows[w].first + rank(bits, idx as usize)) as usize] = id as u32;
+            }
         }
 
         // `starts[i]` becomes the end of line `i`'s range.
@@ -516,8 +528,7 @@ impl Lines {
             .outcomes
             .iter()
             .map(|line| {
-                self.total.add(line);
-                total += (line.hits + line.misses) as u32;
+                total += line.hits + line.misses;
                 total
             })
             .collect();
@@ -540,13 +551,22 @@ pub(crate) fn mark(bits: &mut [u64], pos: u32) {
     bits[pos as usize / 64] |= 1 << (pos % 64);
 }
 
+/// The number of set bits of `bits` below bit `x`.
+pub(crate) fn rank(bits: &[u64], x: usize) -> u32 {
+    bits[..x / 64].iter().map(|b| b.count_ones()).sum::<u32>()
+        + (bits[x / 64] & ((1 << (x % 64)) - 1)).count_ones()
+}
+
 /// The distinct keys (pages or lines) one structure sees, in first-use
 /// order, with the index of each.
 #[derive(Debug, Default)]
 struct Keys {
     keys: Vec<u64>,
-    ids: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    ids: KeyMap,
 }
+
+/// An index by page, line or window number.
+type KeyMap = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
 
 impl Keys {
     fn id(&mut self, key: u64) -> u32 {

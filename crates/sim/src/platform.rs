@@ -6,7 +6,7 @@ use proxima_prng::{PrngKind, RandomSource, SplitMix64};
 
 use crate::bus::BusModel;
 use crate::cache::{CacheConfig, PlacementPolicy, ReplacementPolicy, SetAssocCache};
-use crate::decoded::{mark, DecodedTrace, Event, Lines, Tally};
+use crate::decoded::{mark, rank, DecodedTrace, Event, Lines, Tally};
 use crate::fpu::FpuLatencyMode;
 use crate::inst::Inst;
 use crate::mem::DramModel;
@@ -198,8 +198,11 @@ struct SetTable {
     contended: Vec<u64>,
     /// The sets this run's replay touches, which the next run resets.
     touched: Vec<u64>,
-    /// The allocating lines of contended sets as `set << 32 | line`.
-    members: Vec<u64>,
+    /// The allocating lines of contended sets, each with the index of
+    /// the previous one of its set (`NONE`: the first).
+    members: Vec<(u32, u32)>,
+    /// The index in `members` of each set's last line (`NONE`: none).
+    last: Vec<u32>,
     /// One contended set's merge cursors: for each of its lines not yet
     /// done, the range of positions left.
     heads: Vec<(u32, u32)>,
@@ -265,8 +268,9 @@ impl SetTable {
             above
         }));
 
-        // Visit the lines of contended sets only.
+        // Visit the lines of contended sets only, chaining each set's.
         self.members.clear();
+        self.last.resize(n_sets as usize, NONE);
         for (((window, bits), rotated), &offset) in lines
             .windows
             .iter()
@@ -277,19 +281,15 @@ impl SetTable {
             for (w, (&taken, &contended)) in rotated.iter().zip(&self.contended).enumerate() {
                 let mut hit = taken & contended;
                 while hit != 0 {
-                    let set = (w * 64) as u64 + u64::from(hit.trailing_zeros());
+                    let set = w * 64 + hit.trailing_zeros() as usize;
                     hit &= hit - 1;
-                    // The line at the window's index `x` follows the
-                    // window's lines below `x`.
-                    let x = ((set + n_sets - offset) & (n_sets - 1)) as usize;
-                    let below: u32 = bits[..x / 64].iter().map(|b| b.count_ones()).sum::<u32>()
-                        + (bits[x / 64] & ((1 << (x % 64)) - 1)).count_ones();
-                    let line = lines.order[(window.first + below) as usize];
-                    self.members.push(set << 32 | u64::from(line));
+                    let x = (set as u64 + n_sets - offset) & (n_sets - 1);
+                    let line = lines.order[(window.first + rank(bits, x as usize)) as usize];
+                    self.members.push((line, self.last[set]));
+                    self.last[set] = (self.members.len() - 1) as u32;
                 }
             }
         }
-        self.members.sort_unstable();
 
         // A contended line's events give what the replay and the fold
         // below count; every other line gives its decoded outcome.
@@ -297,17 +297,24 @@ impl SetTable {
         self.sets.resize(lines.keys.len(), 0);
         let allocates =
             |pos: u32| cache.allocate_on_write || !matches!(events[pos as usize], Event::Store(_));
-        for group in self.members.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let set = group[0] >> 32;
-            self.heads.clear();
-            for &member in group {
-                let line = member as u32 as usize;
-                self.sets[line] = set;
-                quiet.remove(&lines.outcomes[line]);
-                self.heads
-                    .push((lines.starts[line], lines.starts[line + 1]));
+        for (w, &word) in self.contended.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let set = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.heads.clear();
+                let mut member = std::mem::replace(&mut self.last[set], NONE);
+                while member != NONE {
+                    let (line, previous) = self.members[member as usize];
+                    let line = line as usize;
+                    self.sets[line] = set as u64;
+                    quiet.remove(&lines.outcomes[line]);
+                    self.heads
+                        .push((lines.starts[line], lines.starts[line + 1]));
+                    member = previous;
+                }
+                quiet.hits += fold_set(&lines.positions, &mut self.heads, allocates, replay);
             }
-            quiet.hits += fold_set(&lines.positions, &mut self.heads, allocates, replay);
         }
 
         self.touched.clone_from(&self.contended);
@@ -345,6 +352,9 @@ impl SetTable {
         quiet
     }
 }
+
+/// No entry of [`SetTable::members`].
+const NONE: u32 = u32::MAX;
 
 /// Mark for replay the events of one contended set that can change what
 /// the set holds, given `heads`, the range of `positions` each of the
