@@ -11,7 +11,11 @@
 //! sets beside quiet ones), taken branches back into the fetched line,
 //! store misses followed by loads of the same line, and pages alternating
 //! back and forth, on every placement and replacement policy and with
-//! 0–3 bus interferers.
+//! 0–3 bus interferers. Named cases pin how a run folds the repeats of
+//! one line inside a contended set: what ends a run (another allocating
+//! line of the set, not a store-only line or another set), what a run
+//! replays first (a no-write-allocate store, then the load after it),
+//! and the set classification beyond one 64-bit word of sets.
 
 use proptest::prelude::*;
 use proxima_prng::{PrngKind, RandomSource, SplitMix64};
@@ -769,6 +773,199 @@ fn quiet_fills_draw_the_bus_in_program_order() {
                 ..with_l1(PlacementPolicy::RandomModulo, replacement, false)
             };
             assert_matches_oracle(&config, &trace, 0..16);
+        }
+    }
+}
+
+/// An L1 of `sets` sets of `ways` 32-byte lines under `placement` and
+/// `replacement`, as the DL1 of an otherwise paper-like platform.
+fn with_dl1(
+    sets: u64,
+    ways: u64,
+    placement: PlacementPolicy,
+    replacement: ReplacementPolicy,
+    allocate_on_write: bool,
+) -> PlatformConfig {
+    PlatformConfig {
+        dl1: CacheConfig {
+            size_bytes: sets * ways * 32,
+            ways,
+            line_size: 32,
+            placement,
+            replacement,
+            allocate_on_write,
+        },
+        ..PlatformConfig::mbpta_compliant()
+    }
+}
+
+/// The data address of tag `tag` in set `set` of a 16-set DL1 of
+/// 32-byte lines under modulo placement.
+fn in_set(set: u64, tag: u64) -> u64 {
+    0x10_0000 + tag * 0x200 + set * 0x20
+}
+
+#[test]
+fn repeats_between_other_sets_accesses_fold() {
+    // Line A of a contended set comes back three times in a row within
+    // its set, each time after an access to another set: the decode
+    // keeps every access as an event, and the run folds the repeats.
+    // The five lines of set 0 overflow four ways, so victims vary.
+    let mut trace = Vec::new();
+    for round in 0..30u64 {
+        let a = in_set(0, round % 5);
+        for other in [1, 2, 3] {
+            trace.push(Inst::load(0x1000, a));
+            trace.push(Inst::load(0x1000, in_set(other, round % 2)));
+        }
+    }
+    for replacement in REPLACEMENTS {
+        for allocate_on_write in [false, true] {
+            let config = with_dl1(
+                16,
+                4,
+                PlacementPolicy::Modulo,
+                replacement,
+                allocate_on_write,
+            );
+            let decoded = assert_matches_oracle(&config, &trace, 0..16);
+            assert_eq!(decoded.events(), 1 + 180, "one IL1 fetch, every load");
+        }
+    }
+}
+
+#[test]
+fn alternating_lines_of_a_contended_set_are_each_replayed() {
+    // Two lines of one direct-mapped set, and five of one 4-way LRU
+    // set, taken in turn: each access follows another line of its set
+    // and finds its own evicted, so none may fold.
+    for (ways, lines) in [(1u64, 2u64), (4, 5)] {
+        let trace: Vec<Inst> = (0..100)
+            .map(|i| Inst::load(0x1000, in_set(3, i % lines)))
+            .collect();
+        let config = with_dl1(
+            16,
+            ways,
+            PlacementPolicy::Modulo,
+            ReplacementPolicy::Lru,
+            false,
+        );
+        let decoded = assert_matches_oracle(&config, &trace, 0..8);
+        let r = Platform::new(config).execute(&decoded, 0);
+        assert_eq!(r.stats.dl1, (0, 100), "{ways} ways, {lines} lines");
+    }
+}
+
+#[test]
+fn a_contended_run_opening_with_a_store_after_an_eviction_replays_it() {
+    // In one direct-mapped set: A, then B evicts A; the store to A
+    // misses and does not allocate, the load after it misses and brings
+    // A back, and only the load after that, past another set's access,
+    // hits.
+    let (a, b, x) = (in_set(0, 0), in_set(0, 1), in_set(5, 0));
+    let trace = [
+        Inst::load(0x1000, a),
+        Inst::load(0x1004, b),
+        Inst::store(0x1008, a),
+        Inst::load(0x100c, a + 4),
+        Inst::load(0x1010, x),
+        Inst::load(0x1014, a + 8),
+    ];
+    for replacement in REPLACEMENTS {
+        let config = with_dl1(16, 1, PlacementPolicy::Modulo, replacement, false);
+        let decoded = assert_matches_oracle(&config, &trace, 0..8);
+        assert_eq!(decoded.events(), 1 + 6, "one IL1 fetch, six DL1 events");
+        let r = Platform::new(config).execute(&decoded, 0);
+        assert_eq!(r.stats.dl1, (1, 5), "only the last load of A hits");
+    }
+}
+
+#[test]
+fn a_store_only_line_in_a_contended_set_does_not_break_a_run() {
+    // Lines A and B contend for one direct-mapped set, and S, in the
+    // same set, is only stored to without write-allocate: it never
+    // enters the set, so A's loads between S's stores keep hitting.
+    let (a, b, s) = (in_set(2, 0), in_set(2, 1), in_set(2, 2));
+    let mut trace = vec![Inst::load(0x1000, a), Inst::load(0x1000, b)];
+    for _ in 0..10 {
+        trace.push(Inst::load(0x1000, a));
+        trace.push(Inst::store(0x1000, s));
+    }
+    for replacement in REPLACEMENTS {
+        let config = with_dl1(16, 1, PlacementPolicy::Modulo, replacement, false);
+        let decoded = assert_matches_oracle(&config, &trace, 0..8);
+        let r = Platform::new(config).execute(&decoded, 0);
+        assert_eq!(
+            r.stats.dl1,
+            (9, 13),
+            "A misses once more after B, then hits; S misses every time"
+        );
+    }
+}
+
+#[test]
+fn folded_repeats_keep_lru_and_round_robin_order_in_contended_sets() {
+    // Six lines over a 4-way set and two 2-way sets, each revisited in
+    // short runs between accesses to other sets, under placements that
+    // put them together at some seeds: the victims the deterministic
+    // policies pick after the folded repeats are the per-access
+    // engine's.
+    let mut trace = Vec::new();
+    let mut words = SplitMix64::new(41);
+    for _ in 0..400 {
+        let line = words.next_u64() % 6;
+        for _ in 0..1 + words.next_u64() % 3 {
+            trace.push(Inst::load(0x1000, in_set(line % 2, line)));
+            trace.push(Inst::load(0x1000, in_set(4 + words.next_u64() % 4, 0)));
+        }
+    }
+    for placement in PLACEMENTS {
+        for replacement in [ReplacementPolicy::Lru, ReplacementPolicy::RoundRobin] {
+            for (sets, ways) in [(16, 4), (16, 2), (4, 2)] {
+                let config = with_dl1(sets, ways, placement, replacement, false);
+                assert_matches_oracle(&config, &trace, 0..16);
+            }
+        }
+    }
+}
+
+#[test]
+fn contended_sets_fold_with_bus_interferers() {
+    // Every fill draws the bus: a contended set's replayed misses and
+    // the quiet sets' fills interleave their draws in program order,
+    // around the folded repeats.
+    let mut words = SplitMix64::new(7);
+    let ops: Vec<u64> = (0..2500).map(|_| words.next_u64()).collect();
+    let trace = trace_from(&ops);
+    for interferers in 1..4 {
+        for placement in PLACEMENTS {
+            for replacement in REPLACEMENTS {
+                let config = PlatformConfig {
+                    bus: BusModel::leon3(interferers),
+                    ..with_dl1(4, 2, placement, replacement, interferers == 2)
+                };
+                assert_matches_oracle(&config, &trace, 0..8);
+            }
+        }
+    }
+}
+
+#[test]
+fn more_than_64_sets_classify_across_words() {
+    // 128 and 256 sets take two and four words per set bitmap; hash
+    // placement gives every line a window of its own, and random modulo
+    // rotates windows across word boundaries. 700 lines over a few ways
+    // leave some sets contended at every seed.
+    let trace: Vec<Inst> = (0..6000u64)
+        .map(|i| {
+            let line = (i * 7 + i / 50) % 700;
+            Inst::load(0x1000 + 4 * (i % 8), 0x10_0000 + 0x20 * line)
+        })
+        .collect();
+    for placement in PLACEMENTS {
+        for (sets, ways) in [(128, 2), (256, 1), (128, 4)] {
+            let config = with_dl1(sets, ways, placement, ReplacementPolicy::Random, false);
+            assert_matches_oracle(&config, &trace, 0..8);
         }
     }
 }
