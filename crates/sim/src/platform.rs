@@ -741,6 +741,105 @@ mod tests {
         assert!(p.run(&taken, 0).cycles > p.run(&not_taken, 0).cycles);
     }
 
+    /// The RAND platform with a 2 KB IL1 and a 4 KB DL1: the trace below
+    /// contends for sets in both, at every seed.
+    fn small_l1() -> PlatformConfig {
+        let rand = PlatformConfig::mbpta_compliant();
+        PlatformConfig {
+            il1: CacheConfig {
+                size_bytes: 2 * 1024,
+                ..rand.il1
+            },
+            dl1: CacheConfig {
+                size_bytes: 4 * 1024,
+                ..rand.dl1
+            },
+            ..rand
+        }
+    }
+
+    /// A fixed trace in the shape of a control loop: a straight run of
+    /// code wider than the IL1, then a loop that walks two arrays of
+    /// words in step and stores into a third, so each line comes back
+    /// after accesses to other lines, and more lines than the DL1 holds.
+    fn control_loop() -> Vec<Inst> {
+        let mut words = SplitMix64::new(2017);
+        let mut trace = Vec::new();
+        for round in 0..4u64 {
+            trace.extend((0..800).map(|i| Inst::alu(0x8000 + 4 * i)));
+            for i in 0..640u64 {
+                let pc = 0x4000 + 4 * (i % 6);
+                let j = (i + 97 * round) % 1024;
+                trace.push(Inst::load(pc, 0x10_0000 + 4 * j));
+                trace.push(Inst::load(pc + 4, 0x10_8000 + 4 * j));
+                if words.next_u64() % 4 == 0 {
+                    trace.push(Inst::store(pc + 8, 0x11_0000 + 4 * (j % 384)));
+                }
+                trace.push(Inst::branch(pc + 12, i % 6 == 5));
+            }
+        }
+        trace
+    }
+
+    #[test]
+    fn replayed_events_are_counted_work() {
+        // Deterministic counted work, not wall clock: the events a run
+        // replays, summed over 64 seeds of a trace whose sets contend.
+        let config = small_l1();
+        let decoded = DecodedTrace::new(&config, &control_loop());
+        let mut platform = Platform::new(config);
+        let replayed: u64 = (0..64)
+            .map(|seed| {
+                platform.execute(&decoded, seed);
+                let bits = &platform.tables.replay;
+                bits.iter().map(|w| u64::from(w.count_ones())).sum::<u64>()
+            })
+            .sum();
+        assert_eq!(
+            replayed,
+            REPLAYED_EVENTS,
+            "events replayed over 64 seeds moved from {REPLAYED_EVENTS} to {replayed} \
+             (of {} decoded): a lower count is an improvement, to be pinned here; a \
+             higher one is a regression",
+            64 * decoded.events()
+        );
+    }
+
+    /// The pinned value of [`replayed_events_are_counted_work`].
+    const REPLAYED_EVENTS: u64 = 75_532;
+
+    #[test]
+    fn a_reused_platform_runs_every_seed_as_a_fresh_one() {
+        // A run empties only the sets the run before it touched, so one
+        // platform must give, for seeds taken in either order, what a
+        // fresh platform gives each seed.
+        let trace = control_loop();
+        for config in [
+            small_l1(),
+            PlatformConfig {
+                bus: BusModel::leon3(3),
+                ..small_l1()
+            },
+            PlatformConfig::deterministic(),
+        ] {
+            let decoded = DecodedTrace::new(&config, &trace);
+            let fresh: Vec<RunResult> = (0..24)
+                .map(|seed| Platform::new(config.clone()).execute(&decoded, seed))
+                .collect();
+            let mut platform = Platform::new(config);
+            let forwards: Vec<RunResult> = (0..24)
+                .map(|seed| platform.execute(&decoded, seed))
+                .collect();
+            let mut backwards: Vec<RunResult> = (0..24)
+                .rev()
+                .map(|seed| platform.execute(&decoded, seed))
+                .collect();
+            backwards.reverse();
+            assert_eq!(forwards, fresh);
+            assert_eq!(backwards, fresh);
+        }
+    }
+
     #[test]
     fn store_miss_does_not_pollute_cache() {
         // Stores to a cold region must not evict: program of stores then
