@@ -536,6 +536,11 @@ impl Lines {
         self.positions = vec![0; total as usize];
     }
 
+    /// The placement windows, each with its bitmap.
+    pub(crate) fn windows(&self) -> impl Iterator<Item = (&Window, &[u64])> {
+        self.windows.iter().zip(self.window_bits.chunks(self.words))
+    }
+
     /// Record the event at `pos` on line `i`. Called for each event in
     /// reverse program order, it leaves `starts[i]` at the start of line
     /// `i`'s range.

@@ -231,12 +231,7 @@ impl SetTable {
         self.counts.clear();
         self.counts.resize((planes + 1) * words, 0);
         self.rotated.resize(lines.window_bits.len(), 0);
-        for ((window, bits), rotated) in lines
-            .windows
-            .iter()
-            .zip(lines.window_bits.chunks(words))
-            .zip(self.rotated.chunks_mut(words))
-        {
+        for ((window, bits), rotated) in lines.windows().zip(self.rotated.chunks_mut(words)) {
             let offset = cache.placement.offset(window.key, n_sets, seed);
             self.offsets.push(offset);
             rotate(bits, offset, n_sets, rotated);
@@ -272,9 +267,7 @@ impl SetTable {
         self.members.clear();
         self.last.resize(n_sets as usize, NONE);
         for (((window, bits), rotated), &offset) in lines
-            .windows
-            .iter()
-            .zip(lines.window_bits.chunks(words))
+            .windows()
             .zip(self.rotated.chunks(words))
             .zip(&self.offsets)
         {
@@ -320,21 +313,16 @@ impl SetTable {
         self.touched.clone_from(&self.contended);
         if replay_fills {
             // Every fill draws the bus: replay the quiet lines' fills too.
-            for ((window, bits), &offset) in lines
-                .windows
-                .iter()
-                .zip(lines.window_bits.chunks(words))
-                .zip(&self.offsets)
-            {
-                let mut rank = window.first as usize;
+            for ((window, bits), &offset) in lines.windows().zip(&self.offsets) {
+                let mut next = window.first as usize;
                 for (w, &word) in bits.iter().enumerate() {
                     let mut word = word;
                     while word != 0 {
                         let x = (w * 64) as u64 + u64::from(word.trailing_zeros());
                         word &= word - 1;
                         let set = (x + offset) & (n_sets - 1);
-                        let line = lines.order[rank] as usize;
-                        rank += 1;
+                        let line = lines.order[next] as usize;
+                        next += 1;
                         let quiet_set = self.contended[set as usize / 64] >> (set % 64) & 1 == 0;
                         if let (true, Some(pos)) = (quiet_set, lines.outcomes[line].fill) {
                             // The cache model counts this miss when it
