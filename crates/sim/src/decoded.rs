@@ -200,11 +200,11 @@ impl DecodedTrace {
                 Event::Store(i) => dl1.note(i, pos, allocate_on_write, false),
             }
         }
-        // Order each cache's lines by placement key, and sort the event
-        // positions by line, walking backwards so that each line's
-        // positions come out in program order.
-        il1.sort(&config.il1);
-        dl1.sort(&config.dl1);
+        // Group each cache's allocating lines by placement window, and
+        // sort the event positions by line, walking backwards so that each
+        // line's positions come out in program order.
+        il1.index(&config.il1);
+        dl1.index(&config.dl1);
         for (pos, &e) in events.iter().enumerate().rev() {
             match e {
                 Event::Fetch(i) => il1.place(i, pos as u32),
@@ -483,18 +483,18 @@ impl Lines {
     /// placement window of `cache`, sum the outcomes, and make room for
     /// the positions of the events, for [`Lines::place`] to count down
     /// from.
-    fn sort(&mut self, cache: &CacheConfig) {
+    fn index(&mut self, cache: &CacheConfig) {
         let n_sets = cache.n_sets();
         let words = n_sets.div_ceil(64) as usize;
         self.words = words;
         // The windows, in first-use order, and the indices of their
         // allocating lines.
-        let mut windows: KeyMap = HashMap::default();
+        let mut window_ids: KeyMap = HashMap::default();
         for (&key, line) in self.keys.iter().zip(&self.outcomes) {
             self.total.add(line);
             if line.allocates {
                 let (window, idx) = cache.placement.split(key, n_sets);
-                let w = *windows.entry(window).or_insert_with(|| {
+                let w = *window_ids.entry(window).or_insert_with(|| {
                     self.windows.push(Window {
                         key: window,
                         first: 0,
@@ -516,7 +516,7 @@ impl Lines {
         for (id, (&key, line)) in self.keys.iter().zip(&self.outcomes).enumerate() {
             if line.allocates {
                 let (window, idx) = cache.placement.split(key, n_sets);
-                let w = windows[&window] as usize;
+                let w = window_ids[&window] as usize;
                 let bits = &self.window_bits[w * words..(w + 1) * words];
                 self.order[(self.windows[w].first + rank(bits, idx as usize)) as usize] = id as u32;
             }
@@ -524,14 +524,11 @@ impl Lines {
 
         // `starts[i]` becomes the end of line `i`'s range.
         let mut total = 0;
-        self.starts = self
-            .outcomes
-            .iter()
-            .map(|line| {
-                total += line.hits + line.misses;
-                total
-            })
-            .collect();
+        self.starts = Vec::with_capacity(self.outcomes.len() + 1);
+        for line in &self.outcomes {
+            total += line.hits + line.misses;
+            self.starts.push(total);
+        }
         self.starts.push(total);
         self.positions = vec![0; total as usize];
     }
