@@ -455,6 +455,7 @@ impl Lines {
     fn new(keys: Vec<u64>) -> Self {
         Lines {
             outcomes: vec![LineOutcome::default(); keys.len()],
+            starts: vec![0; keys.len() + 1],
             keys,
             ..Lines::default()
         }
@@ -524,12 +525,11 @@ impl Lines {
 
         // `starts[i]` becomes the end of line `i`'s range.
         let mut total = 0;
-        self.starts = Vec::with_capacity(self.outcomes.len() + 1);
-        for line in &self.outcomes {
+        for (end, line) in self.starts.iter_mut().zip(&self.outcomes) {
             total += line.hits + line.misses;
-            self.starts.push(total);
+            *end = total;
         }
-        self.starts.push(total);
+        self.starts[self.outcomes.len()] = total;
         self.positions = vec![0; total as usize];
     }
 
