@@ -99,6 +99,37 @@ pub(crate) enum Event {
     Store(u32),
 }
 
+/// An [`Event`] as a trace stores it, in four bytes: the kind in the low
+/// three bits and the index (below 2^29) above them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedEvent(u32);
+
+impl Event {
+    fn pack(self) -> PackedEvent {
+        let (kind, i) = match self {
+            Event::Itlb(i) => (0, i),
+            Event::Fetch(i) => (1, i),
+            Event::Dtlb(i) => (2, i),
+            Event::Load(i) => (3, i),
+            Event::Store(i) => (4, i),
+        };
+        PackedEvent(i << 3 | kind)
+    }
+}
+
+impl PackedEvent {
+    pub(crate) fn get(self) -> Event {
+        let i = self.0 >> 3;
+        match self.0 & 7 {
+            0 => Event::Itlb(i),
+            1 => Event::Fetch(i),
+            2 => Event::Dtlb(i),
+            3 => Event::Load(i),
+            _ => Event::Store(i),
+        }
+    }
+}
+
 /// An instruction trace decoded for one [`PlatformConfig`].
 ///
 /// Build it once per (configuration, trace) and run it at as many seeds
@@ -127,7 +158,7 @@ pub struct DecodedTrace {
     /// stalls and the walks of folded TLBs, the folded hits, and the
     /// lookups of folded TLBs. A run adds what its events give.
     pub(crate) fixed: RunResult,
-    pub(crate) events: Vec<Event>,
+    pub(crate) events: Vec<PackedEvent>,
     /// One bit per event, set for the lookups of a TLB that was not
     /// folded: every run replays them.
     pub(crate) tlb_events: Vec<u64>,
@@ -143,8 +174,8 @@ impl DecodedTrace {
     /// # Panics
     ///
     /// Panics if a line or page size is not a power of two, if one
-    /// structure sees more than `u32::MAX` distinct keys, or if the trace
-    /// has more than `u32::MAX` events.
+    /// structure sees 2^29 distinct keys or more, or if the trace has
+    /// more than `u32::MAX` events.
     pub fn new(config: &PlatformConfig, trace: &[Inst]) -> Self {
         // Scan as if neither TLB could fill. A TLB that turns out to see
         // more pages than it has entries is scanned again, keeping its
@@ -191,9 +222,9 @@ impl DecodedTrace {
         let mut il1 = Lines::new(il1.keys);
         let mut dl1 = Lines::new(dl1.keys);
         let mut tlb_events = vec![0; events.len().div_ceil(64)];
-        for (pos, &e) in events.iter().enumerate() {
+        for (pos, e) in events.iter().enumerate() {
             let pos = pos as u32;
-            match e {
+            match e.get() {
                 Event::Itlb(_) | Event::Dtlb(_) => mark(&mut tlb_events, pos),
                 Event::Fetch(i) => il1.note(i, pos, true, true),
                 Event::Load(i) => dl1.note(i, pos, true, true),
@@ -205,8 +236,8 @@ impl DecodedTrace {
         // line's positions come out in program order.
         il1.index(&config.il1);
         dl1.index(&config.dl1);
-        for (pos, &e) in events.iter().enumerate().rev() {
-            match e {
+        for (pos, e) in events.iter().enumerate().rev() {
+            match e.get() {
                 Event::Fetch(i) => il1.place(i, pos as u32),
                 Event::Load(i) | Event::Store(i) => dl1.place(i, pos as u32),
                 Event::Itlb(_) | Event::Dtlb(_) => {}
@@ -257,7 +288,7 @@ struct Scan {
     pipeline_cycles: u64,
     /// Loads and stores: the DTLB's lookups.
     data_accesses: u64,
-    events: Vec<Event>,
+    events: Vec<PackedEvent>,
     itlb: Keys,
     il1: Keys,
     dtlb: Keys,
@@ -306,7 +337,7 @@ impl Scan {
                 last_itlb = Some(page);
                 let id = itlb.id(page);
                 if keep_itlb {
-                    events.push(Event::Itlb(id));
+                    events.push(Event::Itlb(id).pack());
                 }
             }
             let fetch_line = inst.pc.line(fetch_line_size);
@@ -316,7 +347,7 @@ impl Scan {
                     fixed.il1.0 += 1;
                 } else {
                     last_fetch = Some(fetch_line);
-                    events.push(Event::Fetch(il1.id(fetch_line)));
+                    events.push(Event::Fetch(il1.id(fetch_line)).pack());
                 }
             }
 
@@ -345,7 +376,7 @@ impl Scan {
                         last_dtlb = Some(page);
                         let id = dtlb.id(page);
                         if keep_dtlb {
-                            events.push(Event::Dtlb(id));
+                            events.push(Event::Dtlb(id).pack());
                         }
                     }
                     let line = addr.line(config.dl1.line_size);
@@ -353,10 +384,10 @@ impl Scan {
                         // A hit leaves the line present, store or load.
                         fixed.dl1.0 += 1;
                     } else if is_store {
-                        events.push(Event::Store(dl1.id(line)));
+                        events.push(Event::Store(dl1.id(line)).pack());
                         dl1_present = allocate_on_write.then_some(line);
                     } else {
-                        events.push(Event::Load(dl1.id(line)));
+                        events.push(Event::Load(dl1.id(line)).pack());
                         dl1_present = Some(line);
                     }
                     if is_store {
@@ -575,7 +606,12 @@ impl Keys {
         let next = self.keys.len();
         *self.ids.entry(key).or_insert_with(|| {
             self.keys.push(key);
-            u32::try_from(next).expect("fewer than 2^32 distinct keys per structure")
+            // An event keeps the index in 29 bits.
+            assert!(
+                next < 1 << 29,
+                "fewer than 2^29 distinct keys per structure"
+            );
+            next as u32
         })
     }
 }
@@ -601,5 +637,25 @@ impl Hasher for KeyHasher {
 
     fn write_u64(&mut self, key: u64) {
         self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_packed_event_keeps_its_kind_and_index() {
+        for i in [0, 1, 12_345, (1 << 29) - 1] {
+            for event in [
+                Event::Itlb(i),
+                Event::Fetch(i),
+                Event::Dtlb(i),
+                Event::Load(i),
+                Event::Store(i),
+            ] {
+                assert_eq!(event.pack().get(), event);
+            }
+        }
     }
 }

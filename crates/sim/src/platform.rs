@@ -6,7 +6,7 @@ use proxima_prng::{PrngKind, RandomSource, SplitMix64};
 
 use crate::bus::BusModel;
 use crate::cache::{CacheConfig, PlacementPolicy, ReplacementPolicy, SetAssocCache};
-use crate::decoded::{mark, rank, DecodedTrace, Event, Lines, Tally};
+use crate::decoded::{mark, rank, DecodedTrace, Event, Lines, PackedEvent, Tally};
 use crate::fpu::FpuLatencyMode;
 use crate::inst::Inst;
 use crate::mem::DramModel;
@@ -218,7 +218,7 @@ impl SetTable {
         &mut self,
         cache: &CacheConfig,
         lines: &Lines,
-        events: &[Event],
+        events: &[PackedEvent],
         seed: u64,
         replay_fills: bool,
         replay: &mut [u64],
@@ -288,8 +288,9 @@ impl SetTable {
         // below count; every other line gives its decoded outcome.
         let mut quiet = lines.total;
         self.sets.resize(lines.keys.len(), 0);
-        let allocates =
-            |pos: u32| cache.allocate_on_write || !matches!(events[pos as usize], Event::Store(_));
+        let allocates = |pos: u32| {
+            cache.allocate_on_write || !matches!(events[pos as usize].get(), Event::Store(_))
+        };
         for (w, &word) in self.contended.iter().enumerate() {
             let mut word = word;
             while word != 0 {
@@ -516,7 +517,7 @@ impl Platform {
             while word != 0 {
                 let pos = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                match trace.events[pos] {
+                match trace.events[pos].get() {
                     Event::Itlb(i) => {
                         let i = i as usize;
                         let page = trace.itlb_pages[i];
