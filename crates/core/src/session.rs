@@ -238,6 +238,13 @@ impl<E: Engine> ChannelState<E> {
         self.engine.as_ref().map_or(self.accepted, Engine::len)
     }
 
+    /// Measurements routed to this channel: accepted, the rejected one
+    /// that quarantined it (a quarantine swallows exactly one), and
+    /// dropped.
+    fn routed(&self) -> usize {
+        self.len() + usize::from(self.failed.is_some()) + self.dropped
+    }
+
     /// Poll for a fresh (not-yet-emitted) estimate and return its count
     /// ([`Engine::estimate_n`]: the estimate itself is not assembled).
     /// Records the polled length whenever the outcome cannot change
@@ -407,6 +414,17 @@ impl<F: EngineFactory> AnalysisSession<F> {
     /// [`channel`](Self::channel), this never creates the channel.
     pub fn channel_len(&self, channel: &str) -> Option<usize> {
         self.index.get(channel).map(|&i| self.channels[i].len())
+    }
+
+    /// Measurements routed to `channel` so far: the ones its engine
+    /// accepted, the one that quarantined it, and every one dropped
+    /// after a quarantine or an early finish — so it grows with every
+    /// push, where [`channel_len`](Self::channel_len) freezes. The
+    /// channel's outcome cannot change while it stays put, which makes
+    /// it a key for answers derived from that outcome. `None` for a
+    /// channel the session has not seen.
+    pub fn channel_routed(&self, channel: &str) -> Option<usize> {
+        self.index.get(channel).map(|&i| self.channels[i].routed())
     }
 
     /// The worker-thread bound [`merge`](Self::merge) will use.
@@ -1051,47 +1069,68 @@ impl<F: EngineFactory> AnalysisSession<F> {
     /// session's `jobs`); each channel's verdict is a pure function of
     /// its own feed, so the result is identical for every `jobs` value.
     pub fn merge(self) -> SessionVerdict {
-        let jobs = self.jobs;
-        let n = self.channels.len();
-        let slots: Vec<Mutex<Option<ChannelState<F::Engine>>>> = self
-            .channels
-            .into_iter()
-            .map(|state| Mutex::new(Some(state)))
-            .collect();
-        let channels = run_sharded(n, jobs, |shard| {
-            shard
-                .map(|i| {
-                    let state = slots[i]
-                        .lock()
-                        // Each index goes to exactly one worker, so a
-                        // poisoned slot can only mean a panic mid-take in a
-                        // prior unwinding run; the stored state is intact
-                        // and safe to recover.
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .take()
-                        // proxima-lint: allow(no-lib-panic) -- run_sharded
-                        // hands each index to exactly one worker, so the
-                        // slot is still occupied on first (only) take.
-                        .expect("each channel finished exactly once");
-                    state.into_verdict()
-                })
-                .collect()
-        });
-        SessionVerdict { channels }
+        SessionVerdict {
+            channels: finish_states(self.channels, self.jobs),
+        }
     }
+}
+
+/// Finish `states` into their outcomes, in order, over the workspace
+/// sharding engine (bounded by `jobs`). Each outcome is a pure function
+/// of its own channel's state, so the result is the same at any `jobs`.
+fn finish_states<E: Engine>(states: Vec<ChannelState<E>>, jobs: usize) -> Vec<ChannelVerdict> {
+    let n = states.len();
+    let slots: Vec<Mutex<Option<ChannelState<E>>>> = states
+        .into_iter()
+        .map(|state| Mutex::new(Some(state)))
+        .collect();
+    run_sharded(n, jobs, |shard| {
+        shard
+            .map(|i| {
+                let state = slots[i]
+                    .lock()
+                    // Each index goes to exactly one worker, so a
+                    // poisoned slot can only mean a panic mid-take in a
+                    // prior unwinding run; the stored state is intact
+                    // and safe to recover.
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .take()
+                    // proxima-lint: allow(no-lib-panic) -- run_sharded
+                    // hands each index to exactly one worker, so the
+                    // slot is still occupied on first (only) take.
+                    .expect("each channel finished exactly once");
+                state.into_verdict()
+            })
+            .collect()
+    })
 }
 
 impl<F: EngineFactory> AnalysisSession<F>
 where
     F::Engine: Clone,
 {
-    /// Finalize one channel on a clone of its state: the outcome
-    /// [`merge`](Self::merge) would report for it, at the cost of
-    /// finishing that channel alone. The live session is untouched and
-    /// keeps streaming. `None` for a channel the session has not seen.
+    /// Finalize `channels` on clones of their states, in the order given,
+    /// skipping names the session has not seen. Each outcome is the one
+    /// [`merge`](Self::merge) would report for that channel, and the
+    /// clones finish in parallel over the session's `jobs` as `merge`'s
+    /// channels do, so a caller that keeps the other channels' outcomes
+    /// pays only for these. The live session is untouched and keeps
+    /// streaming.
+    pub fn finalize_channels(&self, channels: &[&str]) -> Vec<ChannelVerdict> {
+        let states = channels
+            .iter()
+            .filter_map(|&name| self.index.get(name))
+            .map(|&i| self.channels[i].clone())
+            .collect();
+        finish_states(states, self.jobs)
+    }
+
+    /// [`finalize_channels`](Self::finalize_channels) for one channel:
+    /// the outcome [`merge`](Self::merge) would report for it, at the
+    /// cost of finishing that channel alone. `None` for a channel the
+    /// session has not seen.
     pub fn finalize_channel(&self, channel: &str) -> Option<ChannelVerdict> {
-        let &i = self.index.get(channel)?;
-        Some(self.channels[i].clone().into_verdict())
+        self.finalize_channels(&[channel]).pop()
     }
 }
 
@@ -2101,7 +2140,32 @@ mod tests {
         );
         assert!(session.finalize_channel("ghost").is_none());
         assert_eq!(session.channel_len("ghost"), None);
+        assert_eq!(session.channel_routed("ghost"), None);
         assert_eq!(session.channel_count(), 4, "a lookup creates no channel");
+
+        // A list finishes in the order asked, skipping unknown names,
+        // each channel as the whole-session merge reports it.
+        let listed = session.finalize_channels(&["done", "ghost", "bad", "ok", "short"]);
+        let names: Vec<&str> = listed.iter().map(|c| c.channel.as_str()).collect();
+        assert_eq!(names, ["done", "bad", "ok", "short"]);
+        for got in &listed {
+            let expected = merged.channels().iter().find(|c| c.channel == got.channel);
+            let expected = expected.unwrap();
+            assert_eq!(got.dropped, expected.dropped);
+            assert_eq!(
+                outcome_bytes(&got.outcome),
+                outcome_bytes(&expected.outcome)
+            );
+        }
+        assert!(session.finalize_channels(&[]).is_empty());
+
+        // Routed counts every push: the NaN that quarantined `bad`, and
+        // what `done` dropped after its early finish, where the
+        // accepted count freezes.
+        assert_eq!(session.channel_routed("bad"), Some(301));
+        assert_eq!(session.channel_routed("done"), Some(6000));
+        assert!(session.channel_len("done") < Some(6000));
+        assert_eq!(session.channel_routed("ok"), session.channel_len("ok"));
 
         // The live session is untouched: same bytes now, and the same
         // outputs later as a session nobody finalized.
@@ -2121,6 +2185,12 @@ mod tests {
             Some(300),
             "frozen at quarantine"
         );
+        assert_eq!(session.channel_routed("done"), Some(6010));
+        let routed: usize = ["ok", "short", "bad", "done"]
+            .iter()
+            .map(|name| session.channel_routed(name).unwrap())
+            .sum();
+        assert_eq!(routed, session.len(), "every push is routed to one channel");
         assert_eq!(session.checkpoint().unwrap(), control.checkpoint().unwrap());
         let (live, control) = (session.merge(), control.merge());
         for (a, b) in live.channels().iter().zip(control.channels()) {

@@ -253,7 +253,9 @@ fn open_conns(shared: &Shared) -> MutexGuard<'_, BTreeMap<u64, TcpStream>> {
 /// cadence and checkpoint cadence are serve-layer policy — per channel
 /// and per dispatcher respectively — so they cannot depend on how
 /// channels interleave across workers.
-fn new_worker_session(config: &ServeConfig) -> Result<AnalysisSession<StreamFactory>, ServeError> {
+pub(crate) fn new_worker_session(
+    config: &ServeConfig,
+) -> Result<AnalysisSession<StreamFactory>, ServeError> {
     Ok(MbptaConfig {
         block: BlockSpec::Fixed(config.stream.block_size),
         ..MbptaConfig::default()
@@ -934,7 +936,7 @@ fn build_stats(shared: &Shared) -> Result<ServerStats, ServeError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::{ClientError, ServeClient};
 
@@ -945,7 +947,7 @@ mod tests {
     }
 
     /// Deterministic per-channel feed (no clock, no OS randomness).
-    fn feed(seed: u64, n: usize) -> Vec<f64> {
+    pub(crate) fn feed(seed: u64, n: usize) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         (0..n)
             .map(|_| {
@@ -1032,6 +1034,42 @@ mod tests {
         assert_eq!(stats.cache_misses, 2);
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    /// A rejected first value quarantines a channel without moving its
+    /// accepted count, so the VERDICT cache must not key on that count:
+    /// the cached server answers what a cache-off server answers.
+    #[test]
+    fn a_quarantine_re_keys_the_cached_verdict() {
+        let replies = |cache_capacity: usize| {
+            let (addr, handle) = start(ServeConfig {
+                cache_capacity,
+                ..ServeConfig::default()
+            });
+            let mut client = ServeClient::connect(addr).unwrap();
+            client.ingest("rig", &feed(23, 600)).unwrap();
+            let before = client.verdict(1e-12, Some("rig")).unwrap();
+            let (channel_len, total, _) =
+                client.ingest("rig", &[-5.0, 80_000.0, 80_010.0]).unwrap();
+            assert_eq!(
+                (channel_len, total),
+                (600, 603),
+                "replies report accepted values"
+            );
+            let after = client.verdict(1e-12, Some("rig")).unwrap();
+            let envelope = client.verdict(1e-12, None).unwrap();
+            client.shutdown().unwrap();
+            handle.join().unwrap().unwrap();
+            (before, after, envelope)
+        };
+        let cached = replies(256);
+        assert_eq!(cached, replies(0), "the cache changed an answer");
+        assert_ne!(cached.0, cached.1);
+        let Response::Verdicts { channels, .. } = &cached.1 else {
+            panic!("unexpected response {:?}", cached.1);
+        };
+        let error = channels[0].1.as_ref().unwrap_err();
+        assert!(error.contains("execution time is negative"), "{error}");
     }
 
     #[test]

@@ -37,15 +37,22 @@
 //! * The session-wide totals in responses come from one dispatcher
 //!   counter fed by per-request deltas, not from any single worker's
 //!   session.
-//! * Envelope verdicts fan out: each worker finalizes a clone of its
-//!   own session into a cached *partial* (its channels, in first-seen
-//!   order), and the dispatcher folds the partials in **global**
-//!   first-seen channel order with exactly the single-session
-//!   `envelope_budget` scan (max of budgets, strict `>`, first error
-//!   wins) — so the fold is associative over any partitioning. A
-//!   one-channel verdict finalizes a clone of that channel alone
-//!   (`AnalysisSession::finalize_channel`), which is the outcome the
-//!   whole-session finalize reports for it.
+//! * Envelope verdicts fan out: each worker answers with a cached
+//!   *partial* (its channels' outcomes, in first-seen order), and the
+//!   dispatcher folds the partials in **global** first-seen channel
+//!   order with exactly the single-session `envelope_budget` scan (max
+//!   of budgets, strict `>`, first error wins) — so the fold is
+//!   associative over any partitioning.
+//! * A worker keeps each channel's last finished outcome with the
+//!   count of measurements routed to the channel when it was finished
+//!   (`AnalysisSession::channel_routed`: accepted, rejected and dropped
+//!   alike, so a quarantine moves it). One-channel verdicts and
+//!   partials reuse a kept outcome while that count stands, and finish
+//!   clones of only the channels that moved
+//!   (`AnalysisSession::finalize_channels`, over the session's `jobs`).
+//!   A finished clone's outcome is the one the whole-session merge
+//!   reports for that channel, so a partial folded from kept outcomes
+//!   has the bytes a merge of the whole session gives.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +60,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use proxima_mbpta::engine::Engine as _;
 use proxima_mbpta::persist::{self, Decode, Encode, Reader, Writer};
+use proxima_mbpta::session::ChannelId;
 use proxima_mbpta::{AnalysisSession, Verdict};
 use proxima_stream::{StreamConfig, StreamEngine, StreamFactory};
 
@@ -151,6 +159,8 @@ impl ShardedSession {
                     stream: config.stream.clone(),
                     snapshot_every: config.snapshot_every,
                     fingerprint,
+                    outcomes: HashMap::new(),
+                    finishes: 0,
                 })
             })
             .collect();
@@ -310,19 +320,19 @@ pub(crate) fn repartition(
 /// Encode a worker's all-channel verdict partial: its channels in
 /// first-seen order, each an already-stringified outcome. The format
 /// is process-internal (cached, never on the wire or on disk).
-fn encode_partial(channels: &[proxima_mbpta::session::ChannelVerdict]) -> Vec<u8> {
+fn encode_partial(channels: &[(&str, &Result<Verdict, String>)]) -> Vec<u8> {
     let mut w = Writer::new();
     w.usize(channels.len());
-    for entry in channels {
-        w.str(entry.channel.as_str());
-        match &entry.outcome {
+    for (name, outcome) in channels {
+        w.str(name);
+        match outcome {
             Ok(verdict) => {
                 w.bool(true);
                 verdict.encode(&mut w);
             }
             Err(e) => {
                 w.bool(false);
-                w.str(&e.to_string());
+                w.str(e);
             }
         }
     }
@@ -422,6 +432,14 @@ fn fold_verdicts(
     }
 }
 
+/// A channel's last finished outcome (errors stringified, as partials
+/// carry them) and the measurements routed to the channel when it was
+/// finished.
+struct KeptOutcome {
+    routed: u64,
+    outcome: Result<Verdict, String>,
+}
+
 /// One worker: an owned session, cache and latest-snapshot map. It
 /// lives behind its own mutex in [`ShardedSession`], so its methods
 /// run one request at a time.
@@ -435,6 +453,15 @@ struct Worker {
     stream: StreamConfig,
     snapshot_every: usize,
     fingerprint: u64,
+    /// Each owned channel's last finished outcome, valid while the
+    /// channel's routed count equals the one kept with it. Runtime
+    /// state like `latest`: never persisted, empty after a resume, one
+    /// entry per channel, and only ever looked up by name.
+    outcomes: HashMap<String, KeptOutcome>,
+    /// Channel clones finished so far, for one-channel verdicts and
+    /// partials alike: the work the kept outcomes save is what this
+    /// does not count.
+    finishes: u64,
 }
 
 impl Worker {
@@ -442,6 +469,37 @@ impl Worker {
     /// never seen.
     fn channel_len(&self, channel: &str) -> usize {
         self.session.channel_len(channel).unwrap_or(0)
+    }
+
+    /// Measurements routed to the channel (accepted, rejected and
+    /// dropped), 0 for a channel this worker has never seen.
+    fn channel_routed(&self, channel: &str) -> u64 {
+        self.session.channel_routed(channel).unwrap_or(0) as u64
+    }
+
+    /// Make the kept outcome of every channel in `channels` current:
+    /// finish clones of the channels whose routed count moved since
+    /// their outcome was kept (in one fan-out), and keep the rest.
+    fn refresh_outcomes(&mut self, channels: &[&str]) {
+        let stale: Vec<&str> = channels
+            .iter()
+            .copied()
+            .filter(|&name| {
+                let routed = self.channel_routed(name);
+                self.outcomes
+                    .get(name)
+                    .is_none_or(|kept| kept.routed != routed)
+            })
+            .collect();
+        for finished in self.session.finalize_channels(&stale) {
+            let name = finished.channel.as_str();
+            let kept = KeptOutcome {
+                routed: self.channel_routed(name),
+                outcome: finished.outcome.map_err(|e| e.to_string()),
+            };
+            self.outcomes.insert(name.to_string(), kept);
+            self.finishes += 1;
+        }
     }
 
     fn ingest(&mut self, channel: &str, values: &[f64]) -> Result<IngestOutcome, ServeError> {
@@ -529,7 +587,9 @@ impl Worker {
     }
 
     fn verdict_channel(&mut self, channel: &str, p: f64) -> Vec<u8> {
-        let progress = self.channel_len(channel) as u64;
+        // Keyed on routed measurements, not accepted ones: a quarantine
+        // changes the answer without changing the accepted count.
+        let progress = self.channel_routed(channel);
         let key = query_key(
             self.fingerprint,
             KIND_VERDICT,
@@ -540,10 +600,11 @@ impl Worker {
         if let Some(hit) = self.cache.get(key) {
             return hit;
         }
-        // Finalize a clone of this one channel: the live session keeps
-        // streaming, and repeat queries between ingests come straight
-        // from the cache.
-        let Some(finalized) = self.session.finalize_channel(channel) else {
+        // The kept outcome, or a finished clone of this one channel: the
+        // live session keeps streaming, and repeat queries between
+        // ingests come straight from the cache.
+        self.refresh_outcomes(&[channel]);
+        let Some(kept) = self.outcomes.get(channel) else {
             // The dispatcher's registry check makes this unreachable
             // for routed queries; answer honestly anyway.
             return Response::Error {
@@ -551,11 +612,10 @@ impl Worker {
             }
             .encode();
         };
-        let outcome = finalized.outcome.map_err(|e| e.to_string());
         let response = fold_verdicts(
             p,
             &[channel.to_string()],
-            vec![vec![(channel.to_string(), outcome)]],
+            vec![vec![(channel.to_string(), kept.outcome.clone())]],
         )
         .encode();
         self.cache.insert(key, response.clone());
@@ -573,8 +633,15 @@ impl Worker {
         if let Some(hit) = self.cache.get(key) {
             return hit;
         }
-        let merged = self.session.clone().merge();
-        let partial = encode_partial(merged.channels());
+        let ids: Vec<ChannelId> = self.session.channel_ids().cloned().collect();
+        let names: Vec<&str> = ids.iter().map(ChannelId::as_str).collect();
+        self.refresh_outcomes(&names);
+        // Every seen channel has a current outcome now.
+        let entries: Vec<(&str, &Result<Verdict, String>)> = names
+            .iter()
+            .filter_map(|&name| Some((name, &self.outcomes.get(name)?.outcome)))
+            .collect();
+        let partial = encode_partial(&entries);
         self.cache.insert(key, partial.clone());
         partial
     }
@@ -596,6 +663,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::tests::feed;
 
     #[test]
     fn owner_is_a_pure_function_of_name_and_count() {
@@ -708,31 +776,165 @@ mod tests {
 
     #[test]
     fn partial_codec_round_trips() {
-        use proxima_mbpta::session::{ChannelId, ChannelVerdict};
-        let entries = vec![
-            ChannelVerdict {
-                channel: ChannelId::from("ok-channel"),
-                outcome: Ok(sample_verdict(123.25)),
-                dropped: 0,
-            },
-            ChannelVerdict {
-                channel: ChannelId::from("bad-channel"),
-                outcome: Err(proxima_mbpta::MbptaError::InvalidConfig {
-                    what: "session analysed no channel",
-                }),
-                dropped: 3,
-            },
-        ];
-        let bytes = encode_partial(&entries);
+        let ok = Ok(sample_verdict(123.25));
+        let bad = Err("invalid configuration: session analysed no channel".to_string());
+        let bytes = encode_partial(&[("ok-channel", &ok), ("bad-channel", &bad)]);
         let decoded = decode_partial(&bytes).unwrap();
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[0].0, "ok-channel");
-        assert!(decoded[0].1.is_ok());
-        assert_eq!(decoded[1].0, "bad-channel");
         assert_eq!(
-            decoded[1].1.as_ref().unwrap_err(),
-            "invalid configuration: session analysed no channel"
+            decoded,
+            [
+                ("ok-channel".to_string(), ok),
+                ("bad-channel".to_string(), bad)
+            ]
         );
+    }
+
+    /// A sharded session at `workers` workers with `cache_capacity`
+    /// cache entries each, its worker sessions built as the server
+    /// builds them.
+    fn sharded(workers: usize, cache_capacity: usize) -> ShardedSession {
+        let config = ServeConfig {
+            workers,
+            cache_capacity,
+            ..ServeConfig::default()
+        };
+        let sessions = (0..workers)
+            .map(|_| crate::server::new_worker_session(&config).unwrap())
+            .collect();
+        ShardedSession::new(sessions, Vec::new(), 0, &config)
+    }
+
+    /// A sealed federated blob over `values` under the server's default
+    /// stream configuration.
+    fn sealed_blob(values: &[f64]) -> Vec<u8> {
+        use proxima_stream::{persist::save_federated, FederatedAnalyzer, FederatedConfig};
+        let mut fed =
+            FederatedAnalyzer::new(FederatedConfig::new(StreamConfig::default(), 3)).unwrap();
+        fed.push_batch(values).unwrap();
+        save_federated(&fed)
+    }
+
+    /// The oracle: the envelope as the server built it before it kept
+    /// outcomes — each worker's whole session cloned and merged, the
+    /// merged channels encoded into a partial, the partials folded in
+    /// global first-seen order.
+    fn merged_envelope(sharded: &ShardedSession, p: f64) -> Vec<u8> {
+        let partials = sharded
+            .workers
+            .iter()
+            .map(|worker| {
+                let merged = lock_worker(worker).unwrap().session.clone().merge();
+                let outcomes: Vec<(String, Result<Verdict, String>)> = merged
+                    .into_channels()
+                    .into_iter()
+                    .map(|c| {
+                        (
+                            c.channel.as_str().to_string(),
+                            c.outcome.map_err(|e| e.to_string()),
+                        )
+                    })
+                    .collect();
+                let entries: Vec<(&str, &Result<Verdict, String>)> = outcomes
+                    .iter()
+                    .map(|(name, o)| (name.as_str(), o))
+                    .collect();
+                decode_partial(&encode_partial(&entries)).unwrap()
+            })
+            .collect();
+        fold_verdicts(p, &sharded.channel_order().unwrap(), partials).encode()
+    }
+
+    /// Channel clones finished so far, summed over the workers.
+    fn finishes(sharded: &ShardedSession) -> u64 {
+        sharded
+            .workers
+            .iter()
+            .map(|worker| lock_worker(worker).unwrap().finishes)
+            .sum()
+    }
+
+    #[test]
+    fn envelope_from_kept_outcomes_equals_a_whole_session_merge() {
+        let p = 1e-12;
+        let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
+        for workers in [1, 2, 4] {
+            let sharded = sharded(workers, 256);
+            let mut envelopes = Vec::new();
+            let mut check = |sharded: &ShardedSession| {
+                let got = sharded.verdict(p, None).unwrap();
+                assert_eq!(got, merged_envelope(sharded, p), "--workers {workers}");
+                envelopes.push(got);
+            };
+            sharded.ingest("alpha", &feed(1, 600)).unwrap();
+            sharded.ingest("bravo", &feed(2, 800)).unwrap();
+            // Too short for a fit: a failed outcome in the envelope.
+            sharded.ingest("charlie", &feed(3, 40)).unwrap();
+            check(&sharded);
+            sharded.verdict(p, Some("alpha")).unwrap();
+            sharded.ingest("alpha", &feed(4, 150)).unwrap();
+            sharded.ingest("delta", &feed(5, 700)).unwrap();
+            sharded.verdict(p, Some("delta")).unwrap();
+            check(&sharded);
+            sharded
+                .merge("remote", &sealed_blob(&feed(6, 900)))
+                .unwrap();
+            sharded.verdict(p, Some("remote")).unwrap();
+            check(&sharded);
+            // A rejected first value quarantines bravo; its accepted
+            // count stays at 800.
+            let reply = sharded
+                .ingest("bravo", &[-5.0, 80_000.0, 80_010.0])
+                .unwrap();
+            assert_eq!(reply.channel_len, 800);
+            sharded.verdict(p, Some("bravo")).unwrap();
+            check(&sharded);
+            check(&sharded);
+            sharded.ingest("echo", &feed(7, 20)).unwrap();
+            sharded.verdict(p, Some("alpha")).unwrap();
+            check(&sharded);
+            runs.push(envelopes);
+        }
+        assert_eq!(runs[0], runs[1], "--workers 1 vs 2");
+        assert_eq!(runs[0], runs[2], "--workers 1 vs 4");
+    }
+
+    #[test]
+    fn an_envelope_finishes_only_the_channels_that_moved() {
+        for cache_capacity in [256, 0] {
+            let sharded = sharded(2, cache_capacity);
+            for (i, name) in ["alpha", "bravo", "charlie", "delta"].iter().enumerate() {
+                sharded.ingest(name, &feed(10 + i as u64, 600)).unwrap();
+            }
+            sharded.verdict(1e-12, None).unwrap();
+            assert_eq!(finishes(&sharded), 4, "cache {cache_capacity}");
+            sharded.ingest("charlie", &feed(20, 50)).unwrap();
+            sharded.verdict(1e-12, None).unwrap();
+            assert_eq!(finishes(&sharded), 5, "one INGEST, one channel finished");
+            sharded.verdict(1e-9, None).unwrap();
+            assert_eq!(finishes(&sharded), 5, "a repeated envelope finishes none");
+            sharded.verdict(1e-12, Some("charlie")).unwrap();
+            sharded.verdict(1e-12, Some("alpha")).unwrap();
+            assert_eq!(
+                finishes(&sharded),
+                5,
+                "one-channel verdicts reuse kept outcomes"
+            );
+            sharded.ingest("alpha", &feed(21, 10)).unwrap();
+            sharded.verdict(1e-12, Some("alpha")).unwrap();
+            sharded.verdict(1e-12, None).unwrap();
+            assert_eq!(
+                finishes(&sharded),
+                6,
+                "the envelope reuses a one-channel finish"
+            );
+            // A quarantine moves the routed count once; after it the
+            // failed outcome is kept like any other.
+            sharded.ingest("bravo", &[-5.0, 80_000.0]).unwrap();
+            sharded.verdict(1e-12, None).unwrap();
+            sharded.verdict(1e-9, None).unwrap();
+            sharded.verdict(1e-12, Some("bravo")).unwrap();
+            assert_eq!(finishes(&sharded), 7, "a quarantined channel finishes once");
+        }
     }
 
     /// A real verdict from a tiny deterministic campaign, computed once,

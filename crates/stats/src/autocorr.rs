@@ -44,12 +44,18 @@ pub fn autocorrelation(sample: &[f64], max_lag: usize) -> Result<Vec<f64>, Stats
     if exactly_zero(denom) {
         return Err(StatsError::DegenerateSample);
     }
-    let mut rho = Vec::with_capacity(max_lag);
-    for k in 1..=max_lag {
-        let num: f64 = (0..n - k).map(|t| centered[t] * centered[t + k]).sum();
-        rho.push(num / denom);
+    // One sweep over `t` feeds every lag's numerator. Each lag still
+    // adds its products in `t` order from the `-0.0` that `Sum<f64>`
+    // starts at, so every ρ̂_k has the bits of summing that lag alone;
+    // the lags' add chains are independent and run side by side.
+    let mut num = vec![-0.0f64; max_lag];
+    for (t, &c) in centered.iter().enumerate() {
+        let ahead = &centered[t + 1..(t + 1 + max_lag).min(n)];
+        for (acc, &d) in num.iter_mut().zip(ahead) {
+            *acc += c * d;
+        }
     }
-    Ok(rho)
+    Ok(num.into_iter().map(|s| s / denom).collect())
 }
 
 /// The default Ljung-Box lag count used across the workspace:

@@ -92,9 +92,7 @@ pub fn quantile(sample: &[f64], p: f64) -> Result<f64, StatsError> {
             what: "quantile probability must be in [0, 1]",
         });
     }
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    Ok(quantile_sorted(&sorted, p))
+    Ok(quantile_select(&mut sample.to_vec(), p))
 }
 
 /// Type-7 quantile of an already ascending-sorted sample (no allocation).
@@ -103,11 +101,44 @@ pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     if n == 1 {
         return sorted[0];
     }
+    let (lo, hi, frac) = type7_position(n, p);
+    sorted[lo] + frac * (sorted[hi] - sorted[lo])
+}
+
+/// Type-7 quantile of an unsorted sample, reordering it in place (no
+/// allocation): it selects the two order statistics
+/// [`quantile_sorted`] interpolates instead of sorting. Elements that
+/// compare equal under [`f64::total_cmp`] have identical bits, so a
+/// selected order statistic is exactly the one an ascending
+/// `total_cmp` sort puts at its rank, and the result has the bits of
+/// [`quantile_sorted`] over that sort — NaN and infinities included.
+///
+/// # Panics
+///
+/// If `xs` is empty or `p > 1` (as [`quantile_sorted`] does).
+pub fn quantile_select(xs: &mut [f64], p: f64) -> f64 {
+    let n = xs.len();
+    if n == 1 {
+        return xs[0];
+    }
+    let (lo, hi, frac) = type7_position(n, p);
+    let (_, &mut low, above) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+    // The next order statistic is the least element above rank `lo`.
+    let high = if hi == lo {
+        low
+    } else {
+        above.iter().copied().min_by(f64::total_cmp).unwrap_or(low)
+    };
+    low + frac * (high - low)
+}
+
+/// The ranks a type-7 quantile interpolates between over `n ≥ 2`
+/// ascending values, and the weight of the upper one.
+fn type7_position(n: usize, p: f64) -> (usize, usize, f64) {
     let h = p * (n as f64 - 1.0);
     let lo = h.floor() as usize;
     let hi = (lo + 1).min(n - 1);
-    let frac = h - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
+    (lo, hi, h - lo as f64)
 }
 
 /// Median (the 0.5 quantile).

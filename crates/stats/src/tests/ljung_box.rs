@@ -38,7 +38,31 @@ use crate::StatsError;
 /// ```
 pub fn ljung_box(sample: &[f64], max_lag: usize) -> Result<TestResult, StatsError> {
     let rho = autocorrelation(sample, max_lag)?;
-    let n = sample.len() as f64;
+    ljung_box_from_autocorr(&rho, sample.len())
+}
+
+/// The Ljung-Box step after the autocorrelation: `Q` and its χ² p-value
+/// from `rho = [ρ̂_1, …, ρ̂_h]` (as [`autocorrelation`] returns them) of
+/// a sample of `n` observations, at `h = rho.len()` degrees of freedom.
+///
+/// A caller that needs `ρ̂` for something else too computes it once and
+/// passes it here; [`ljung_box`] is exactly `autocorrelation` followed by
+/// this step.
+///
+/// # Errors
+///
+/// * [`StatsError::InvalidArgument`] if `rho` is empty;
+/// * [`StatsError::InsufficientData`] if `n < rho.len() + 2`, the
+///   shortest sample [`autocorrelation`] accepts at that lag count.
+pub fn ljung_box_from_autocorr(rho: &[f64], n: usize) -> Result<TestResult, StatsError> {
+    if n < rho.len() + 2 {
+        return Err(StatsError::InsufficientData {
+            needed: rho.len() + 2,
+            got: n,
+        });
+    }
+    let chi2 = ChiSquared::new(rho.len() as f64)?;
+    let n = n as f64;
     let q: f64 = n
         * (n + 2.0)
         * rho
@@ -46,7 +70,6 @@ pub fn ljung_box(sample: &[f64], max_lag: usize) -> Result<TestResult, StatsErro
             .enumerate()
             .map(|(i, r)| r * r / (n - (i + 1) as f64))
             .sum::<f64>();
-    let chi2 = ChiSquared::new(max_lag as f64)?;
     Ok(TestResult {
         statistic: q,
         p_value: chi2.survival(q),
@@ -107,6 +130,21 @@ mod tests {
         assert!(ljung_box(&[1.0, 2.0], 20).is_err());
         assert!(ljung_box(&vec![5.0; 100], 10).is_err()); // constant
         assert!(ljung_box(&white_noise(100), 0).is_err());
+    }
+
+    #[test]
+    fn the_step_after_the_autocorrelation_is_the_whole_test() {
+        let xs = white_noise(500);
+        for lags in [1, 7, 20] {
+            let rho = autocorrelation(&xs, lags).unwrap();
+            let split = ljung_box_from_autocorr(&rho, xs.len()).unwrap();
+            let whole = ljung_box(&xs, lags).unwrap();
+            assert_eq!(split.statistic.to_bits(), whole.statistic.to_bits());
+            assert_eq!(split.p_value.to_bits(), whole.p_value.to_bits());
+        }
+        assert!(ljung_box_from_autocorr(&[], 100).is_err());
+        assert!(ljung_box_from_autocorr(&[0.1; 20], 21).is_err());
+        assert!(ljung_box_from_autocorr(&[0.1; 20], 22).is_ok());
     }
 
     #[test]

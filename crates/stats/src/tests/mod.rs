@@ -15,7 +15,7 @@ mod runs;
 
 pub use anderson_darling::anderson_darling;
 pub use ks::{ks_one_sample, ks_two_sample};
-pub use ljung_box::ljung_box;
+pub use ljung_box::{ljung_box, ljung_box_from_autocorr};
 pub use runs::runs_test;
 
 /// Result of a hypothesis test: the statistic and its p-value.

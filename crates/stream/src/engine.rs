@@ -51,7 +51,9 @@ pub(crate) fn iid_evidence(health: IidHealth) -> IidEvidence {
 /// stream-backed engine shares: final refit (no bootstrap — a verdict
 /// carries no CI), fit evidence around that refit's Gumbel (the
 /// goodness-of-fit and GEV diagnostics read the maxima buffer),
-/// sketch-exact summary, rolling i.i.d. evidence.
+/// sketch-exact summary, rolling i.i.d. evidence. When the final refit
+/// ran in this call, its snapshot's health is the evidence: the window
+/// has not moved since, so evaluating it again would give the same bits.
 /// `provenance.converged` carries the analyzer's online convergence
 /// state when `online_convergence` is set (a federated fold has no
 /// online history and passes `false` → `None`).
@@ -60,7 +62,13 @@ pub(crate) fn finish_into_verdict(
     engine: EngineKind,
     online_convergence: bool,
 ) -> Result<Verdict, MbptaError> {
+    let refits_before = analyzer.snapshots_emitted();
     let snapshot = analyzer.finish_fit()?;
+    let health = if analyzer.snapshots_emitted() > refits_before {
+        snapshot.iid_status
+    } else {
+        analyzer.monitor().health()
+    };
     let fit = fit_from_maxima(
         *snapshot.distribution.tail(),
         analyzer.maxima(),
@@ -73,7 +81,7 @@ pub(crate) fn finish_into_verdict(
             mean: analyzer.sketch().mean(),
             detail: None,
         },
-        iid: iid_evidence(analyzer.monitor().health()),
+        iid: iid_evidence(health),
         fit,
         pwcet: snapshot.distribution,
         provenance: Provenance {
@@ -406,6 +414,38 @@ mod tests {
             verdict.clone().into_report().is_none(),
             "stream verdicts have no batch view"
         );
+    }
+
+    /// A verdict's i.i.d. evidence is the health of the window it was
+    /// finished on: the final refit's own evaluation when `finish`
+    /// refits, a fresh one when it returns the cached snapshot (the
+    /// window may have moved since that snapshot).
+    #[test]
+    fn verdict_iid_evidence_is_the_finished_windows_health() {
+        let data = times(2_000, 5);
+        // Block 25, a refit every 4 blocks from block 10: the last
+        // refit before 1,950 values is at block 78 = 1,950 values.
+        for (n, refits_at_finish) in [(2_000, true), (1_950, false), (1_960, false)] {
+            let mut engine = StreamEngine::new(stream_config()).unwrap();
+            engine.push_batch(&data[..n]).unwrap();
+            let cached = engine.analyzer().last_snapshot.unwrap();
+            let before = engine.analyzer().snapshots_emitted();
+            let verdict = engine.finish().unwrap();
+            let refit = engine.analyzer().snapshots_emitted() > before;
+            assert_eq!(refit, refits_at_finish, "n = {n}");
+            let health = engine.analyzer().monitor().health();
+            assert_eq!(verdict.iid, iid_evidence(health), "n = {n}");
+            let snapshot = engine.analyzer().last_snapshot.unwrap();
+            assert_eq!(
+                snapshot.iid_status,
+                if refit { health } else { cached.iid_status }
+            );
+            if n == 1_960 {
+                // Ten values past the cached snapshot: its health is
+                // stale, and reusing it would have moved the verdict.
+                assert_ne!(cached.iid_status, health);
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,17 @@
 //! bounded window of the most recent observations and continuously re-runs
 //! two cheap non-parametric diagnostics over it:
 //!
-//! * **online autocorrelation** — [`proxima_stats::autocorr::autocorrelation`]
-//!   over the window, pooled into the Ljung-Box statistic (the batch
-//!   gate's independence test, windowed);
+//! * **online autocorrelation** — one
+//!   [`proxima_stats::autocorr::autocorrelation`] pass over the window,
+//!   which the display maximum reads and
+//!   [`proxima_stats::tests::ljung_box_from_autocorr`] pools into the
+//!   Ljung-Box statistic (the batch gate's independence test, windowed);
 //! * **runs test** — the Wald–Wolfowitz runs test of the window
-//!   ([`proxima_stats::tests::runs_test`]).
+//!   ([`proxima_stats::tests::runs_test`]), about a median found by
+//!   selection rather than a sort.
+//!
+//! One [`IidMonitor::health`] call is therefore one sweep for every lag,
+//! one selection and one runs count over the window.
 //!
 //! Each test is held to `α/2` (Bonferroni over the pair), so the
 //! family-wise false-alarm rate per window stays at `α`. The per-lag
@@ -27,7 +33,7 @@ use std::collections::VecDeque;
 
 use proxima_stats::autocorr::{autocorrelation, default_lag};
 use proxima_stats::dist::{ContinuousDistribution, Normal};
-use proxima_stats::tests::{ljung_box, runs_test};
+use proxima_stats::tests::{ljung_box_from_autocorr, runs_test};
 
 /// The health verdict over the current window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,12 +208,17 @@ impl IidMonitor {
             // (0, 1) at config time, so the argument stays inside (0, 1).
             .expect("probability in range");
         let band = z / (w as f64).sqrt();
-        // A degenerate (constant) window supports neither test; nothing
-        // to flag beyond what the fit layer already rejects.
-        let max_abs = autocorrelation(&xs, lags)
-            .ok()
+        // One autocorrelation pass feeds both the display maximum and
+        // the pooled Ljung-Box. A degenerate (constant) window supports
+        // neither test; nothing to flag beyond what the fit layer
+        // already rejects.
+        let rho = autocorrelation(&xs, lags).ok();
+        let max_abs = rho
+            .as_ref()
             .map(|rho| rho.iter().fold(0.0f64, |m, r| m.max(r.abs())));
-        let lb = ljung_box(&xs, lags).ok();
+        let lb = rho
+            .as_ref()
+            .and_then(|rho| ljung_box_from_autocorr(rho, w).ok());
         let runs = runs_test(&xs).ok();
         // Bonferroni over the two gate tests: each at alpha/2.
         let per_test = self.alpha / 2.0;
@@ -355,6 +366,171 @@ mod tests {
             let before = itemized.window.clone();
             itemized.push_batch(&[]);
             assert_eq!(itemized.window, before);
+        }
+    }
+
+    /// The composition `health()` replaced, kept as its oracle: one
+    /// autocorrelation pass for the display maximum, `ljung_box` (a
+    /// second pass), and the runs test about a median from a sorted copy.
+    mod oracle {
+        use super::super::{IidHealth, IidMonitor, IidStatus, MIN_WINDOW};
+        use proxima_stats::autocorr::{autocorrelation, default_lag};
+        use proxima_stats::descriptive::quantile_sorted;
+        use proxima_stats::dist::{ContinuousDistribution, Normal};
+        use proxima_stats::special::std_normal_sf;
+        use proxima_stats::tests::{ljung_box, TestResult};
+
+        /// `runs_test` before selection, with `None` for its errors: its
+        /// median from a `total_cmp` sort of a copy.
+        fn runs_test(sample: &[f64]) -> Option<TestResult> {
+            if sample.len() < 20 || sample.iter().any(|x| !x.is_finite()) {
+                return None;
+            }
+            let mut sorted = sample.to_vec();
+            sorted.sort_by(|a, b| a.total_cmp(b));
+            let med = quantile_sorted(&sorted, 0.5);
+            let signs: Vec<bool> = sample
+                .iter()
+                .filter(|&&x| x != med)
+                .map(|&x| x > med)
+                .collect();
+            if signs.len() < 20 {
+                return None;
+            }
+            let n_pos = signs.iter().filter(|&&s| s).count() as f64;
+            let n_neg = signs.len() as f64 - n_pos;
+            if n_pos == 0.0 || n_neg == 0.0 {
+                return None;
+            }
+            let runs = 1 + signs.windows(2).filter(|w| w[0] != w[1]).count();
+            let n = n_pos + n_neg;
+            let mean = 2.0 * n_pos * n_neg / n + 1.0;
+            let var = 2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n * n * (n - 1.0));
+            let z = (runs as f64 - mean) / var.sqrt();
+            let p = 2.0 * std_normal_sf(z.abs());
+            Some(TestResult {
+                statistic: z,
+                p_value: p.min(1.0),
+            })
+        }
+
+        pub(super) fn health(m: &IidMonitor) -> IidHealth {
+            let w = m.window.len();
+            if w < MIN_WINDOW {
+                return IidHealth {
+                    status: IidStatus::Warming,
+                    window_len: w,
+                    max_abs_autocorr: None,
+                    autocorr_band: None,
+                    ljung_box_p: None,
+                    runs_p: None,
+                };
+            }
+            let xs: Vec<f64> = m.window.iter().copied().collect();
+            let lags = default_lag(w);
+            let z = Normal::new(0.0, 1.0)
+                .unwrap()
+                .quantile(1.0 - m.alpha / (2.0 * lags as f64))
+                .unwrap();
+            let band = z / (w as f64).sqrt();
+            let max_abs = autocorrelation(&xs, lags)
+                .ok()
+                .map(|rho| rho.iter().fold(0.0f64, |m, r| m.max(r.abs())));
+            let lb = ljung_box(&xs, lags).ok();
+            let runs = runs_test(&xs);
+            let per_test = m.alpha / 2.0;
+            let lb_ok = lb.is_none_or(|r| r.passes(per_test));
+            let runs_ok = runs.is_none_or(|r| r.passes(per_test));
+            IidHealth {
+                status: if lb_ok && runs_ok {
+                    IidStatus::Healthy
+                } else {
+                    IidStatus::Suspect
+                },
+                window_len: w,
+                max_abs_autocorr: max_abs,
+                autocorr_band: Some(band),
+                ljung_box_p: lb.map(|r| r.p_value),
+                runs_p: runs.map(|r| r.p_value),
+            }
+        }
+    }
+
+    /// Every field of a health evaluation, floats as bits.
+    type HealthBits = (IidStatus, usize, [Option<u64>; 4]);
+
+    fn health_bits(h: IidHealth) -> HealthBits {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        (
+            h.status,
+            h.window_len,
+            [
+                bits(h.max_abs_autocorr),
+                bits(h.autocorr_band),
+                bits(h.ljung_box_p),
+                bits(h.runs_p),
+            ],
+        )
+    }
+
+    #[test]
+    fn health_is_bit_identical_to_the_replaced_composition() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut windows: Vec<(&str, Vec<f64>)> = vec![
+            ("empty", vec![]),
+            ("warming", (0..MIN_WINDOW - 1).map(|i| i as f64).collect()),
+            ("constant", vec![42.0; 120]),
+            (
+                "signed zeros",
+                (0..90).map(|i| [0.0, -0.0, 1.0][i % 3]).collect(),
+            ),
+        ];
+        // Runs-degenerate: the median is the minimum, so one side of it
+        // is empty; then fewer than 20 values off the median.
+        let mut one_sided = vec![1000.0; 60];
+        one_sided.extend((0..40).map(|i| 1001.0 + i as f64));
+        windows.push(("one-sided", one_sided));
+        let mut few_off = vec![1000.0; 85];
+        few_off.extend((0..15).map(|i| 990.0 + 2.0 * i as f64));
+        windows.push(("few off the median", few_off));
+        for len in [MIN_WINDOW, 137, 500] {
+            let tied = (0..len)
+                .map(|_| 78_000.0 + 24.0 * (rng.gen::<f64>() * 6.0).floor())
+                .collect();
+            windows.push(("tied", tied));
+            let continuous = (0..len).map(|_| 1e5 + 150.0 * rng.gen::<f64>()).collect();
+            windows.push(("continuous", continuous));
+            let mut level = 0.0f64;
+            let ar = (0..len)
+                .map(|_| {
+                    level = 0.9 * level + rng.gen::<f64>();
+                    1e5 + 500.0 * level
+                })
+                .collect();
+            windows.push(("autocorrelated", ar));
+        }
+        let mut statuses = Vec::new();
+        for (name, values) in &windows {
+            for capacity in [MIN_WINDOW, 200, 500] {
+                let mut m = IidMonitor::new(capacity, 0.05);
+                m.push_batch(values);
+                let got = m.health();
+                assert_eq!(
+                    health_bits(got),
+                    health_bits(oracle::health(&m)),
+                    "{name}, {} values, capacity {capacity}",
+                    values.len()
+                );
+                statuses.push(got.status);
+                let degenerate = ["constant", "one-sided", "few off the median"];
+                if degenerate.contains(name) && capacity >= values.len() {
+                    assert!(got.runs_p.is_none(), "{name}: the runs test ran");
+                    assert_ne!(got.status, IidStatus::Warming, "{name}");
+                }
+            }
+        }
+        for status in [IidStatus::Warming, IidStatus::Healthy, IidStatus::Suspect] {
+            assert!(statuses.contains(&status), "no {status} window");
         }
     }
 
