@@ -207,9 +207,9 @@ impl Verdict {
 }
 
 /// One emitted pWCET estimate — the channel-agnostic snapshot vocabulary
-/// a session's scheduler emits. The streaming crate's `PwcetSnapshot` is
-/// the engine-internal superset this projects from.
-#[derive(Debug, Clone, PartialEq)]
+/// a session's scheduler emits. The streaming crate's analyzers return
+/// it directly from every refit, with `blocks` and a rolling `iid` set.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineEstimate {
     /// Measurements ingested when the estimate was produced.
     pub n: usize,
@@ -540,7 +540,7 @@ impl Engine for BatchEngine {
         {
             self.refit();
         }
-        self.cached.clone()
+        self.cached
     }
 
     fn converged(&self) -> bool {

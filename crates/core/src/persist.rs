@@ -67,10 +67,15 @@ use crate::MbptaError;
 /// sketch record became kind-tagged (`Sketch`). GK (tag 0) is the only
 /// sketch left; tag 1, a second sketch since removed, fails to decode.
 ///
+/// Version 4: the analyzer record stores its last estimate through the
+/// [`EngineEstimate`] codec (the stream crate's own snapshot and health
+/// records are gone), and the session header lost its always-set polling
+/// flag. No frame payload changed.
+///
 /// Bumping this without regenerating the golden fixtures breaks the
 /// crash-resume battery: rerun with PROXIMA_REGEN_FIXTURES=1 and commit
 /// the refreshed `tests/fixtures/` alongside the bump (fixture-regen).
-pub const FORMAT_VERSION: u8 = 3;
+pub const FORMAT_VERSION: u8 = 4;
 
 /// Magic tag of a serialized engine state ([`Engine::save_state`]).
 ///
@@ -151,7 +156,7 @@ pub fn unseal(bytes: &[u8], magic: [u8; 4]) -> Result<&[u8], MbptaError> {
         )));
     }
     // proxima-lint: allow(no-lib-panic) -- the length check above proved
-    // the blob holds at least 21 bytes, so this 8-byte slice exists.
+    // the blob holds at least 13 bytes, so this 8-byte slice exists.
     let len = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"));
     let len: usize = len
         .try_into()

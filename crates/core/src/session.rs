@@ -352,11 +352,6 @@ pub struct AnalysisSession<F: EngineFactory> {
     /// its estimate converges — freeing sketch/buffer memory in long
     /// sessions — instead of running until [`merge`](Self::merge).
     early_finish: bool,
-    /// When false the session never polls engines (no scheduled
-    /// snapshots, no convergence announcements). New sessions poll; the
-    /// flag is part of the checkpoint format, so a restored session
-    /// keeps the value its blob records.
-    polling: bool,
 }
 
 impl<F: EngineFactory> AnalysisSession<F> {
@@ -384,7 +379,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
             last_checkpoint_at: 0,
             jobs,
             early_finish,
-            polling: true,
         }
     }
 
@@ -717,9 +711,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
             let chunk = &xs[i..i + stretch];
             i += stretch;
             self.ingest_quietly(index, chunk);
-            if !self.polling {
-                continue;
-            }
             if self.snapshot_every == 0 {
                 self.poll_quietly(index);
             } else if self.since_snapshot >= self.snapshot_every {
@@ -743,9 +734,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
     /// from the current state before the per-item scheduler could do
     /// anything but bookkeeping. `<= 1` means "go item by item".
     fn quiet_stretch(&self, index: usize, remaining: usize) -> usize {
-        if !self.polling {
-            return remaining;
-        }
         let state = &self.channels[index];
         let engine_h = match &state.engine {
             // Quarantined or early-finished: pushes only count drops and
@@ -779,7 +767,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
     /// dropped) on an engine error.
     fn ingest_quietly(&mut self, index: usize, chunk: &[f64]) {
         self.total += chunk.len();
-        let poll_eligible = self.polling;
         let state = &mut self.channels[index];
         match state.engine.as_mut() {
             None => state.dropped += chunk.len(),
@@ -792,7 +779,7 @@ impl<F: EngineFactory> AnalysisSession<F> {
                     // engine is still here (a no-op when nothing was
                     // accepted — the outcome class cannot change inside
                     // the quiet stretch).
-                    if poll_eligible && state.failed.is_none() && !state.converged_emitted {
+                    if state.failed.is_none() && !state.converged_emitted {
                         let _ = state.poll_fresh();
                     }
                     state.failed = Some(e);
@@ -848,9 +835,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
     /// `snapshot_every` measurements, emit the next fresh estimate in
     /// round-robin channel order.
     fn emit(&mut self, pushed: usize) -> Option<SessionSnapshot> {
-        if !self.polling {
-            return None;
-        }
         let total = self.total;
         let state = &mut self.channels[pushed];
         if state.failed.is_none() && !state.converged_emitted && state.engine.is_some() {
@@ -912,7 +896,7 @@ impl<F: EngineFactory> AnalysisSession<F> {
 
     /// Serialize the session's complete state into a sealed checkpoint
     /// blob: scheduler cursors (`total`, snapshot phase, round-robin
-    /// cursor), the early-finish/polling flags, and — per channel, in
+    /// cursor), the early-finish flag, and — per channel, in
     /// first-seen order — its engine state ([`Engine::save_state`]),
     /// quarantine error, early-finish verdict, drop counters and
     /// snapshot-freshness bookkeeping.
@@ -933,7 +917,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
         w.usize(self.since_snapshot);
         w.usize(self.rr_cursor);
         w.bool(self.early_finish);
-        w.bool(self.polling);
         w.usize(self.channels.len());
         for state in &self.channels {
             encode_channel_state(state, &mut w)?;
@@ -1025,7 +1008,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
         let since_snapshot = r.usize()?;
         let rr_cursor = r.usize()?;
         let early_finish = r.bool()?;
-        let polling = r.bool()?;
         let n_channels = r.usize()?;
         if n_channels > payload.len() {
             return Err(MbptaError::checkpoint(
@@ -1059,7 +1041,6 @@ impl<F: EngineFactory> AnalysisSession<F> {
             last_checkpoint_at: total,
             jobs,
             early_finish,
-            polling,
         })
     }
 
@@ -1242,7 +1223,6 @@ where
             last_checkpoint_at: self.last_checkpoint_at,
             jobs: self.jobs,
             early_finish: self.early_finish,
-            polling: self.polling,
         }
     }
 }

@@ -9,7 +9,9 @@
 //!    happen;
 //! 2. every encoded type appears in the golden-fixture coverage list
 //!    (`CODEC_COVERAGE` in `tests/checkpoint.rs`), so the committed
-//!    fixture bytes transitively pin its wire layout;
+//!    fixture bytes transitively pin its wire layout, and every listed
+//!    name is encoded by some `persist.rs`, so a deleted codec does not
+//!    stay listed;
 //! 3. every `FORMAT_VERSION` constant definition carries the
 //!    fixture-regen marker (`PROXIMA_REGEN_FIXTURES`) in an adjacent
 //!    comment, so nobody bumps the wire version without seeing how to
@@ -19,6 +21,7 @@
 
 use super::{LintContext, Rule};
 use crate::source::{Finding, SourceFile};
+use crate::workspace::COVERAGE_FILE;
 
 pub struct CodecDiscipline;
 
@@ -34,11 +37,13 @@ impl Rule for CodecDiscipline {
     }
 
     fn check(&self, files: &[SourceFile], ctx: &LintContext, out: &mut Vec<Finding>) {
+        let mut encoded_anywhere: Vec<String> = Vec::new();
         for file in files {
             if file.file_name() != "persist.rs" {
                 continue;
             }
             let encodes = impl_targets(file, "Encode");
+            encoded_anywhere.extend(encodes.iter().map(|(t, _)| t.clone()));
             let decodes = impl_targets(file, "Decode");
 
             for (target, line) in &encodes {
@@ -120,6 +125,24 @@ impl Rule for CodecDiscipline {
                                   PROXIMA_REGEN_FIXTURES=1 so version bumps and fixture \
                                   regeneration travel together"
                             .to_string(),
+                    });
+                }
+            }
+        }
+
+        // Stale coverage entries: a listed name no scanned persist.rs
+        // encodes (only judged when some persist.rs was scanned).
+        if ctx.enforce_coverage && !encoded_anywhere.is_empty() {
+            for name in ctx.codec_coverage.iter().flatten() {
+                if !encoded_anywhere.contains(name) {
+                    out.push(Finding {
+                        rule: self.name(),
+                        path: COVERAGE_FILE.to_string(),
+                        line: 1,
+                        message: format!(
+                            "CODEC_COVERAGE lists `{name}`, but no persist.rs \
+                             encodes it; remove the stale entry"
+                        ),
                     });
                 }
             }

@@ -125,6 +125,35 @@ fn missing_coverage_list_is_reported_when_enforced() {
 }
 
 #[test]
+fn stale_coverage_entry_is_reported_when_enforced() {
+    // `Half` is encoded; `Gone` names a codec no persist.rs has any more.
+    let ctx = LintContext {
+        enforce_coverage: true,
+        codec_coverage: Some(vec!["Gone".to_string(), "Half".to_string()]),
+        ..LintContext::default()
+    };
+    let findings = lint_source(
+        "crates/fake/src/persist.rs",
+        include_str!("fixtures/bad_persist.rs"),
+        &ctx,
+    );
+    let stale: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.message.contains("stale"))
+        .collect();
+    assert_eq!(stale.len(), 1, "{findings:?}");
+    assert!(stale[0].message.contains("`Gone`"), "{stale:?}");
+    assert_eq!(stale[0].path, "tests/checkpoint.rs");
+    // With no persist.rs in the run, no entry is judged stale.
+    let findings = lint_source(
+        "crates/fake/src/other.rs",
+        include_str!("fixtures/bad_persist.rs"),
+        &ctx,
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn exit_fixture_fires_in_lib_but_not_bin() {
     let findings = lint_source(
         "crates/fake/src/quit.rs",

@@ -520,7 +520,7 @@ impl Worker {
             .map(|snap| WireSnapshot {
                 channel: snap.channel.as_str().to_string(),
                 total: (len_before + (snap.total - worker_before)) as u64,
-                estimate: snap.estimate.clone(),
+                estimate: snap.estimate,
             })
             .collect();
 

@@ -1,5 +1,5 @@
 //! Incremental MBPTA: ingest measurements online, refit the tail
-//! periodically, emit a stream of pWCET snapshots.
+//! periodically, emit a stream of pWCET estimates.
 //!
 //! [`StreamAnalyzer`] is the streaming counterpart of the batch
 //! [`analyze`](proxima_mbpta::MbptaConfig::analyze) pipeline. It never
@@ -16,17 +16,20 @@
 //!
 //! Every `refit_every_blocks` completed blocks it refits the Gumbel
 //! (`fit_gumbel`, PWM + MLE — the exact fitting path of
-//! `proxima_mbpta::evt_fit`) and emits a [`PwcetSnapshot`]. Because the
-//! maxima buffer is identical to what [`block_maxima`] extracts from the
-//! full vector, the final snapshot of a fully streamed trace **equals the
-//! batch result bit for bit** at the same fixed block size.
+//! `proxima_mbpta::evt_fit`) and emits an [`EngineEstimate`] — the
+//! session's own estimate vocabulary, with `blocks` and the monitor's
+//! rolling [`IidEvidence`](proxima_mbpta::engine::IidEvidence) always
+//! set. Because the maxima buffer is identical to what [`block_maxima`]
+//! extracts from the full vector, the final estimate of a fully streamed
+//! trace **equals the batch result bit for bit** at the same fixed block
+//! size.
 //!
-//! A snapshot's bootstrap CI is computed when something first reads the
-//! snapshot, not at the refit: the public methods that hand snapshots
+//! An estimate's bootstrap CI is computed when something first reads the
+//! estimate, not at the refit: the public methods that hand estimates
 //! out ([`push`](StreamAnalyzer::push), `push_batch`, `extend`,
 //! `finish`, `last_snapshot`) and the checkpoint encoder are the
 //! readers. The interval resamples `maxima[..blocks]` — the buffer only
-//! grows — with the snapshot's own seed, so a late interval has the
+//! grows — with the estimate's own seed, so a late interval has the
 //! bits an eager one would have had, and no interval is computed twice.
 //! The session engines ingest without reading, so a refit nobody reads
 //! costs no bootstrap, and neither does a verdict (no verdict carries a
@@ -41,7 +44,7 @@
 //! # Bulk ingestion
 //!
 //! [`StreamAnalyzer::push_batch`] ingests a slice in one call and is
-//! **bit-identical** to pushing the values one by one — same snapshots,
+//! **bit-identical** to pushing the values one by one — same estimates,
 //! same refit points, same checkpoint bytes — while amortizing sketch
 //! compaction and monitor maintenance over each batch (the cost model
 //! is laid out in `docs/PERFORMANCE.md`):
@@ -73,12 +76,13 @@ use std::sync::OnceLock;
 
 use proxima_mbpta::confidence::{interval_from_maxima, BudgetInterval};
 use proxima_mbpta::convergence::ConvergenceConfig;
+use proxima_mbpta::engine::EngineEstimate;
 use proxima_mbpta::{BlockSpec, MbptaConfig, MbptaError, Pwcet};
 use proxima_prng::SplitMix64;
 use proxima_stats::evt::fit_gumbel;
 use proxima_stats::StatsError;
 
-use crate::monitor::{IidHealth, IidMonitor};
+use crate::monitor::{IidMonitor, MAX_MONITOR_CAPACITY, MIN_WINDOW};
 use crate::sketch::{Sketch, SketchKind};
 
 #[cfg(doc)]
@@ -125,9 +129,10 @@ pub struct StreamConfig {
     pub stable_snapshots: usize,
     /// Complete blocks required before the first fit.
     pub min_blocks: usize,
-    /// Significance level of the rolling i.i.d. diagnostics.
+    /// Significance level of the rolling i.i.d. diagnostics, in
+    /// `(0, 0.5]`.
     pub alpha: f64,
-    /// Window length of the i.i.d. monitor.
+    /// Window length of the i.i.d. monitor, from 50 to 2²⁰.
     pub monitor_window: usize,
     /// Rank-error bound of the quantile sketch.
     pub sketch_epsilon: f64,
@@ -190,9 +195,11 @@ impl StreamConfig {
     ///
     /// Returns [`MbptaError::InvalidConfig`] for a zero block size / refit
     /// period, a cutoff outside `(0, 1)`, a non-positive tolerance, fewer
-    /// than 2 minimum blocks, a sketch epsilon outside `(0, 0.5)`, or a
-    /// bootstrap with a level outside `(0, 1)` or zero resamples (which
-    /// would otherwise emit `ci: None` at every refit).
+    /// than 2 minimum blocks, a monitor alpha outside `(0, 0.5]` or window
+    /// outside `[50, 2²⁰]` (which the monitor would otherwise replace
+    /// silently, or fail to allocate), a sketch epsilon outside
+    /// `(0, 0.5)`, or a bootstrap with a level outside `(0, 1)` or zero
+    /// resamples (which would otherwise emit `ci: None` at every refit).
     pub fn validate(&self) -> Result<(), MbptaError> {
         if self.block_size == 0 {
             return Err(MbptaError::InvalidConfig {
@@ -217,6 +224,16 @@ impl StreamConfig {
         if self.min_blocks < 2 {
             return Err(MbptaError::InvalidConfig {
                 what: "need at least 2 blocks before the first fit",
+            });
+        }
+        if !(self.alpha > 0.0 && self.alpha <= 0.5) {
+            return Err(MbptaError::InvalidConfig {
+                what: "i.i.d. monitor alpha must be in (0, 0.5]",
+            });
+        }
+        if !(MIN_WINDOW..=MAX_MONITOR_CAPACITY).contains(&self.monitor_window) {
+            return Err(MbptaError::InvalidConfig {
+                what: "i.i.d. monitor window must hold 50 to 2^20 observations",
             });
         }
         if !(self.sketch_epsilon > 0.0 && self.sketch_epsilon < 0.5) {
@@ -264,33 +281,6 @@ fn fixed_block_size(block: &BlockSpec) -> usize {
     }
 }
 
-/// One emitted pWCET estimate with its context.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PwcetSnapshot {
-    /// Measurements ingested when the snapshot was taken.
-    pub n: usize,
-    /// Complete blocks (= block maxima) the fit used.
-    pub blocks: usize,
-    /// The pWCET budget at the configured `target_p`.
-    pub pwcet: f64,
-    /// The full fitted pWCET distribution, for queries at other cutoffs.
-    pub distribution: Pwcet,
-    /// Bootstrap confidence interval for `pwcet`, when configured and the
-    /// resampling succeeded. Computed when the snapshot is first read
-    /// (see the [module docs](self)), with the bits an interval computed
-    /// at the refit would have.
-    pub ci: Option<BudgetInterval>,
-    /// Relative change versus the previous snapshot's estimate (`None` on
-    /// the first snapshot).
-    pub convergence_delta: Option<f64>,
-    /// Rolling i.i.d. diagnostics at snapshot time.
-    pub iid_status: IidHealth,
-    /// `true` once the convergence criterion has been met (latched).
-    pub converged: bool,
-    /// Exact high watermark observed so far.
-    pub high_watermark: f64,
-}
-
 /// The streaming MBPTA analyzer.
 ///
 /// # Examples
@@ -332,9 +322,9 @@ pub struct StreamAnalyzer {
     pub(crate) stable_run: usize,
     pub(crate) converged_at: Option<usize>,
     pub(crate) last_fit_error: Option<MbptaError>,
-    /// The most recent snapshot with `ci` left `None`: its interval
+    /// The most recent estimate with `ci` left `None`: its interval
     /// lives in `last_ci`.
-    pub(crate) last_snapshot: Option<PwcetSnapshot>,
+    pub(crate) last_snapshot: Option<EngineEstimate>,
     /// `last_snapshot`'s bootstrap interval, computed on first read.
     /// Emptied at every refit; a decoded analyzer holds the decoded one.
     pub(crate) last_ci: OnceLock<Option<BudgetInterval>>,
@@ -428,31 +418,31 @@ impl StreamAnalyzer {
         &self.maxima
     }
 
-    /// The most recent emitted snapshot, if any — the cached estimate a
+    /// The most recent emitted estimate, if any — the cached estimate a
     /// session engine exposes between refits. Its bootstrap CI is
     /// computed on the first read and kept.
-    pub fn last_snapshot(&self) -> Option<PwcetSnapshot> {
-        self.last_snapshot.map(|snap| PwcetSnapshot {
+    pub fn last_snapshot(&self) -> Option<EngineEstimate> {
+        self.last_snapshot.map(|snap| EngineEstimate {
             ci: self.last_ci(&snap),
             ..snap
         })
     }
 
-    /// The bootstrap interval of `snap`, the most recent snapshot:
+    /// The bootstrap interval of `snap`, the most recent estimate:
     /// computed on the first call, from the maxima prefix and the seed
     /// the refit saw, and kept until the next refit.
-    fn last_ci(&self, snap: &PwcetSnapshot) -> Option<BudgetInterval> {
+    fn last_ci(&self, snap: &EngineEstimate) -> Option<BudgetInterval> {
         *self.last_ci.get_or_init(|| {
             let spec = self.config.bootstrap.as_ref()?;
             interval_from_maxima(
-                &self.maxima[..snap.blocks],
+                &self.maxima[..snap.blocks?],
                 self.config.block_size,
                 snap.pwcet,
                 self.config.target_p,
                 spec.level,
                 spec.resamples,
-                // The refit counted its own snapshot: a refit-made
-                // snapshot has index `snapshots - 1` (a decoded one never
+                // The refit counted its own estimate: a refit-made
+                // estimate has index `snapshots - 1` (a decoded one never
                 // gets here — its interval was decoded with it).
                 SplitMix64::stream_seed(spec.seed, (self.snapshots - 1) as u64),
                 1,
@@ -468,7 +458,7 @@ impl StreamAnalyzer {
         self.last_fit_error.as_ref()
     }
 
-    /// Ingest one measurement. Returns a snapshot when this measurement
+    /// Ingest one measurement. Returns an estimate when this measurement
     /// completed a refit checkpoint.
     ///
     /// # Errors
@@ -477,7 +467,7 @@ impl StreamAnalyzer {
     /// cannot produce (a corrupted stream must not silently skew the
     /// tail): [`StatsError::NonFiniteData`] for NaN or ±∞,
     /// [`StatsError::InvalidArgument`] for a negative execution time.
-    pub fn push(&mut self, x: f64) -> Result<Option<PwcetSnapshot>, MbptaError> {
+    pub fn push(&mut self, x: f64) -> Result<Option<EngineEstimate>, MbptaError> {
         Ok(if self.ingest(x)? {
             self.last_snapshot()
         } else {
@@ -485,7 +475,7 @@ impl StreamAnalyzer {
         })
     }
 
-    /// [`Self::push`] without reading the snapshot: `true` when this
+    /// [`Self::push`] without reading the estimate: `true` when this
     /// measurement completed a refit, whose CI stays owed.
     pub(crate) fn ingest(&mut self, x: f64) -> Result<bool, MbptaError> {
         check_measurement(x).map_err(MbptaError::Stats)?;
@@ -511,7 +501,7 @@ impl StreamAnalyzer {
         Ok(self.refit().is_some())
     }
 
-    /// Ingest a batch of measurements, collecting every snapshot emitted
+    /// Ingest a batch of measurements, collecting every estimate emitted
     /// along the way.
     ///
     /// # Errors
@@ -520,7 +510,7 @@ impl StreamAnalyzer {
     pub fn extend(
         &mut self,
         xs: impl IntoIterator<Item = f64>,
-    ) -> Result<Vec<PwcetSnapshot>, MbptaError> {
+    ) -> Result<Vec<EngineEstimate>, MbptaError> {
         let mut out = Vec::new();
         for x in xs {
             if let Some(snap) = self.push(x)? {
@@ -530,12 +520,12 @@ impl StreamAnalyzer {
         Ok(out)
     }
 
-    /// Bulk-ingest a slice of measurements, collecting every snapshot a
+    /// Bulk-ingest a slice of measurements, collecting every estimate a
     /// per-item [`push`](Self::push) loop would have emitted.
     ///
     /// The analyzer afterwards is **bit-identical** to the itemized loop
     /// at every batch split — same sketch tuples, monitor window, block
-    /// maxima and snapshot sequence — but the sketch and monitor are
+    /// maxima and estimate sequence — but the sketch and monitor are
     /// maintained in amortized chunks: the batch is cut exactly at the
     /// refit checkpoints, so each refit still observes the state as of
     /// its own measurement, and everything between two checkpoints goes
@@ -564,15 +554,15 @@ impl StreamAnalyzer {
     /// assert_eq!(batched.len(), itemized.len());
     /// # Ok::<(), proxima_mbpta::MbptaError>(())
     /// ```
-    pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<PwcetSnapshot>, MbptaError> {
+    pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<EngineEstimate>, MbptaError> {
         let mut out = Vec::new();
         self.ingest_batch(xs, |analyzer| out.extend(analyzer.last_snapshot()))?;
         Ok(out)
     }
 
     /// The loop of [`Self::push_batch`], calling `on_snapshot` after each
-    /// refit that produced a snapshot. The session engines pass a no-op,
-    /// so the snapshots' CIs stay owed.
+    /// refit that produced an estimate. The session engines pass a no-op,
+    /// so the estimates' CIs stay owed.
     pub(crate) fn ingest_batch(
         &mut self,
         xs: &[f64],
@@ -711,7 +701,7 @@ impl StreamAnalyzer {
     /// Force a final refit over everything ingested so far (trailing
     /// partial blocks are discarded, exactly like the batch pipeline).
     /// If the stream ended exactly on a checkpoint, the checkpoint's
-    /// snapshot is returned as-is — refitting the identical maxima buffer
+    /// estimate is returned as-is — refitting the identical maxima buffer
     /// would add no information but would double-count a zero delta into
     /// the convergence criterion.
     ///
@@ -719,18 +709,18 @@ impl StreamAnalyzer {
     ///
     /// Returns [`MbptaError::CampaignTooSmall`] if fewer than
     /// `min_blocks` blocks completed, or the underlying fit error.
-    pub fn finish(&mut self) -> Result<PwcetSnapshot, MbptaError> {
+    pub fn finish(&mut self) -> Result<EngineEstimate, MbptaError> {
         let snap = self.finish_fit()?;
-        Ok(PwcetSnapshot {
+        Ok(EngineEstimate {
             ci: self.last_ci(&snap),
             ..snap
         })
     }
 
-    /// [`Self::finish`] without the bootstrap: the final snapshot with
+    /// [`Self::finish`] without the bootstrap: the final estimate with
     /// `ci` left `None` and its interval owed. The verdict path calls
     /// this — a verdict carries no CI.
-    pub(crate) fn finish_fit(&mut self) -> Result<PwcetSnapshot, MbptaError> {
+    pub(crate) fn finish_fit(&mut self) -> Result<EngineEstimate, MbptaError> {
         if self.maxima.len() < self.config.min_blocks {
             return Err(MbptaError::CampaignTooSmall {
                 needed: self.config.min_blocks * self.config.block_size,
@@ -738,7 +728,7 @@ impl StreamAnalyzer {
             });
         }
         if let Some(snap) = self.last_snapshot {
-            if snap.blocks == self.maxima.len() {
+            if snap.blocks == Some(self.maxima.len()) {
                 return Ok(snap);
             }
         }
@@ -752,11 +742,11 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Refit the Gumbel on the maxima buffer and record the snapshot,
+    /// Refit the Gumbel on the maxima buffer and record the estimate,
     /// returned with `ci` left `None` (its interval is owed until read).
     /// A failed fit is recorded and skipped — the stream retries at the
     /// next checkpoint.
-    fn refit(&mut self) -> Option<PwcetSnapshot> {
+    fn refit(&mut self) -> Option<EngineEstimate> {
         // An all-equal buffer is degenerate at any length: name that
         // rather than the fit's too-few-maxima error below 10 maxima
         // (`min_blocks` may be as low as 2).
@@ -792,14 +782,14 @@ impl StreamAnalyzer {
         }
         self.last_estimate = Some(budget);
         self.snapshots += 1;
-        let snap = PwcetSnapshot {
+        let snap = EngineEstimate {
             n: self.n,
-            blocks: self.maxima.len(),
+            blocks: Some(self.maxima.len()),
             pwcet: budget,
             distribution: pwcet,
             ci: None,
             convergence_delta,
-            iid_status: self.monitor.health(),
+            iid: Some(self.monitor.health()),
             converged: self.converged_at.is_some(),
             // proxima-lint: allow(no-lib-panic) -- snapshot emission is
             // gated on n > 0 earlier in this function, so max() is Some.
@@ -814,7 +804,6 @@ impl StreamAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::IidStatus;
     use rand::{Rng, SeedableRng};
 
     fn times(n: usize, seed: u64) -> Vec<f64> {
@@ -835,7 +824,7 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(StreamConfig::default().validate().is_ok());
-        for bad in [
+        let mut bad_configs = vec![
             StreamConfig {
                 block_size: 0,
                 ..StreamConfig::default()
@@ -860,8 +849,33 @@ mod tests {
                 sketch_epsilon: 0.7,
                 ..StreamConfig::default()
             },
-        ] {
+        ];
+        // What the monitor would otherwise replace silently, fail to
+        // allocate, or the checkpoint decoder would refuse.
+        for alpha in [0.0, -0.05, 0.5001, 7.0, f64::NAN] {
+            bad_configs.push(StreamConfig {
+                alpha,
+                ..StreamConfig::default()
+            });
+        }
+        for monitor_window in [0, MIN_WINDOW - 1, MAX_MONITOR_CAPACITY + 1, usize::MAX] {
+            bad_configs.push(StreamConfig {
+                monitor_window,
+                ..StreamConfig::default()
+            });
+        }
+        for bad in bad_configs {
             assert!(bad.validate().is_err(), "{bad:?}");
+            assert!(StreamAnalyzer::new(bad).is_err());
+        }
+        // The monitor's own bounds are valid.
+        for (alpha, monitor_window) in [(0.5, MIN_WINDOW), (1e-9, MAX_MONITOR_CAPACITY)] {
+            let edge = StreamConfig {
+                alpha,
+                monitor_window,
+                ..StreamConfig::default()
+            };
+            assert!(edge.validate().is_ok(), "{edge:?}");
         }
     }
 
@@ -973,7 +987,7 @@ mod tests {
             "streaming and batch budgets must agree exactly"
         );
         assert_eq!(streamed.distribution, batch);
-        assert_eq!(streamed.blocks, maxima.len());
+        assert_eq!(streamed.blocks, Some(maxima.len()));
     }
 
     #[test]
@@ -1022,7 +1036,7 @@ mod tests {
         let snaps = a.extend(times(2950, 9)).unwrap();
         let emitted_before = a.snapshots_emitted();
         let last = *snaps.last().unwrap();
-        assert_eq!(last.blocks, 118);
+        assert_eq!(last.blocks, Some(118));
         let fin = a.finish().unwrap();
         assert_eq!(fin, last);
         assert_eq!(a.snapshots_emitted(), emitted_before);
@@ -1031,7 +1045,7 @@ mod tests {
         b.extend(times(3000, 9)).unwrap(); // 120 blocks, checkpoint at 118
         let emitted = b.snapshots_emitted();
         let fin = b.finish().unwrap();
-        assert_eq!(fin.blocks, 120);
+        assert_eq!(fin.blocks, Some(120));
         assert_eq!(b.snapshots_emitted(), emitted + 1);
     }
 
@@ -1126,7 +1140,7 @@ mod tests {
         assert!(left.last_snapshot().is_none());
         // finish() refits the merged buffer from scratch.
         let snap = left.finish().unwrap();
-        assert_eq!(snap.blocks, 220);
+        assert_eq!(snap.blocks, Some(220));
         assert_eq!(snap.n, 5500);
     }
 
@@ -1189,7 +1203,7 @@ mod tests {
         assert!(
             snaps
                 .iter()
-                .any(|s| s.iid_status.status == IidStatus::Suspect),
+                .any(|s| s.iid.is_some_and(|iid| !iid.acceptable())),
             "autocorrelated stream must be flagged"
         );
     }

@@ -1,11 +1,10 @@
 //! The streaming [`Engine`] implementation: plugs [`StreamAnalyzer`]
 //! into the multi-channel session core of `proxima-mbpta`.
 //!
-//! * [`StreamEngine`] adapts one analyzer to the
-//!   [`Engine`] contract, projecting its
-//!   [`PwcetSnapshot`]s into the session's
-//!   [`EngineEstimate`] vocabulary
-//!   and its final state into a [`Verdict`].
+//! * [`StreamEngine`] adapts one analyzer to the [`Engine`] contract:
+//!   the analyzer already speaks the session's [`EngineEstimate`]
+//!   vocabulary, so its estimates pass through unchanged, and its final
+//!   state becomes a [`Verdict`].
 //! * [`StreamFactory`] creates one engine per session channel, all
 //!   sharing one [`StreamConfig`].
 //! * [`SessionStreamExt`] hangs `build_stream` / `build_stream_with` off
@@ -16,43 +15,27 @@
 //! [`StreamAnalyzer`] over the same feed (asserted by the session
 //! acceptance tests).
 //!
-//! The engines ingest without reading snapshots, so a refit's bootstrap
+//! The engines ingest without reading estimates, so a refit's bootstrap
 //! CI is computed only when the session emits that estimate
 //! ([`Engine::estimate`]) or a checkpoint encodes it. The session's
 //! freshness polls read [`Engine::estimate_n`], which computes none, and
 //! the verdict path ([`Engine::finish`]) computes none either.
 
 use proxima_mbpta::engine::{
-    fit_from_maxima, Engine, EngineEstimate, EngineFactory, EngineKind, IidEvidence,
-    ObservationSummary, Provenance, Verdict,
+    fit_from_maxima, Engine, EngineEstimate, EngineFactory, EngineKind, ObservationSummary,
+    Provenance, Verdict,
 };
 use proxima_mbpta::session::{AnalysisSession, ChannelId};
 use proxima_mbpta::{MbptaError, SessionBuilder};
 
-use crate::analyzer::{PwcetSnapshot, StreamAnalyzer, StreamConfig};
-use crate::monitor::{IidHealth, IidStatus};
-
-/// Project the rolling monitor's health into the session-level i.i.d.
-/// vocabulary.
-pub(crate) fn iid_evidence(health: IidHealth) -> IidEvidence {
-    IidEvidence::Rolling {
-        healthy: match health.status {
-            IidStatus::Warming => None,
-            IidStatus::Healthy => Some(true),
-            IidStatus::Suspect => Some(false),
-        },
-        ljung_box_p: health.ljung_box_p,
-        runs_p: health.runs_p,
-        window_len: health.window_len,
-    }
-}
+use crate::analyzer::{StreamAnalyzer, StreamConfig};
 
 /// Finish `analyzer` and assemble the session [`Verdict`] every
 /// stream-backed engine shares: final refit (no bootstrap — a verdict
 /// carries no CI), fit evidence around that refit's Gumbel (the
 /// goodness-of-fit and GEV diagnostics read the maxima buffer),
 /// sketch-exact summary, rolling i.i.d. evidence. When the final refit
-/// ran in this call, its snapshot's health is the evidence: the window
+/// ran in this call, its estimate's evidence is the verdict's: the window
 /// has not moved since, so evaluating it again would give the same bits.
 /// `provenance.converged` carries the analyzer's online convergence
 /// state when `online_convergence` is set (a federated fold has no
@@ -63,49 +46,33 @@ pub(crate) fn finish_into_verdict(
     online_convergence: bool,
 ) -> Result<Verdict, MbptaError> {
     let refits_before = analyzer.snapshots_emitted();
-    let snapshot = analyzer.finish_fit()?;
-    let health = if analyzer.snapshots_emitted() > refits_before {
-        snapshot.iid_status
-    } else {
-        analyzer.monitor().health()
+    let estimate = analyzer.finish_fit()?;
+    let iid = match estimate.iid {
+        Some(iid) if analyzer.snapshots_emitted() > refits_before => iid,
+        _ => analyzer.monitor().health(),
     };
     let fit = fit_from_maxima(
-        *snapshot.distribution.tail(),
+        *estimate.distribution.tail(),
         analyzer.maxima(),
         analyzer.config().block_size,
     )?;
     Ok(Verdict {
         summary: ObservationSummary {
-            n: snapshot.n,
-            high_watermark: snapshot.high_watermark,
+            n: estimate.n,
+            high_watermark: estimate.high_watermark,
             mean: analyzer.sketch().mean(),
             detail: None,
         },
-        iid: iid_evidence(health),
+        iid,
         fit,
-        pwcet: snapshot.distribution,
+        pwcet: estimate.distribution,
         provenance: Provenance {
             engine,
-            n: snapshot.n,
-            converged: online_convergence.then_some(snapshot.converged),
+            n: estimate.n,
+            converged: online_convergence.then_some(estimate.converged),
             channel: None,
         },
     })
-}
-
-/// Project an analyzer snapshot into the session estimate vocabulary.
-fn estimate_from_snapshot(snap: PwcetSnapshot) -> EngineEstimate {
-    EngineEstimate {
-        n: snap.n,
-        blocks: Some(snap.blocks),
-        pwcet: snap.pwcet,
-        distribution: snap.distribution,
-        ci: snap.ci,
-        convergence_delta: snap.convergence_delta,
-        iid: Some(iid_evidence(snap.iid_status)),
-        converged: snap.converged,
-        high_watermark: snap.high_watermark,
-    }
 }
 
 /// A streaming engine for one session channel: wraps a
@@ -174,7 +141,7 @@ impl Engine for StreamEngine {
     }
 
     fn push(&mut self, x: f64) -> Result<(), MbptaError> {
-        // Snapshots are cached inside the analyzer, their CIs owed; the
+        // Estimates are cached inside the analyzer, their CIs owed; the
         // session polls them through `estimate_n` and `estimate`.
         self.analyzer.ingest(x).map(|_| ())
     }
@@ -188,7 +155,7 @@ impl Engine for StreamEngine {
     }
 
     fn estimate(&mut self) -> Option<EngineEstimate> {
-        self.analyzer.last_snapshot().map(estimate_from_snapshot)
+        self.analyzer.last_snapshot()
     }
 
     fn estimate_n(&mut self) -> Option<usize> {
@@ -196,7 +163,7 @@ impl Engine for StreamEngine {
     }
 
     fn quiet_horizon(&self) -> Option<usize> {
-        // The cached snapshot and the convergence latch only move when a
+        // The cached estimate and the convergence latch only move when a
         // refit checkpoint completes; everything strictly before the
         // next one is a quiet stretch.
         Some(self.analyzer.measurements_until_refit().saturating_sub(1))
@@ -320,6 +287,7 @@ impl SessionStreamExt for SessionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proxima_mbpta::engine::IidEvidence;
     use proxima_mbpta::session::Tagged;
     use proxima_mbpta::MbptaConfig;
     use rand::{Rng, SeedableRng};
@@ -359,12 +327,10 @@ mod tests {
             }
         }
         // The scheduler at period 1 re-emits exactly the analyzer's refit
-        // snapshots: same count, same n, same pwcet bits.
+        // estimates: same count, every field the same.
         assert_eq!(session_snaps.len(), bare_snaps.len());
         for (s, b) in session_snaps.iter().zip(&bare_snaps) {
-            assert_eq!(s.estimate.n, b.n);
-            assert_eq!(s.estimate.pwcet, b.pwcet);
-            assert_eq!(s.estimate.ci, b.ci);
+            assert_eq!(s.estimate, *b);
         }
         let merged = session.merge();
         let verdict = merged.verdict("only").unwrap().as_ref().unwrap();
@@ -418,10 +384,10 @@ mod tests {
 
     /// A verdict's i.i.d. evidence is the health of the window it was
     /// finished on: the final refit's own evaluation when `finish`
-    /// refits, a fresh one when it returns the cached snapshot (the
-    /// window may have moved since that snapshot).
+    /// refits, a fresh one when it returns the cached estimate (the
+    /// window may have moved since that estimate).
     #[test]
-    fn verdict_iid_evidence_is_the_finished_windows_health() {
+    fn verdict_evidence_is_the_finished_windows_health() {
         let data = times(2_000, 5);
         // Block 25, a refit every 4 blocks from block 10: the last
         // refit before 1,950 values is at block 78 = 1,950 values.
@@ -434,16 +400,13 @@ mod tests {
             let refit = engine.analyzer().snapshots_emitted() > before;
             assert_eq!(refit, refits_at_finish, "n = {n}");
             let health = engine.analyzer().monitor().health();
-            assert_eq!(verdict.iid, iid_evidence(health), "n = {n}");
-            let snapshot = engine.analyzer().last_snapshot.unwrap();
-            assert_eq!(
-                snapshot.iid_status,
-                if refit { health } else { cached.iid_status }
-            );
+            assert_eq!(verdict.iid, health, "n = {n}");
+            let estimate = engine.analyzer().last_snapshot.unwrap();
+            assert_eq!(estimate.iid, if refit { Some(health) } else { cached.iid });
             if n == 1_960 {
-                // Ten values past the cached snapshot: its health is
+                // Ten values past the cached estimate: its health is
                 // stale, and reusing it would have moved the verdict.
-                assert_ne!(cached.iid_status, health);
+                assert_ne!(cached.iid, Some(health));
             }
         }
     }

@@ -36,7 +36,7 @@ use proxima_mbpta::session::{AnalysisSession, ChannelId};
 use proxima_mbpta::{MbptaError, SessionBuilder};
 use proxima_sim::{DecodedTrace, Inst, PlatformConfig};
 
-use crate::analyzer::{PwcetSnapshot, StreamAnalyzer, StreamConfig};
+use crate::analyzer::{StreamAnalyzer, StreamConfig};
 use crate::engine::finish_into_verdict;
 use crate::replay::TraceReplay;
 
@@ -255,13 +255,13 @@ impl FederatedAnalyzer {
     }
 
     /// Ingest one measurement into its shard. Returns the shard's
-    /// snapshot when this measurement completed one of its refit
+    /// estimate when this measurement completed one of its refit
     /// checkpoints.
     ///
     /// # Errors
     ///
     /// Same as [`StreamAnalyzer::push`].
-    pub fn push(&mut self, x: f64) -> Result<Option<PwcetSnapshot>, MbptaError> {
+    pub fn push(&mut self, x: f64) -> Result<Option<EngineEstimate>, MbptaError> {
         let s = self.active_shard();
         Ok(if self.ingest(x)? {
             self.shards[s].last_snapshot()
@@ -270,7 +270,7 @@ impl FederatedAnalyzer {
         })
     }
 
-    /// [`Self::push`] without reading the shard's snapshot: `true` when
+    /// [`Self::push`] without reading the shard's estimate: `true` when
     /// this measurement completed one of its refits, whose CI stays owed.
     pub(crate) fn ingest(&mut self, x: f64) -> Result<bool, MbptaError> {
         let s = self.active_shard();
@@ -281,7 +281,7 @@ impl FederatedAnalyzer {
 
     /// Bulk-ingest a slice of measurements, splitting it at the shard
     /// boundaries so each contiguous piece takes its shard's amortized
-    /// [`StreamAnalyzer::push_batch`] path. Snapshots come back in the
+    /// [`StreamAnalyzer::push_batch`] path. Estimates come back in the
     /// order the itemized loop would have emitted them, and the analyzer
     /// state — every shard — is bit-identical to it at every batch split.
     ///
@@ -289,14 +289,14 @@ impl FederatedAnalyzer {
     ///
     /// Same as [`Self::push`]: ingestion stops at the first non-finite or
     /// negative value, with everything before it ingested.
-    pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<PwcetSnapshot>, MbptaError> {
+    pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<EngineEstimate>, MbptaError> {
         let mut out = Vec::new();
         self.ingest_batch(xs, |shard| out.extend(shard.last_snapshot()))?;
         Ok(out)
     }
 
     /// The loop of [`Self::push_batch`], calling `on_snapshot` with the
-    /// shard after each of its refits that produced a snapshot. The
+    /// shard after each of its refits that produced an estimate. The
     /// federated engine passes a no-op, so the shards' CIs stay owed.
     pub(crate) fn ingest_batch(
         &mut self,
@@ -417,7 +417,7 @@ impl FederatedAnalyzer {
     /// # Errors
     ///
     /// Same as [`StreamAnalyzer::finish`] on the folded state.
-    pub fn finish(&mut self) -> Result<PwcetSnapshot, MbptaError> {
+    pub fn finish(&mut self) -> Result<EngineEstimate, MbptaError> {
         self.merged()?.finish()
     }
 }

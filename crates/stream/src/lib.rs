@@ -9,11 +9,14 @@
 //! * [`StreamAnalyzer`] ingests measurements one at a time (or in
 //!   batches), maintains a [GK quantile sketch](sketch::QuantileSketch)
 //!   whose exact side statistics supply the high watermark and mean,
-//!   rolling i.i.d. diagnostics ([`monitor::IidMonitor`]: online
-//!   autocorrelation + runs-test windows), and an incremental
-//!   block-maxima buffer; every `K` new blocks it refits the Gumbel tail
-//!   and emits a [`PwcetSnapshot`] until the batch convergence criterion
-//!   stabilizes.
+//!   rolling i.i.d. diagnostics ([`monitor::IidMonitor`]: windowed
+//!   Ljung-Box + runs test), and an incremental block-maxima buffer;
+//!   every `K` new blocks it refits the Gumbel tail and emits an
+//!   [`EngineEstimate`](proxima_mbpta::engine::EngineEstimate) until the
+//!   batch convergence criterion stabilizes. The analyzer, the federated
+//!   fold and the session engines all return that one core type, with
+//!   the monitor's [`IidEvidence::Rolling`](proxima_mbpta::engine::IidEvidence)
+//!   as its i.i.d. evidence.
 //! * [`replay::TraceReplay`] streams a simulated platform run-by-run with
 //!   the same SplitMix64 per-run seeds as the batch campaign engine, and
 //!   [`replay::LineSource`] streams the measurement-file format — so both
@@ -76,11 +79,11 @@ pub mod persist;
 pub mod replay;
 pub mod sketch;
 
-pub use analyzer::{BootstrapSpec, PwcetSnapshot, StreamAnalyzer, StreamConfig};
+pub use analyzer::{BootstrapSpec, StreamAnalyzer, StreamConfig};
 pub use engine::{SessionStreamExt, StreamEngine, StreamFactory};
 pub use federated::{
     FederatedAnalyzer, FederatedConfig, FederatedEngine, FederatedFactory, SessionFederatedExt,
 };
-pub use monitor::{IidHealth, IidMonitor, IidStatus};
+pub use monitor::IidMonitor;
 pub use replay::{ByteLines, LineSource, LineSourceError, TraceReplay};
 pub use sketch::{QuantileSketch, Sketch, SketchKind};

@@ -5,91 +5,39 @@
 //! bounded window of the most recent observations and continuously re-runs
 //! two cheap non-parametric diagnostics over it:
 //!
-//! * **online autocorrelation** — one
-//!   [`proxima_stats::autocorr::autocorrelation`] pass over the window,
-//!   which the display maximum reads and
-//!   [`proxima_stats::tests::ljung_box_from_autocorr`] pools into the
-//!   Ljung-Box statistic (the batch gate's independence test, windowed);
+//! * **Ljung-Box** — the batch gate's independence test, windowed
+//!   ([`proxima_stats::tests::ljung_box`]: one autocorrelation pass for
+//!   every lag, pooled into the statistic);
 //! * **runs test** — the Wald–Wolfowitz runs test of the window
 //!   ([`proxima_stats::tests::runs_test`]), about a median found by
 //!   selection rather than a sort.
 //!
 //! One [`IidMonitor::health`] call is therefore one sweep for every lag,
-//! one selection and one runs count over the window.
+//! one selection and one runs count over the window. Its result is the
+//! session vocabulary's [`IidEvidence::Rolling`], the form every
+//! estimate and stream verdict carries.
 //!
 //! Each test is held to `α/2` (Bonferroni over the pair), so the
-//! family-wise false-alarm rate per window stays at `α`. The per-lag
-//! white-noise band is still reported for display, but a single lag
-//! poking out of it does not flag the window — the pooled Ljung-Box
-//! verdict decides, matching the batch i.i.d. gate's behaviour.
+//! family-wise false-alarm rate per window stays at `α`, matching the
+//! batch i.i.d. gate's pooled verdict.
 //!
 //! A flag does not abort the stream (a transient disturbance should not
-//! kill a long campaign); it is reported in every [`PwcetSnapshot`] so the
-//! consumer can discount estimates produced under suspect conditions.
-//!
-//! [`PwcetSnapshot`]: crate::analyzer::PwcetSnapshot
+//! kill a long campaign); it is reported in every estimate the analyzer
+//! emits so the consumer can discount estimates produced under suspect
+//! conditions.
 
 use std::collections::VecDeque;
 
-use proxima_stats::autocorr::{autocorrelation, default_lag};
-use proxima_stats::dist::{ContinuousDistribution, Normal};
-use proxima_stats::tests::{ljung_box_from_autocorr, runs_test};
-
-/// The health verdict over the current window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IidStatus {
-    /// Not enough observations in the window to run the diagnostics.
-    Warming,
-    /// All diagnostics consistent with an i.i.d. stream.
-    Healthy,
-    /// At least one diagnostic flagged the window.
-    Suspect,
-}
-
-impl std::fmt::Display for IidStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IidStatus::Warming => write!(f, "warming"),
-            IidStatus::Healthy => write!(f, "healthy"),
-            IidStatus::Suspect => write!(f, "suspect"),
-        }
-    }
-}
-
-/// One evaluation of the rolling diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IidHealth {
-    /// The verdict.
-    pub status: IidStatus,
-    /// Observations in the window when evaluated.
-    pub window_len: usize,
-    /// Largest `|ρ̂_k|` over the tested lags (`None` while warming or on a
-    /// degenerate window) — informational, not part of the verdict.
-    pub max_abs_autocorr: Option<f64>,
-    /// The per-lag white-noise reference band `z_{1−α/(2L)}/√W` —
-    /// informational, for display next to `max_abs_autocorr`.
-    pub autocorr_band: Option<f64>,
-    /// p-value of the windowed Ljung-Box independence test, when
-    /// computable.
-    pub ljung_box_p: Option<f64>,
-    /// p-value of the runs test over the window, when computable.
-    pub runs_p: Option<f64>,
-}
-
-impl IidHealth {
-    /// `true` unless a diagnostic flagged the window (warming counts as
-    /// not-flagged: no evidence either way).
-    pub fn acceptable(&self) -> bool {
-        self.status != IidStatus::Suspect
-    }
-}
+use proxima_mbpta::engine::IidEvidence;
+use proxima_stats::autocorr::default_lag;
+use proxima_stats::tests::{ljung_box, runs_test};
 
 /// Bounded-window i.i.d. monitor.
 ///
 /// # Examples
 ///
 /// ```
-/// use proxima_stream::monitor::{IidMonitor, IidStatus};
+/// use proxima_stream::monitor::IidMonitor;
 ///
 /// let mut m = IidMonitor::new(256, 0.05);
 /// for i in 0u64..300 {
@@ -98,7 +46,7 @@ impl IidHealth {
 ///     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
 ///     m.push((z >> 11) as f64);
 /// }
-/// assert_eq!(m.health().status, IidStatus::Healthy);
+/// assert_eq!(m.health().label(), "healthy");
 /// ```
 #[derive(Debug, Clone)]
 pub struct IidMonitor {
@@ -109,6 +57,12 @@ pub struct IidMonitor {
 
 /// Observations required before the diagnostics run.
 pub(crate) const MIN_WINDOW: usize = 50;
+
+/// Largest window a stream configuration may ask for (the default is
+/// 500; this is three orders of magnitude of headroom). The checkpoint
+/// decoder holds a monitor to it too, so a crafted capacity cannot drive
+/// a giant up-front allocation.
+pub(crate) const MAX_MONITOR_CAPACITY: usize = 1 << 20;
 
 impl IidMonitor {
     /// Create a monitor holding the last `capacity` observations, testing
@@ -184,57 +138,32 @@ impl IidMonitor {
         }
     }
 
-    /// Evaluate the diagnostics over the current window.
-    pub fn health(&self) -> IidHealth {
+    /// Evaluate the diagnostics over the current window: `healthy` is
+    /// `None` while fewer than 50 observations are buffered. A test the
+    /// window cannot support (a constant stretch) reports no p-value and
+    /// flags nothing.
+    pub fn health(&self) -> IidEvidence {
         let w = self.window.len();
         if w < MIN_WINDOW {
-            return IidHealth {
-                status: IidStatus::Warming,
-                window_len: w,
-                max_abs_autocorr: None,
-                autocorr_band: None,
+            return IidEvidence::Rolling {
+                healthy: None,
                 ljung_box_p: None,
                 runs_p: None,
+                window_len: w,
             };
         }
         let xs: Vec<f64> = self.window.iter().copied().collect();
-        let lags = default_lag(w);
-        // Reference band for display: Bonferroni across the tested lags.
-        let z = Normal::new(0.0, 1.0)
-            // proxima-lint: allow(no-lib-panic) -- sigma 1.0 > 0: infallible.
-            .expect("unit normal")
-            .quantile(1.0 - self.alpha / (2.0 * lags as f64))
-            // proxima-lint: allow(no-lib-panic) -- alpha is validated into
-            // (0, 1) at config time, so the argument stays inside (0, 1).
-            .expect("probability in range");
-        let band = z / (w as f64).sqrt();
-        // One autocorrelation pass feeds both the display maximum and
-        // the pooled Ljung-Box. A degenerate (constant) window supports
-        // neither test; nothing to flag beyond what the fit layer
-        // already rejects.
-        let rho = autocorrelation(&xs, lags).ok();
-        let max_abs = rho
-            .as_ref()
-            .map(|rho| rho.iter().fold(0.0f64, |m, r| m.max(r.abs())));
-        let lb = rho
-            .as_ref()
-            .and_then(|rho| ljung_box_from_autocorr(rho, w).ok());
+        let lb = ljung_box(&xs, default_lag(w)).ok();
         let runs = runs_test(&xs).ok();
         // Bonferroni over the two gate tests: each at alpha/2.
         let per_test = self.alpha / 2.0;
-        let lb_ok = lb.is_none_or(|r| r.passes(per_test));
-        let runs_ok = runs.is_none_or(|r| r.passes(per_test));
-        IidHealth {
-            status: if lb_ok && runs_ok {
-                IidStatus::Healthy
-            } else {
-                IidStatus::Suspect
-            },
-            window_len: w,
-            max_abs_autocorr: max_abs,
-            autocorr_band: Some(band),
+        IidEvidence::Rolling {
+            healthy: Some(
+                lb.is_none_or(|r| r.passes(per_test)) && runs.is_none_or(|r| r.passes(per_test)),
+            ),
             ljung_box_p: lb.map(|r| r.p_value),
             runs_p: runs.map(|r| r.p_value),
+            window_len: w,
         }
     }
 }
@@ -244,15 +173,29 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
+    /// The fields of a rolling evaluation: `(healthy, ljung_box_p,
+    /// runs_p, window_len)`.
+    fn rolling(e: IidEvidence) -> (Option<bool>, Option<f64>, Option<f64>, usize) {
+        match e {
+            IidEvidence::Rolling {
+                healthy,
+                ljung_box_p,
+                runs_p,
+                window_len,
+            } => (healthy, ljung_box_p, runs_p, window_len),
+            IidEvidence::Gate(_) => panic!("the monitor reports rolling evidence"),
+        }
+    }
+
     #[test]
     fn warming_until_min_window() {
         let mut m = IidMonitor::new(200, 0.05);
         for i in 0..MIN_WINDOW - 1 {
             m.push(i as f64);
-            assert_eq!(m.health().status, IidStatus::Warming);
+            assert_eq!(m.health().label(), "warming");
         }
         m.push(0.5);
-        assert_ne!(m.health().status, IidStatus::Warming);
+        assert_ne!(m.health().label(), "warming");
     }
 
     #[test]
@@ -263,9 +206,8 @@ mod tests {
             m.push(1e5 + 100.0 * rng.gen::<f64>());
         }
         let h = m.health();
-        assert_eq!(h.status, IidStatus::Healthy, "{h:?}");
+        assert_eq!(h.label(), "healthy", "{h:?}");
         assert!(h.acceptable());
-        assert!(h.max_abs_autocorr.unwrap() <= h.autocorr_band.unwrap());
     }
 
     #[test]
@@ -278,7 +220,7 @@ mod tests {
             m.push(1e5 + 500.0 * level);
         }
         let h = m.health();
-        assert_eq!(h.status, IidStatus::Suspect, "{h:?}");
+        assert_eq!(h.label(), "suspect", "{h:?}");
         assert!(!h.acceptable());
     }
 
@@ -291,11 +233,11 @@ mod tests {
         for i in 0..200 {
             m.push(1e5 + i as f64 * 100.0); // strong trend
         }
-        assert_eq!(m.health().status, IidStatus::Suspect);
+        assert_eq!(m.health().label(), "suspect");
         for _ in 0..400 {
             m.push(1e5 + 100.0 * rng.gen::<f64>());
         }
-        assert_eq!(m.health().status, IidStatus::Healthy);
+        assert_eq!(m.health().label(), "healthy");
         assert_eq!(m.len(), 200);
     }
 
@@ -305,10 +247,10 @@ mod tests {
         for _ in 0..100 {
             m.push(42.0);
         }
-        // Degenerate: autocorrelation and runs test both unavailable.
-        let h = m.health();
-        assert_eq!(h.window_len, 100);
-        assert!(h.max_abs_autocorr.is_none());
+        // Degenerate: Ljung-Box and runs test both unavailable.
+        let (_, ljung_box_p, _, window_len) = rolling(m.health());
+        assert_eq!(window_len, 100);
+        assert!(ljung_box_p.is_none());
     }
 
     #[test]
@@ -369,14 +311,13 @@ mod tests {
         }
     }
 
-    /// The composition `health()` replaced, kept as its oracle: one
-    /// autocorrelation pass for the display maximum, `ljung_box` (a
-    /// second pass), and the runs test about a median from a sorted copy.
+    /// The composition `health()` replaced, kept as its oracle:
+    /// `ljung_box` over the window and the runs test about a median from
+    /// a sorted copy.
     mod oracle {
-        use super::super::{IidHealth, IidMonitor, IidStatus, MIN_WINDOW};
-        use proxima_stats::autocorr::{autocorrelation, default_lag};
+        use super::super::{IidEvidence, IidMonitor, MIN_WINDOW};
+        use proxima_stats::autocorr::default_lag;
         use proxima_stats::descriptive::quantile_sorted;
-        use proxima_stats::dist::{ContinuousDistribution, Normal};
         use proxima_stats::special::std_normal_sf;
         use proxima_stats::tests::{ljung_box, TestResult};
 
@@ -414,63 +355,38 @@ mod tests {
             })
         }
 
-        pub(super) fn health(m: &IidMonitor) -> IidHealth {
+        pub(super) fn health(m: &IidMonitor) -> IidEvidence {
             let w = m.window.len();
             if w < MIN_WINDOW {
-                return IidHealth {
-                    status: IidStatus::Warming,
-                    window_len: w,
-                    max_abs_autocorr: None,
-                    autocorr_band: None,
+                return IidEvidence::Rolling {
+                    healthy: None,
                     ljung_box_p: None,
                     runs_p: None,
+                    window_len: w,
                 };
             }
             let xs: Vec<f64> = m.window.iter().copied().collect();
-            let lags = default_lag(w);
-            let z = Normal::new(0.0, 1.0)
-                .unwrap()
-                .quantile(1.0 - m.alpha / (2.0 * lags as f64))
-                .unwrap();
-            let band = z / (w as f64).sqrt();
-            let max_abs = autocorrelation(&xs, lags)
-                .ok()
-                .map(|rho| rho.iter().fold(0.0f64, |m, r| m.max(r.abs())));
-            let lb = ljung_box(&xs, lags).ok();
+            let lb = ljung_box(&xs, default_lag(w)).ok();
             let runs = runs_test(&xs);
             let per_test = m.alpha / 2.0;
             let lb_ok = lb.is_none_or(|r| r.passes(per_test));
             let runs_ok = runs.is_none_or(|r| r.passes(per_test));
-            IidHealth {
-                status: if lb_ok && runs_ok {
-                    IidStatus::Healthy
-                } else {
-                    IidStatus::Suspect
-                },
-                window_len: w,
-                max_abs_autocorr: max_abs,
-                autocorr_band: Some(band),
+            IidEvidence::Rolling {
+                healthy: Some(lb_ok && runs_ok),
                 ljung_box_p: lb.map(|r| r.p_value),
                 runs_p: runs.map(|r| r.p_value),
+                window_len: w,
             }
         }
     }
 
     /// Every field of a health evaluation, floats as bits.
-    type HealthBits = (IidStatus, usize, [Option<u64>; 4]);
+    type HealthBits = (Option<bool>, usize, [Option<u64>; 2]);
 
-    fn health_bits(h: IidHealth) -> HealthBits {
+    fn health_bits(h: IidEvidence) -> HealthBits {
         let bits = |x: Option<f64>| x.map(f64::to_bits);
-        (
-            h.status,
-            h.window_len,
-            [
-                bits(h.max_abs_autocorr),
-                bits(h.autocorr_band),
-                bits(h.ljung_box_p),
-                bits(h.runs_p),
-            ],
-        )
+        let (healthy, ljung_box_p, runs_p, window_len) = rolling(h);
+        (healthy, window_len, [bits(ljung_box_p), bits(runs_p)])
     }
 
     #[test]
@@ -521,15 +437,15 @@ mod tests {
                     "{name}, {} values, capacity {capacity}",
                     values.len()
                 );
-                statuses.push(got.status);
+                statuses.push(got.label());
                 let degenerate = ["constant", "one-sided", "few off the median"];
                 if degenerate.contains(name) && capacity >= values.len() {
-                    assert!(got.runs_p.is_none(), "{name}: the runs test ran");
-                    assert_ne!(got.status, IidStatus::Warming, "{name}");
+                    assert!(rolling(got).2.is_none(), "{name}: the runs test ran");
+                    assert_ne!(got.label(), "warming", "{name}");
                 }
             }
         }
-        for status in [IidStatus::Warming, IidStatus::Healthy, IidStatus::Suspect] {
+        for status in ["warming", "healthy", "suspect"] {
             assert!(statuses.contains(&status), "no {status} window");
         }
     }

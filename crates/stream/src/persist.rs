@@ -12,21 +12,23 @@
 //!
 //! Exactness contract: a decoded analyzer holds bit-for-bit the encoded
 //! one's state — sketch tuples, monitor window, partial block, maxima
-//! buffer, convergence bookkeeping, cached snapshot, bootstrap snapshot
-//! counter — so an analysis resumed from a checkpoint emits exactly the
-//! snapshots, intervals and final pWCET of an uninterrupted run. The
+//! buffer, convergence bookkeeping, cached estimate (through the core
+//! [`EngineEstimate`] codec), bootstrap snapshot counter — so an
+//! analysis resumed from a checkpoint emits exactly the estimates,
+//! intervals and final pWCET of an uninterrupted run. The
 //! proptest battery (`tests/persist_props.rs`) pins this down, along
 //! with the adversarial guarantee: truncated, bit-flipped, wrong-magic
 //! or wrong-version bytes decode to typed
 //! [`MbptaError::Checkpoint`] errors — never a panic, never a silently
 //! different state.
 
+use proxima_mbpta::engine::{EngineEstimate, IidEvidence};
 use proxima_mbpta::persist::{seal, unseal, Decode, Encode, Reader, Writer};
 use proxima_mbpta::MbptaError;
 
-use crate::analyzer::{BootstrapSpec, PwcetSnapshot, StreamAnalyzer, StreamConfig};
+use crate::analyzer::{BootstrapSpec, StreamAnalyzer, StreamConfig};
 use crate::federated::{FederatedAnalyzer, FederatedConfig};
-use crate::monitor::{IidHealth, IidMonitor, IidStatus};
+use crate::monitor::{IidMonitor, MAX_MONITOR_CAPACITY, MIN_WINDOW};
 use crate::sketch::{QuantileSketch, Sketch, SketchKind, Tuple};
 
 /// Magic tag of a sealed [`StreamAnalyzer`] blob.
@@ -34,12 +36,6 @@ pub const MAGIC_ANALYZER: [u8; 4] = *b"PXSA";
 
 /// Magic tag of a sealed [`FederatedAnalyzer`] blob.
 pub const MAGIC_FEDERATED: [u8; 4] = *b"PXFA";
-
-/// Largest i.i.d.-monitor window the decoder accepts (the default is
-/// 500; this is three orders of magnitude of headroom). The bound keeps
-/// a crafted capacity from driving a giant up-front allocation before
-/// any other validation can reject the blob.
-const MAX_MONITOR_CAPACITY: usize = 1 << 20;
 
 /// Most bootstrap resamples per snapshot the decoder accepts (the
 /// default is 200; this is over 300× that). Every refit runs this many
@@ -209,7 +205,7 @@ impl Decode for IidMonitor {
         // window — which a crafted capacity must not be able to turn
         // into an allocation panic. The FNV checksum is not a MAC, so
         // the decoder cannot trust any field.
-        if !(crate::monitor::MIN_WINDOW..=MAX_MONITOR_CAPACITY).contains(&capacity) {
+        if !(MIN_WINDOW..=MAX_MONITOR_CAPACITY).contains(&capacity) {
             return Err(MbptaError::checkpoint(
                 "monitor capacity outside the constructible range",
             ));
@@ -295,16 +291,8 @@ impl Decode for StreamConfig {
         config
             .validate()
             .map_err(|e| MbptaError::checkpoint(format!("invalid stream configuration: {e}")))?;
-        // `validate` does not bound the window (any size is analytically
-        // fine), but the decoder must: `StreamAnalyzer::new` on this
-        // config pre-allocates a monitor window of this capacity.
-        if config.monitor_window > MAX_MONITOR_CAPACITY {
-            return Err(MbptaError::checkpoint(
-                "stream configuration monitor window exceeds the decoder bound",
-            ));
-        }
-        // Likewise for the bootstrap: any positive count is valid, but
-        // the decoder must not let one refit run 2⁴⁰ fits.
+        // `validate` accepts any positive resample count, but the decoder
+        // must not let one refit run 2⁴⁰ fits.
         if config
             .bootstrap
             .is_some_and(|spec| spec.resamples > MAX_BOOTSTRAP_RESAMPLES)
@@ -314,83 +302,6 @@ impl Decode for StreamConfig {
             ));
         }
         Ok(config)
-    }
-}
-
-impl Encode for IidStatus {
-    fn encode(&self, w: &mut Writer) {
-        w.u8(match self {
-            IidStatus::Warming => 0,
-            IidStatus::Healthy => 1,
-            IidStatus::Suspect => 2,
-        });
-    }
-}
-
-impl Decode for IidStatus {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, MbptaError> {
-        match r.u8()? {
-            0 => Ok(IidStatus::Warming),
-            1 => Ok(IidStatus::Healthy),
-            2 => Ok(IidStatus::Suspect),
-            other => Err(MbptaError::checkpoint(format!(
-                "unknown iid status tag {other}"
-            ))),
-        }
-    }
-}
-
-impl Encode for IidHealth {
-    fn encode(&self, w: &mut Writer) {
-        self.status.encode(w);
-        w.usize(self.window_len);
-        self.max_abs_autocorr.encode(w);
-        self.autocorr_band.encode(w);
-        self.ljung_box_p.encode(w);
-        self.runs_p.encode(w);
-    }
-}
-
-impl Decode for IidHealth {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, MbptaError> {
-        Ok(IidHealth {
-            status: IidStatus::decode(r)?,
-            window_len: r.usize()?,
-            max_abs_autocorr: Option::decode(r)?,
-            autocorr_band: Option::decode(r)?,
-            ljung_box_p: Option::decode(r)?,
-            runs_p: Option::decode(r)?,
-        })
-    }
-}
-
-impl Encode for PwcetSnapshot {
-    fn encode(&self, w: &mut Writer) {
-        w.usize(self.n);
-        w.usize(self.blocks);
-        w.f64(self.pwcet);
-        self.distribution.encode(w);
-        self.ci.encode(w);
-        self.convergence_delta.encode(w);
-        self.iid_status.encode(w);
-        w.bool(self.converged);
-        w.f64(self.high_watermark);
-    }
-}
-
-impl Decode for PwcetSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, MbptaError> {
-        Ok(PwcetSnapshot {
-            n: r.usize()?,
-            blocks: r.usize()?,
-            pwcet: r.f64()?,
-            distribution: Decode::decode(r)?,
-            ci: Option::decode(r)?,
-            convergence_delta: Option::decode(r)?,
-            iid_status: IidHealth::decode(r)?,
-            converged: r.bool()?,
-            high_watermark: r.f64()?,
-        })
     }
 }
 
@@ -409,8 +320,8 @@ impl Encode for StreamAnalyzer {
         w.usize(self.stable_run);
         self.converged_at.encode(w);
         self.last_fit_error.encode(w);
-        // Encoding reads the snapshot: an owed CI is computed here, so
-        // the bytes match an analyzer whose every snapshot was read.
+        // Encoding reads the estimate: an owed CI is computed here, so
+        // the bytes match an analyzer whose every estimate was read.
         self.last_snapshot().encode(w);
     }
 }
@@ -434,9 +345,15 @@ impl Decode for StreamAnalyzer {
         analyzer.stable_run = r.usize()?;
         analyzer.converged_at = Option::decode(r)?;
         analyzer.last_fit_error = Option::decode(r)?;
-        if let Some(snap) = Option::<PwcetSnapshot>::decode(r)? {
+        if let Some(snap) = Option::<EngineEstimate>::decode(r)? {
+            // Every refit sets both; `finish` and the verdict read them.
+            if snap.blocks.is_none() || !matches!(snap.iid, Some(IidEvidence::Rolling { .. })) {
+                return Err(MbptaError::checkpoint(
+                    "analyzer estimate lacks its block count or rolling i.i.d. evidence",
+                ));
+            }
             analyzer.last_ci = snap.ci.into();
-            analyzer.last_snapshot = Some(PwcetSnapshot { ci: None, ..snap });
+            analyzer.last_snapshot = Some(EngineEstimate { ci: None, ..snap });
         }
         if analyzer.current_block_len >= analyzer.config.block_size {
             return Err(MbptaError::checkpoint(

@@ -12,14 +12,14 @@
 
 use proptest::prelude::*;
 use proxima_mbpta::confidence::{interval_from_maxima, BudgetInterval};
-use proxima_mbpta::engine::{Engine, EngineFactory, EngineKind};
+use proxima_mbpta::engine::{Engine, EngineEstimate, EngineFactory, EngineKind};
 use proxima_mbpta::persist::{seal, Encode, Writer, MAGIC_ENGINE};
 use proxima_mbpta::session::ChannelId;
 use proxima_mbpta::MbptaConfig;
 use proxima_prng::SplitMix64;
 use proxima_stream::{
-    FederatedAnalyzer, FederatedConfig, FederatedEngine, FederatedFactory, PwcetSnapshot,
-    SessionStreamExt, StreamAnalyzer, StreamConfig, StreamEngine, StreamFactory,
+    FederatedAnalyzer, FederatedConfig, FederatedEngine, FederatedFactory, SessionStreamExt,
+    StreamAnalyzer, StreamConfig, StreamEngine, StreamFactory,
 };
 
 /// `kind` 0: tied integers (geometric cycle counts, many repeats);
@@ -72,11 +72,11 @@ fn ci_bits(ci: &Option<BudgetInterval>) -> Option<[u64; 5]> {
 /// The interval the refit behind `snap`, the `k`-th snapshot of a
 /// stream whose maxima buffer is (a continuation of) `maxima`, computed
 /// eagerly.
-fn eager_ci(snap: &PwcetSnapshot, k: usize, maxima: &[f64]) -> Option<[u64; 5]> {
+fn eager_ci(snap: &EngineEstimate, k: usize, maxima: &[f64]) -> Option<[u64; 5]> {
     let config = stream_config();
     let spec = config.bootstrap.expect("bootstrap on by default");
     let ci = interval_from_maxima(
-        &maxima[..snap.blocks],
+        &maxima[..snap.blocks.expect("a stream estimate counts its blocks")],
         config.block_size,
         snap.pwcet,
         config.target_p,

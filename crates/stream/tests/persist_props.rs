@@ -233,7 +233,7 @@ fn wrong_version_byte_is_rejected_everywhere() {
     let mut analyzer = StreamAnalyzer::new(stream_config(25, 4)).unwrap();
     analyzer.extend(campaign(600, 1)).unwrap();
     let mut blob = save_analyzer(&analyzer);
-    for version in [0u8, FORMAT_VERSION + 1, 0x7F, 0xFF] {
+    for version in [0u8, FORMAT_VERSION - 1, FORMAT_VERSION + 1, 0x7F, 0xFF] {
         blob[4] = version;
         let err = load_analyzer(&blob).unwrap_err();
         assert!(matches!(err, MbptaError::Checkpoint { .. }));

@@ -59,7 +59,7 @@ proptest! {
         let rel = (snap.pwcet / batch_budget - 1.0).abs();
         prop_assert!(rel < 0.01, "seed={seed} block={block} rel={rel}");
         prop_assert_eq!(snap.n, n);
-        prop_assert_eq!(snap.blocks, n / block);
+        prop_assert_eq!(snap.blocks, Some(n / block));
     }
 
     /// The final snapshot of a stream equals the snapshot the analyzer

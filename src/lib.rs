@@ -78,9 +78,8 @@ pub mod prelude {
         load_analyzer, load_federated, save_analyzer, save_federated,
     };
     pub use proxima_stream::{
-        FederatedAnalyzer, FederatedConfig, FederatedEngine, LineSource, PwcetSnapshot,
-        SessionFederatedExt, SessionStreamExt, StreamAnalyzer, StreamConfig, StreamEngine,
-        TraceReplay,
+        FederatedAnalyzer, FederatedConfig, FederatedEngine, LineSource, SessionFederatedExt,
+        SessionStreamExt, StreamAnalyzer, StreamConfig, StreamEngine, TraceReplay,
     };
     pub use proxima_workload::bench_suite::Benchmark;
     pub use proxima_workload::tvca::{ControlMode, Scale, Tvca, TvcaConfig};

@@ -35,17 +35,14 @@ const CODEC_COVERAGE: &[&str] = &[
     "Gpd",
     "Gumbel",
     "IidEvidence",
-    "IidHealth",
     "IidMonitor",
     "IidReport",
-    "IidStatus",
     "MbptaConfig",
     "MbptaError",
     "ObservationSummary",
     "Option<T>",
     "Provenance",
     "Pwcet",
-    "PwcetSnapshot",
     "QuantileSketch",
     "Sketch",
     "SketchKind",
@@ -373,7 +370,7 @@ fn golden_analyzer() -> StreamAnalyzer {
 fn golden_analyzer_fixture_stays_decodable() {
     let reference = golden_analyzer();
     let current = save_analyzer(&reference);
-    let bytes = fixture_bytes("analyzer_v3.bin", &current);
+    let bytes = fixture_bytes("analyzer_v4.bin", &current);
     let decoded = load_analyzer(&bytes).expect("golden analyzer fixture must decode");
     assert_eq!(decoded.len(), 1010);
     assert_eq!(decoded.blocks(), 40);
@@ -394,16 +391,23 @@ fn golden_analyzer_fixture_stays_decodable() {
 #[test]
 fn removed_kll_sketch_fixture_is_rejected_not_misparsed() {
     // Written by a build that offered a second sketch algorithm: its
-    // config and sketch records carry sketch-kind tag 1. That layout is
-    // gone, so decoding must fail with a typed checkpoint error that
-    // says why. Read directly: this fixture is never regenerated.
+    // config and sketch records carry sketch-kind tag 1, under format 3.
+    // A v4 build refuses it at the version byte with a typed checkpoint
+    // error naming both versions (the tag-1 refusal itself is pinned by
+    // the stream crate's sketch-kind codec test). Read directly: this
+    // fixture is never regenerated.
     let bytes = std::fs::read(fixture_path("analyzer_kll_v3.bin")).expect("fixture");
-    let err = load_analyzer(&bytes).expect_err("a removed sketch must not decode");
+    assert_eq!(bytes[4], 3, "the fixture records format 3");
+    let err = load_analyzer(&bytes).expect_err("a v3 blob must not decode");
     assert!(
         matches!(err, proxima::mbpta::MbptaError::Checkpoint { .. }),
         "{err:?}"
     );
-    assert!(err.to_string().contains("no longer supported"), "{err}");
+    let why = format!(
+        "unsupported checkpoint format version 3 (this build reads {})",
+        proxima::mbpta::persist::FORMAT_VERSION
+    );
+    assert!(err.to_string().contains(&why), "{err}");
 }
 
 #[test]
@@ -414,7 +418,7 @@ fn golden_federated_fixture_stays_decodable() {
         fed.push(x).unwrap();
     }
     let current = save_federated(&fed);
-    let bytes = fixture_bytes("federated_v3.bin", &current);
+    let bytes = fixture_bytes("federated_v4.bin", &current);
     let mut decoded = load_federated(&bytes).expect("golden federated fixture must decode");
     assert_eq!(decoded.len(), 1500);
     assert_eq!(decoded.shard_count(), 3);
@@ -435,7 +439,7 @@ fn golden_session_fixture_stays_decodable() {
         session.push(tagged).unwrap();
     }
     let current = session.checkpoint().unwrap();
-    let bytes = fixture_bytes("session_v3.bin", &current);
+    let bytes = fixture_bytes("session_v4.bin", &current);
     let restored =
         AnalysisSession::restore(factory, &bytes, 0).expect("golden session fixture must restore");
     assert_eq!(restored.len(), 1400);

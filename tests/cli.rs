@@ -633,6 +633,33 @@ fn session_resume_rejects_missing_and_corrupt_checkpoints() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // A checkpoint from the previous format is refused at its version
+    // byte, with an error naming both versions, never a panic.
+    let old = dir.join("previous_format_checkpoint.bin");
+    let _ = std::fs::remove_file(&old);
+    let written = mbpta()
+        .args(["session", "--simulate", "--runs", "300", "--block", "25"])
+        .args(["--checkpoint", old.to_str().expect("utf8 path")])
+        .args(["--checkpoint-every", "100"])
+        .output()
+        .expect("spawn");
+    assert!(written.status.success());
+    let mut bytes = std::fs::read(&old).expect("checkpoint written");
+    bytes[4] = 3;
+    std::fs::write(&old, &bytes).expect("write");
+    let out = mbpta()
+        .args(["session", "--resume", old.to_str().expect("utf8 path")])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    assert_ne!(out.status.code(), Some(101), "resume panicked");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let why = format!(
+        "unsupported checkpoint format version 3 (this build reads {})",
+        proxima::mbpta::persist::FORMAT_VERSION
+    );
+    assert!(stderr.contains(&why), "{stderr}");
 }
 
 #[test]

@@ -100,7 +100,7 @@ fn snapshot_stream_reports_suspect_iid_on_drifting_source() {
     assert!(
         snaps
             .iter()
-            .any(|s| s.iid_status.status == proxima::stream::IidStatus::Suspect),
+            .any(|s| s.iid.is_some_and(|iid| iid.label() == "suspect")),
         "drift must trip the rolling iid monitor"
     );
 }
