@@ -8,7 +8,9 @@
 //! of `mbpta analyze --block 50` (once per channel), `mbpta session`,
 //! `session --batch` and `session --shards 3`, then one line per library
 //! verdict (batch, stream, federated) with the `to_bits` of μ, β, the
-//! budget at 1e-12 and the bootstrap CI bounds.
+//! budget at 1e-12 and the bootstrap CI bounds, then the answers of an
+//! in-process `mbpta serve` at two workers fed the same channels (see
+//! [`record_serve`]), which one worker must reproduce.
 //!
 //! A change that moves any of these bytes must say which and why.
 //! Regenerate with `PROXIMA_REGEN_GOLDEN=1 cargo test --test golden`.
@@ -17,11 +19,15 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use proxima::mbpta::persist::fnv1a;
 use proxima::prelude::*;
+use proxima::serve::{Request, Response, ServeClient, ServeConfig, Server};
 use rand::{Rng, SeedableRng};
 
 const BLOCK: usize = 50;
 const TARGET_P: f64 = 1e-12;
+/// Measurements per INGEST frame of the served script.
+const FRAME: usize = 512;
 
 /// One corpus input: its channels, each with its measurements, and how
 /// the measurement file is written.
@@ -226,6 +232,107 @@ fn record_library(out: &mut String, channel: &str, times: &[f64]) {
     }
 }
 
+/// A served VERDICT's envelope: the winning channel and its budget
+/// bits, or the error.
+fn served_envelope(response: &Response) -> String {
+    match response {
+        Response::Verdicts {
+            envelope: Ok((winner, budget)),
+            ..
+        } => format!("winner={winner} budget={}", bits(*budget)),
+        Response::Verdicts {
+            envelope: Err(e), ..
+        } => format!("error: {e}"),
+        other => panic!("a VERDICT answered {other:?}"),
+    }
+}
+
+fn served_snapshot(response: &Response) -> String {
+    match response {
+        Response::Snapshot { latest: Some(snap) } => {
+            format!("total={} pwcet={}", snap.total, bits(snap.estimate.pwcet))
+        }
+        Response::Snapshot { latest: None } => "-".into(),
+        other => panic!("a SNAPSHOT answered {other:?}"),
+    }
+}
+
+/// The served lines of one input at `workers` analysis workers. An
+/// in-process server (block 50, target 1e-12) takes every channel in
+/// 512-value INGEST frames, dealt round-robin like the feed file; after
+/// each frame the script asks that channel's VERDICT at 1e-12 twice, at
+/// 1e-9 once, then its SNAPSHOT, and at the end the envelope VERDICT at
+/// 1e-12 twice. The lines give each channel's last answers, the last
+/// envelope, and an FNV-1a over the encoded bytes of every VERDICT and
+/// SNAPSHOT reply. STATS is never asked: its counters are not verdicts.
+fn record_serve(input: &Input, workers: usize) -> String {
+    let config = ServeConfig {
+        stream: StreamConfig {
+            block_size: BLOCK,
+            target_p: TARGET_P,
+            ..StreamConfig::default()
+        },
+        workers,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let mut replies = Vec::new();
+    let mut asked = 0usize;
+    let mut ask = |client: &mut ServeClient, request: Request| {
+        let response = client.call(&request).expect("served reply");
+        replies.extend_from_slice(&response.encode());
+        asked += 1;
+        response
+    };
+    let verdict = |p: f64, channel: Option<&str>| Request::Verdict {
+        p,
+        channel: channel.map(str::to_string),
+    };
+    let frames = input.channels.iter().map(|(_, v)| v.len().div_ceil(FRAME));
+    let mut last = vec![None; input.channels.len()];
+    for frame in 0..frames.max().unwrap_or(0) {
+        for (slot, (name, values)) in last.iter_mut().zip(&input.channels) {
+            let Some(chunk) = values.chunks(FRAME).nth(frame) else {
+                continue;
+            };
+            client.ingest(name, chunk).expect("ingest");
+            ask(&mut client, verdict(TARGET_P, Some(name)));
+            let strict = ask(&mut client, verdict(TARGET_P, Some(name)));
+            let loose = ask(&mut client, verdict(1e-9, Some(name)));
+            let snapshot = ask(
+                &mut client,
+                Request::Snapshot {
+                    channel: name.to_string(),
+                },
+            );
+            *slot = Some((strict, loose, snapshot));
+        }
+    }
+    ask(&mut client, verdict(TARGET_P, None));
+    let envelope = ask(&mut client, verdict(TARGET_P, None));
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+
+    let mut out = String::new();
+    for ((name, _), answers) in input.channels.iter().zip(last) {
+        let (strict, loose, snapshot) = answers.expect("every channel has a frame");
+        writeln!(
+            out,
+            "serve {name} verdict@1e-12 {} verdict@1e-9 {} snapshot {}",
+            served_envelope(&strict),
+            served_envelope(&loose),
+            served_snapshot(&snapshot),
+        )
+        .unwrap();
+    }
+    writeln!(out, "serve envelope@1e-12 {}", served_envelope(&envelope)).unwrap();
+    writeln!(out, "serve replies={asked} fnv1a={:016x}", fnv1a(&replies)).unwrap();
+    out
+}
+
 /// The corpus text of one input.
 fn corpus(dir: &Path, input: &Input) -> String {
     let feed = write_feed(dir, input);
@@ -265,6 +372,15 @@ fn corpus(dir: &Path, input: &Input) -> String {
     for (channel, values) in &input.channels {
         record_library(&mut out, channel, values);
     }
+    out.push_str("== serve --workers 2 ==\n");
+    let served = record_serve(input, 2);
+    assert_eq!(
+        record_serve(input, 1),
+        served,
+        "{}: one worker served other answers than two",
+        input.name
+    );
+    out.push_str(&served);
     out
 }
 
