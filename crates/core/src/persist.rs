@@ -72,10 +72,16 @@ use crate::MbptaError;
 /// records are gone), and the session header lost its always-set polling
 /// flag. No frame payload changed.
 ///
+/// Version 5: the serve verdict cache is gone, so the server manifest
+/// lost its cache capacity and TTL fields and the `STATS` payload lost
+/// the cache insertion, eviction, expiration, length and capacity
+/// counters (16 global counters, 4 per shard). Session, engine and
+/// federated payloads did not change.
+///
 /// Bumping this without regenerating the golden fixtures breaks the
 /// crash-resume battery: rerun with PROXIMA_REGEN_FIXTURES=1 and commit
 /// the refreshed `tests/fixtures/` alongside the bump (fixture-regen).
-pub const FORMAT_VERSION: u8 = 4;
+pub const FORMAT_VERSION: u8 = 5;
 
 /// Magic tag of a serialized engine state ([`Engine::save_state`]).
 ///

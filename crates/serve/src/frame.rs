@@ -317,32 +317,24 @@ impl WireSnapshot {
     }
 }
 
-/// Deterministic per-worker counters (format v2).
+/// Deterministic per-worker counters (format v5).
 ///
 /// One entry per shard in worker order. `channels`/`total` describe the
-/// worker's slice of the session; the `cache_*` counters describe its
-/// private [`VerdictCache`](crate::VerdictCache). Summing a field over
-/// all shards yields the matching global field in [`ServerStats`]
-/// (except `cache_len`, which the global report also sums — each shard
-/// bounds its own cache independently).
+/// worker's slice of the session; `cache_hits`/`cache_misses` count the
+/// worker's VERDICT answers that reused every kept outcome / finished
+/// at least one channel (one per one-channel VERDICT, one per envelope).
+/// Summing a field over all shards yields the matching global field in
+/// [`ServerStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Channels owned by this worker.
     pub channels: u64,
     /// Measurements held by this worker's session.
     pub total: u64,
-    /// Query-cache hits on this worker's cache.
+    /// This worker's VERDICT answers that finished no channel.
     pub cache_hits: u64,
-    /// Query-cache misses on this worker's cache.
+    /// This worker's VERDICT answers that finished at least one channel.
     pub cache_misses: u64,
-    /// Query-cache insertions on this worker's cache.
-    pub cache_insertions: u64,
-    /// Query-cache LRU evictions on this worker's cache.
-    pub cache_evictions: u64,
-    /// Query-cache TTL expirations on this worker's cache.
-    pub cache_expirations: u64,
-    /// Entries currently resident in this worker's cache.
-    pub cache_len: u64,
 }
 
 impl ShardStats {
@@ -360,29 +352,21 @@ impl ShardStats {
         Ok(s)
     }
 
-    fn fields(&self) -> [u64; 8] {
+    fn fields(&self) -> [u64; 4] {
         [
             self.channels,
             self.total,
             self.cache_hits,
             self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-            self.cache_expirations,
-            self.cache_len,
         ]
     }
 
-    fn fields_mut(&mut self) -> [&mut u64; 8] {
+    fn fields_mut(&mut self) -> [&mut u64; 4] {
         [
             &mut self.channels,
             &mut self.total,
             &mut self.cache_hits,
             &mut self.cache_misses,
-            &mut self.cache_insertions,
-            &mut self.cache_evictions,
-            &mut self.cache_expirations,
-            &mut self.cache_len,
         ]
     }
 }
@@ -410,26 +394,17 @@ pub struct ServerStats {
     /// Frames (or payloads) rejected as malformed; each one closed only
     /// its own connection.
     pub protocol_errors: u64,
-    /// Query-cache hits (response served without recompute).
+    /// Worker VERDICT answers that finished no channel: every outcome
+    /// they fold was kept from an earlier answer (summed over workers).
     pub cache_hits: u64,
-    /// Query-cache misses.
+    /// Worker VERDICT answers that finished at least one channel.
     pub cache_misses: u64,
-    /// Query-cache insertions.
-    pub cache_insertions: u64,
-    /// Query-cache FIFO evictions.
-    pub cache_evictions: u64,
-    /// Entries currently cached (≤ `cache_capacity`, always).
-    pub cache_len: u64,
-    /// Configured cache capacity.
-    pub cache_capacity: u64,
     /// Checkpoints written (auto + forced + shutdown).
     pub checkpoints_written: u64,
     /// Size of the last checkpoint (manifest + shard blobs), bytes.
     pub last_checkpoint_bytes: u64,
     /// Measurements ingested since the last checkpoint mark.
     pub since_checkpoint: u64,
-    /// Query-cache TTL expirations (summed over workers).
-    pub cache_expirations: u64,
     /// Connections refused by admission control with a `Busy` frame.
     pub busy_rejections: u64,
     /// Analysis workers the session's channels are partitioned across.
@@ -468,7 +443,7 @@ impl ServerStats {
         Ok(s)
     }
 
-    fn fields(&self) -> [u64; 21] {
+    fn fields(&self) -> [u64; 16] {
         [
             self.total,
             self.channels,
@@ -481,20 +456,15 @@ impl ServerStats {
             self.protocol_errors,
             self.cache_hits,
             self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-            self.cache_len,
-            self.cache_capacity,
             self.checkpoints_written,
             self.last_checkpoint_bytes,
             self.since_checkpoint,
-            self.cache_expirations,
             self.busy_rejections,
             self.workers,
         ]
     }
 
-    fn fields_mut(&mut self) -> [&mut u64; 21] {
+    fn fields_mut(&mut self) -> [&mut u64; 16] {
         [
             &mut self.total,
             &mut self.channels,
@@ -507,14 +477,9 @@ impl ServerStats {
             &mut self.protocol_errors,
             &mut self.cache_hits,
             &mut self.cache_misses,
-            &mut self.cache_insertions,
-            &mut self.cache_evictions,
-            &mut self.cache_len,
-            &mut self.cache_capacity,
             &mut self.checkpoints_written,
             &mut self.last_checkpoint_bytes,
             &mut self.since_checkpoint,
-            &mut self.cache_expirations,
             &mut self.busy_rejections,
             &mut self.workers,
         ]
@@ -921,7 +886,7 @@ mod tests {
             Response::Stats(ServerStats {
                 total: 42,
                 cache_hits: 7,
-                cache_expirations: 3,
+                cache_misses: 3,
                 busy_rejections: 2,
                 workers: 2,
                 shards: vec![
@@ -929,8 +894,7 @@ mod tests {
                         channels: 1,
                         total: 30,
                         cache_hits: 7,
-                        cache_expirations: 3,
-                        ..Default::default()
+                        cache_misses: 3,
                     },
                     ShardStats {
                         channels: 2,

@@ -14,23 +14,21 @@
 //!   connection.
 //! * [`server`] — the service: a hand-rolled `std::net` accept loop,
 //!   one thread per connection, and `--workers N` channel partitions
-//!   behind them — each worker owns its own session shard and response
-//!   cache behind one mutex, channels route to workers by name hash,
-//!   and a busy worker blocks its callers (backpressure) instead of
-//!   dropping requests. Past `--max-conns` the accept loop answers a
-//!   typed `Busy` frame. INGEST streams tagged batches in,
-//!   SNAPSHOT/VERDICT answer from per-worker fingerprint-keyed caches
-//!   (the envelope verdict fans out and folds per-worker partials),
-//!   MERGE adopts sealed federated shard blobs (state travels, data
-//!   does not), and the service auto-checkpoints — one sealed blob per
-//!   worker plus a manifest — so [`Server::resume`] restarts a killed
-//!   service bit-identically, even at a different worker count.
-//!   **Every response is bit-identical at any worker count.**
-//! * [`cache`] — the query cache: responses keyed by a fingerprint of
-//!   the analysis configuration, the query, and the ingest progress it
-//!   was computed at, so any ingest invalidates exactly the answers it
-//!   changes and repeat queries are O(1). A deterministic tick-based
-//!   TTL (`--cache-ttl`) opportunistically expires cold entries.
+//!   behind them — each worker owns its own session shard behind one
+//!   mutex, channels route to workers by name hash, and a busy worker
+//!   blocks its callers (backpressure) instead of dropping requests.
+//!   Past `--max-conns` the accept loop answers a typed `Busy` frame.
+//!   INGEST streams tagged batches in; SNAPSHOT answers the channel's
+//!   latest estimate; VERDICT answers from each channel's kept outcome,
+//!   keyed on the measurements routed to the channel, so only channels
+//!   that moved are finished again and a repeated one-channel VERDICT
+//!   returns its stored bytes (the envelope verdict fans out and folds
+//!   per-worker partials). MERGE adopts sealed federated shard blobs
+//!   (state travels, data does not), and the service auto-checkpoints —
+//!   one sealed blob per worker plus a manifest — so
+//!   [`Server::resume`] restarts a killed service bit-identically, even
+//!   at a different worker count. **Every response is bit-identical at
+//!   any worker count.**
 //! * [`client`] — a small blocking client ([`ServeClient`]) used by
 //!   the `mbpta call` CLI, the test batteries, and embedders.
 //!
@@ -67,13 +65,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod frame;
 pub mod server;
 mod shard;
 
-pub use cache::VerdictCache;
 pub use client::{ClientError, ServeClient};
 pub use frame::{
     FrameError, Request, Response, ServerStats, ShardStats, WireSnapshot, MAGIC_FRAME, MAX_FRAME,

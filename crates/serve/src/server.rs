@@ -3,15 +3,17 @@
 //!
 //! The server partitions channels across `workers` analysis workers
 //! (the private `shard` module): each worker owns its own
-//! `AnalysisSession<StreamFactory>`, verdict cache and latest-snapshot
-//! map behind one mutex, and a channel's owner is FNV-1a of its tag
-//! mod the worker count. Connection threads lock the owning worker and
-//! call it directly — a busy worker blocks its callers (backpressure)
-//! instead of dropping requests. Ingest frames append through the
-//! same `push_batch` hot path the CLI feeder uses; SNAPSHOT answers
-//! from the owner's latest emitted estimate; VERDICT finalizes a
-//! **clone** of the owner's session (or fans out and folds per-worker
-//! partials for the envelope) so the live campaign keeps streaming;
+//! `AnalysisSession<StreamFactory>`, its channels' kept verdict
+//! outcomes and a latest-snapshot map behind one mutex, and a
+//! channel's owner is FNV-1a of its tag mod the worker count.
+//! Connection threads lock the owning worker and call it directly — a
+//! busy worker blocks its callers (backpressure) instead of dropping
+//! requests. Ingest frames append through the same `push_batch` hot
+//! path the CLI feeder uses; SNAPSHOT answers from the owner's latest
+//! emitted estimate; VERDICT finalizes **clones** of the channels that
+//! moved since their outcome was kept (and fans out and folds
+//! per-worker partials for the envelope) so the live campaign keeps
+//! streaming;
 //! MERGE adopts sealed federated shard blobs into the owner, so remote
 //! shards ship folded analyzer state — never raw measurements — into
 //! the coordinator.
@@ -74,12 +76,6 @@ pub struct ServeConfig {
     /// Auto-checkpoint every this many session measurements (`0`
     /// disables; must be paired with `checkpoint_path`).
     pub checkpoint_every: usize,
-    /// Bound on each worker's cached query responses.
-    pub cache_capacity: usize,
-    /// Cached responses expire after this many cache operations on
-    /// their worker (`0` disables expiry). Logical ticks, never wall
-    /// clock — see [`crate::cache`].
-    pub cache_ttl: u64,
     /// Analysis workers: channels are partitioned across them by name
     /// hash, and each worker serves its requests one at a time. Must be
     /// at least 1. Responses are bit-identical at any value.
@@ -105,8 +101,6 @@ impl Default for ServeConfig {
             snapshot_every: 500,
             checkpoint_path: None,
             checkpoint_every: 0,
-            cache_capacity: 256,
-            cache_ttl: 0,
             workers: 1,
             max_conns: 0,
             jobs: 0,
@@ -297,7 +291,7 @@ impl Server {
 
     /// Restart from a checkpoint manifest previously written by a
     /// server with a checkpoint path configured. The serve parameters
-    /// (stream config, cadences, cache bound, worker count) come from
+    /// (stream config, cadences, worker count) come from
     /// the manifest; [`ResumeOptions`] carries only the caller-side
     /// knobs, including an optional different worker count — the shard
     /// set is then re-partitioned channel by channel, and responses
@@ -324,8 +318,6 @@ impl Server {
             snapshot_every: manifest.snapshot_every,
             checkpoint_path: Some(path.clone()),
             checkpoint_every: manifest.checkpoint_every,
-            cache_capacity: manifest.cache_capacity,
-            cache_ttl: manifest.cache_ttl,
             workers: target,
             max_conns: opts.max_conns,
             jobs: opts.jobs,
@@ -753,8 +745,6 @@ struct Manifest {
     stream: StreamConfig,
     snapshot_every: usize,
     checkpoint_every: usize,
-    cache_capacity: usize,
-    cache_ttl: u64,
     workers: usize,
     generation: u64,
     channel_order: Vec<String>,
@@ -771,8 +761,6 @@ impl Manifest {
         let stream = StreamConfig::decode(&mut r)?;
         let snapshot_every = r.usize()?;
         let checkpoint_every = r.usize()?;
-        let cache_capacity = r.usize()?;
-        let cache_ttl = r.u64()?;
         let workers = r.usize()?;
         let generation = r.u64()?;
         let n = r.usize()?;
@@ -800,8 +788,6 @@ impl Manifest {
             stream,
             snapshot_every,
             checkpoint_every,
-            cache_capacity,
-            cache_ttl,
             workers,
             generation,
             channel_order,
@@ -814,8 +800,6 @@ impl Manifest {
         self.stream.encode(&mut w);
         w.usize(self.snapshot_every);
         w.usize(self.checkpoint_every);
-        w.usize(self.cache_capacity);
-        w.u64(self.cache_ttl);
         w.usize(self.workers);
         w.u64(self.generation);
         w.usize(self.channel_order.len());
@@ -873,8 +857,6 @@ fn write_server_checkpoint(shared: &Shared, only_if_due: bool) -> Result<u64, Se
         stream: shared.config.stream.clone(),
         snapshot_every: shared.config.snapshot_every,
         checkpoint_every: shared.config.checkpoint_every,
-        cache_capacity: shared.config.cache_capacity,
-        cache_ttl: shared.config.cache_ttl,
         workers: blobs.len(),
         generation,
         channel_order,
@@ -921,14 +903,9 @@ fn build_stats(shared: &Shared) -> Result<ServerStats, ServeError> {
         protocol_errors: c.protocol_errors.load(Ordering::SeqCst),
         cache_hits: sum(|s| s.cache_hits),
         cache_misses: sum(|s| s.cache_misses),
-        cache_insertions: sum(|s| s.cache_insertions),
-        cache_evictions: sum(|s| s.cache_evictions),
-        cache_len: sum(|s| s.cache_len),
-        cache_capacity: (shared.config.cache_capacity * shared.config.workers) as u64,
         checkpoints_written: c.checkpoints_written.load(Ordering::SeqCst),
         last_checkpoint_bytes: c.last_checkpoint_bytes.load(Ordering::SeqCst),
         since_checkpoint: shared.sharded.since_checkpoint(),
-        cache_expirations: sum(|s| s.cache_expirations),
         busy_rejections: c.busy_rejections.load(Ordering::SeqCst),
         workers: shared.config.workers as u64,
         shards,
@@ -1004,7 +981,7 @@ pub(crate) mod tests {
             other => panic!("unexpected response {other:?}"),
         }
 
-        // The same query again must come from the cache.
+        // The same query again finishes no channel: a hit.
         let _ = client.verdict(1e-12, None).unwrap();
         let stats = client.stats().unwrap();
         assert_eq!(stats.cache_hits, 1);
@@ -1037,38 +1014,45 @@ pub(crate) mod tests {
     }
 
     /// A rejected first value quarantines a channel without moving its
-    /// accepted count, so the VERDICT cache must not key on that count:
-    /// the cached server answers what a cache-off server answers.
+    /// accepted count, so the kept outcome must not key on that count:
+    /// the served answers are those of a whole-session merge.
     #[test]
     fn a_quarantine_re_keys_the_cached_verdict() {
-        let replies = |cache_capacity: usize| {
-            let (addr, handle) = start(ServeConfig {
-                cache_capacity,
-                ..ServeConfig::default()
-            });
-            let mut client = ServeClient::connect(addr).unwrap();
-            client.ingest("rig", &feed(23, 600)).unwrap();
-            let before = client.verdict(1e-12, Some("rig")).unwrap();
-            let (channel_len, total, _) =
-                client.ingest("rig", &[-5.0, 80_000.0, 80_010.0]).unwrap();
-            assert_eq!(
-                (channel_len, total),
-                (600, 603),
-                "replies report accepted values"
-            );
-            let after = client.verdict(1e-12, Some("rig")).unwrap();
-            let envelope = client.verdict(1e-12, None).unwrap();
-            client.shutdown().unwrap();
-            handle.join().unwrap().unwrap();
-            (before, after, envelope)
+        let quarantine = [-5.0, 80_000.0, 80_010.0];
+        let (addr, handle) = start(ServeConfig::default());
+        let mut client = ServeClient::connect(addr).unwrap();
+        client.ingest("rig", &feed(23, 600)).unwrap();
+        let before = client.verdict(1e-12, Some("rig")).unwrap();
+        let (channel_len, total, _) = client.ingest("rig", &quarantine).unwrap();
+        assert_eq!(
+            (channel_len, total),
+            (600, 603),
+            "replies report accepted values"
+        );
+        let after = client.verdict(1e-12, Some("rig")).unwrap();
+        let envelope = client.verdict(1e-12, None).unwrap();
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+
+        // The oracle: one session fed the same values, merged whole
+        // before and after the quarantine.
+        let merged = |session: &AnalysisSession<StreamFactory>| {
+            let mut channels = session.clone().merge().into_channels();
+            channels.remove(0).outcome.map_err(|e| e.to_string())
         };
-        let cached = replies(256);
-        assert_eq!(cached, replies(0), "the cache changed an answer");
-        assert_ne!(cached.0, cached.1);
-        let Response::Verdicts { channels, .. } = &cached.1 else {
-            panic!("unexpected response {:?}", cached.1);
+        let mut session = new_worker_session(&ServeConfig::default()).unwrap();
+        session.push_batch("rig", &feed(23, 600)).unwrap();
+        let unmoved = merged(&session);
+        session.push_batch("rig", &quarantine).unwrap();
+        let quarantined = merged(&session);
+        let outcome = |response: &Response| match response {
+            Response::Verdicts { channels, .. } => channels[0].1.clone(),
+            other => panic!("unexpected response {other:?}"),
         };
-        let error = channels[0].1.as_ref().unwrap_err();
+        assert_eq!(outcome(&before), unmoved);
+        assert_eq!(outcome(&after), quarantined);
+        assert_eq!(outcome(&envelope), quarantined);
+        let error = quarantined.unwrap_err();
         assert!(error.contains("execution time is negative"), "{error}");
     }
 

@@ -4,7 +4,7 @@
 //! fold already proves channels are independent, so the serve layer
 //! partitions them instead. A [`ShardedSession`] owns N **workers**,
 //! each behind its own mutex and holding its own [`AnalysisSession`],
-//! its own [`VerdictCache`] and its own latest-snapshot map. A
+//! its channels' kept outcomes and its own latest-snapshot map. A
 //! channel's owner is a pure function of its name — FNV-1a of the tag
 //! mod the worker count ([`owner_of`]) — so two requests contend only
 //! when they touch channels that hash to the same worker.
@@ -37,8 +37,8 @@
 //! * The session-wide totals in responses come from one dispatcher
 //!   counter fed by per-request deltas, not from any single worker's
 //!   session.
-//! * Envelope verdicts fan out: each worker answers with a cached
-//!   *partial* (its channels' outcomes, in first-seen order), and the
+//! * Envelope verdicts fan out: each worker answers with a *partial*
+//!   (its channels' kept outcomes, in first-seen order), and the
 //!   dispatcher folds the partials in **global** first-seen channel
 //!   order with exactly the single-session `envelope_budget` scan (max
 //!   of budgets, strict `>`, first error wins) — so the fold is
@@ -53,28 +53,33 @@
 //!   A finished clone's outcome is the one the whole-session merge
 //!   reports for that channel, so a partial folded from kept outcomes
 //!   has the bytes a merge of the whole session gives.
+//!
+//! # The verdict memo
+//!
+//! The kept outcomes are the only memo, keyed on ingest progress (the
+//! routed count) in the FERN fingerprint discipline (arXiv 2405.04435):
+//! any ingest, merge or quarantine moves the count, so an answer is
+//! never served from a stale outcome and nothing needs evicting.
+//! Beside each outcome sits the encoded one-channel VERDICT response
+//! for the last `p` asked, so a repeated one-channel VERDICT is a copy
+//! of stored bytes. SNAPSHOT encodes the latest estimate directly, and
+//! the envelope re-folds the kept outcomes: neither needs a memo of its
+//! own. A worker counts its VERDICT answers that finished no channel as
+//! hits and those that finished at least one as misses (one per
+//! one-channel VERDICT, one per worker per envelope).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use proxima_mbpta::engine::Engine as _;
-use proxima_mbpta::persist::{self, Decode, Encode, Reader, Writer};
+use proxima_mbpta::persist;
 use proxima_mbpta::session::ChannelId;
 use proxima_mbpta::{AnalysisSession, Verdict};
 use proxima_stream::{StreamConfig, StreamEngine, StreamFactory};
 
-use crate::cache::{config_fingerprint, query_key, VerdictCache};
 use crate::frame::{Response, ShardStats, WireSnapshot};
 use crate::server::{lock, ServeConfig, ServeError};
-
-/// Cache-key kinds (folded into [`query_key`]).
-const KIND_SNAPSHOT: u8 = 2;
-const KIND_VERDICT: u8 = 3;
-/// A worker's cached all-channel verdict *partial* (not a full
-/// response); keyed by the worker session's total, probability-blind
-/// because channel outcomes do not depend on `p`.
-const KIND_PARTIAL: u8 = 4;
 
 /// The worker that owns `channel`: FNV-1a of the tag mod the worker
 /// count. Deterministic and stable across restarts, so a resumed or
@@ -137,30 +142,27 @@ pub(crate) struct ShardedSession {
 }
 
 impl ShardedSession {
-    /// One worker per session, each with a fresh cache sized by
-    /// `config`; `channel_order` and `total` seed the global registry
-    /// and counter.
+    /// One worker per session, none with a kept outcome yet;
+    /// `channel_order` and `total` seed the global registry and
+    /// counter.
     pub(crate) fn new(
         sessions: Vec<AnalysisSession<StreamFactory>>,
         channel_order: Vec<String>,
         total: u64,
         config: &ServeConfig,
     ) -> ShardedSession {
-        // Anything that changes what a query would answer goes into the
-        // fingerprint; progress counters go into each key instead.
-        let fingerprint = config_fingerprint(&[&config.stream, &config.snapshot_every]);
         let workers = sessions
             .into_iter()
             .map(|session| {
                 Mutex::new(Worker {
                     session,
-                    cache: VerdictCache::with_ttl(config.cache_capacity, config.cache_ttl),
                     latest: HashMap::new(),
                     stream: config.stream.clone(),
                     snapshot_every: config.snapshot_every,
-                    fingerprint,
                     outcomes: HashMap::new(),
                     finishes: 0,
+                    hits: 0,
+                    misses: 0,
                 })
             })
             .collect();
@@ -215,8 +217,8 @@ impl ShardedSession {
         })
     }
 
-    /// Answer a snapshot query from the owning worker's latest map and
-    /// cache. Returns the encoded response.
+    /// Answer a snapshot query from the owning worker's latest map.
+    /// Returns the encoded response.
     pub(crate) fn snapshot(&self, channel: &str) -> Result<Vec<u8>, ServeError> {
         Ok(self.owner(channel)?.snapshot(channel))
     }
@@ -236,8 +238,7 @@ impl ShardedSession {
         }
         let mut partials = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
-            let bytes = lock_worker(worker)?.verdict_partial();
-            partials.push(decode_partial(&bytes)?);
+            partials.push(lock_worker(worker)?.verdict_partial());
         }
         let order = lock(&self.registry, "channel registry")?.order.clone();
         Ok(fold_verdicts(p, &order, partials).encode())
@@ -317,55 +318,9 @@ pub(crate) fn repartition(
     Ok(out)
 }
 
-/// Encode a worker's all-channel verdict partial: its channels in
-/// first-seen order, each an already-stringified outcome. The format
-/// is process-internal (cached, never on the wire or on disk).
-fn encode_partial(channels: &[(&str, &Result<Verdict, String>)]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.usize(channels.len());
-    for (name, outcome) in channels {
-        w.str(name);
-        match outcome {
-            Ok(verdict) => {
-                w.bool(true);
-                verdict.encode(&mut w);
-            }
-            Err(e) => {
-                w.bool(false);
-                w.str(e);
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-fn partial_codec_bug(e: impl std::fmt::Display) -> ServeError {
-    ServeError::Analysis(format!("internal verdict-partial codec error: {e}"))
-}
-
 /// One channel's share of a worker's verdict partial: the name and
 /// either the finalized verdict or that channel's quarantine error.
 type ChannelPartial = (String, Result<Verdict, String>);
-
-fn decode_partial(bytes: &[u8]) -> Result<Vec<ChannelPartial>, ServeError> {
-    let mut r = Reader::new(bytes);
-    let n = r.usize().map_err(partial_codec_bug)?;
-    if n > bytes.len() {
-        return Err(partial_codec_bug("channel count exceeds payload"));
-    }
-    let mut channels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str().map_err(partial_codec_bug)?.to_string();
-        let outcome = if r.bool().map_err(partial_codec_bug)? {
-            Ok(Verdict::decode(&mut r).map_err(partial_codec_bug)?)
-        } else {
-            Err(r.str().map_err(partial_codec_bug)?.to_string())
-        };
-        channels.push((name, outcome));
-    }
-    r.finish().map_err(partial_codec_bug)?;
-    Ok(channels)
-}
 
 /// Fold per-worker partials into a verdict response (the all-channel
 /// envelope, or one channel's own answer), replicating
@@ -374,17 +329,12 @@ fn decode_partial(bytes: &[u8]) -> Result<Vec<ChannelPartial>, ServeError> {
 /// (strict `>`, so ties keep the earlier channel), the first budget
 /// error aborting the scan, and the no-ok-channel fallback reporting
 /// the first channel's error.
-fn fold_verdicts(
-    p: f64,
-    order: &[String],
-    partials: Vec<Vec<(String, Result<Verdict, String>)>>,
-) -> Response {
+fn fold_verdicts(p: f64, order: &[String], partials: Vec<Vec<ChannelPartial>>) -> Response {
     // Each channel lives in exactly one worker's partial. Pull them
     // into global order; a channel racing into existence mid-fan-out
     // may miss the registry order, so leftovers append in worker order
     // (deterministic under any sequential schedule).
-    let mut flat: Vec<Option<(String, Result<Verdict, String>)>> =
-        partials.into_iter().flatten().map(Some).collect();
+    let mut flat: Vec<Option<ChannelPartial>> = partials.into_iter().flatten().map(Some).collect();
     let slots: BTreeMap<String, usize> = flat
         .iter()
         .enumerate()
@@ -432,27 +382,29 @@ fn fold_verdicts(
     }
 }
 
-/// A channel's last finished outcome (errors stringified, as partials
-/// carry them) and the measurements routed to the channel when it was
-/// finished.
+/// A channel's last finished outcome (errors stringified, as the wire
+/// carries them), the measurements routed to the channel when it was
+/// finished, and the encoded one-channel VERDICT response for the last
+/// `p` asked since.
 struct KeptOutcome {
     routed: u64,
     outcome: Result<Verdict, String>,
+    /// `p.to_bits()` and the encoded response of the last one-channel
+    /// VERDICT; a finish that replaces the outcome drops it.
+    response: Option<(u64, Vec<u8>)>,
 }
 
-/// One worker: an owned session, cache and latest-snapshot map. It
-/// lives behind its own mutex in [`ShardedSession`], so its methods
-/// run one request at a time.
+/// One worker: an owned session, its channels' kept outcomes and its
+/// latest-snapshot map. It lives behind its own mutex in
+/// [`ShardedSession`], so its methods run one request at a time.
 struct Worker {
     session: AnalysisSession<StreamFactory>,
-    cache: VerdictCache,
     /// Latest emitted estimate per owned channel (announcements and
     /// scheduled snapshots). Rebuilt from live traffic after a resume,
     /// exactly like the pre-sharding server.
     latest: HashMap<String, WireSnapshot>,
     stream: StreamConfig,
     snapshot_every: usize,
-    fingerprint: u64,
     /// Each owned channel's last finished outcome, valid while the
     /// channel's routed count equals the one kept with it. Runtime
     /// state like `latest`: never persisted, empty after a resume, one
@@ -462,6 +414,11 @@ struct Worker {
     /// partials alike: the work the kept outcomes save is what this
     /// does not count.
     finishes: u64,
+    /// VERDICT answers (one per one-channel VERDICT, one per envelope
+    /// partial) that finished no channel.
+    hits: u64,
+    /// VERDICT answers that finished at least one channel.
+    misses: u64,
 }
 
 impl Worker {
@@ -479,7 +436,8 @@ impl Worker {
 
     /// Make the kept outcome of every channel in `channels` current:
     /// finish clones of the channels whose routed count moved since
-    /// their outcome was kept (in one fan-out), and keep the rest.
+    /// their outcome was kept (in one fan-out), and keep the rest. The
+    /// answer counts as a hit when nothing had moved, else a miss.
     fn refresh_outcomes(&mut self, channels: &[&str]) {
         let stale: Vec<&str> = channels
             .iter()
@@ -491,11 +449,19 @@ impl Worker {
                     .is_none_or(|kept| kept.routed != routed)
             })
             .collect();
+        if stale.is_empty() {
+            // A fan-out, even an empty one, sizes itself to the host's
+            // cores first; a hit asks nothing of the session.
+            self.hits += 1;
+            return;
+        }
+        self.misses += 1;
         for finished in self.session.finalize_channels(&stale) {
             let name = finished.channel.as_str();
             let kept = KeptOutcome {
                 routed: self.channel_routed(name),
                 outcome: finished.outcome.map_err(|e| e.to_string()),
+                response: None,
             };
             self.outcomes.insert(name.to_string(), kept);
             self.finishes += 1;
@@ -572,39 +538,20 @@ impl Worker {
         })
     }
 
-    fn snapshot(&mut self, channel: &str) -> Vec<u8> {
-        let progress = self.channel_len(channel) as u64;
-        let key = query_key(self.fingerprint, KIND_SNAPSHOT, channel, progress, 0);
-        if let Some(hit) = self.cache.get(key) {
-            return hit;
-        }
-        let response = Response::Snapshot {
+    fn snapshot(&self, channel: &str) -> Vec<u8> {
+        Response::Snapshot {
             latest: self.latest.get(channel).cloned(),
         }
-        .encode();
-        self.cache.insert(key, response.clone());
-        response
+        .encode()
     }
 
     fn verdict_channel(&mut self, channel: &str, p: f64) -> Vec<u8> {
-        // Keyed on routed measurements, not accepted ones: a quarantine
-        // changes the answer without changing the accepted count.
-        let progress = self.channel_routed(channel);
-        let key = query_key(
-            self.fingerprint,
-            KIND_VERDICT,
-            channel,
-            progress,
-            p.to_bits(),
-        );
-        if let Some(hit) = self.cache.get(key) {
-            return hit;
-        }
         // The kept outcome, or a finished clone of this one channel: the
-        // live session keeps streaming, and repeat queries between
-        // ingests come straight from the cache.
+        // live session keeps streaming. Kept on routed measurements, not
+        // accepted ones: a quarantine changes the answer without
+        // changing the accepted count.
         self.refresh_outcomes(&[channel]);
-        let Some(kept) = self.outcomes.get(channel) else {
+        let Some(kept) = self.outcomes.get_mut(channel) else {
             // The dispatcher's registry check makes this unreachable
             // for routed queries; answer honestly anyway.
             return Response::Error {
@@ -612,50 +559,41 @@ impl Worker {
             }
             .encode();
         };
+        let p_bits = p.to_bits();
+        if let Some((bits, response)) = &kept.response {
+            if *bits == p_bits {
+                return response.clone();
+            }
+        }
         let response = fold_verdicts(
             p,
             &[channel.to_string()],
             vec![vec![(channel.to_string(), kept.outcome.clone())]],
         )
         .encode();
-        self.cache.insert(key, response.clone());
+        kept.response = Some((p_bits, response.clone()));
         response
     }
 
-    fn verdict_partial(&mut self) -> Vec<u8> {
-        let key = query_key(
-            self.fingerprint,
-            KIND_PARTIAL,
-            "*",
-            self.session.len() as u64,
-            0,
-        );
-        if let Some(hit) = self.cache.get(key) {
-            return hit;
-        }
+    /// This worker's channels in first-seen order with their current
+    /// outcomes.
+    fn verdict_partial(&mut self) -> Vec<ChannelPartial> {
         let ids: Vec<ChannelId> = self.session.channel_ids().cloned().collect();
         let names: Vec<&str> = ids.iter().map(ChannelId::as_str).collect();
         self.refresh_outcomes(&names);
         // Every seen channel has a current outcome now.
-        let entries: Vec<(&str, &Result<Verdict, String>)> = names
+        names
             .iter()
-            .filter_map(|&name| Some((name, &self.outcomes.get(name)?.outcome)))
-            .collect();
-        let partial = encode_partial(&entries);
-        self.cache.insert(key, partial.clone());
-        partial
+            .filter_map(|&name| Some((name.to_string(), self.outcomes.get(name)?.outcome.clone())))
+            .collect()
     }
 
     fn stats(&self) -> ShardStats {
         ShardStats {
             channels: self.session.channel_count() as u64,
             total: self.session.len() as u64,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_insertions: self.cache.insertions(),
-            cache_evictions: self.cache.evictions(),
-            cache_expirations: self.cache.expirations(),
-            cache_len: self.cache.len() as u64,
+            cache_hits: self.hits,
+            cache_misses: self.misses,
         }
     }
 }
@@ -774,28 +712,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn partial_codec_round_trips() {
-        let ok = Ok(sample_verdict(123.25));
-        let bad = Err("invalid configuration: session analysed no channel".to_string());
-        let bytes = encode_partial(&[("ok-channel", &ok), ("bad-channel", &bad)]);
-        let decoded = decode_partial(&bytes).unwrap();
-        assert_eq!(
-            decoded,
-            [
-                ("ok-channel".to_string(), ok),
-                ("bad-channel".to_string(), bad)
-            ]
-        );
-    }
-
-    /// A sharded session at `workers` workers with `cache_capacity`
-    /// cache entries each, its worker sessions built as the server
-    /// builds them.
-    fn sharded(workers: usize, cache_capacity: usize) -> ShardedSession {
+    /// A sharded session at `workers` workers, its worker sessions
+    /// built as the server builds them.
+    fn sharded(workers: usize) -> ShardedSession {
         let config = ServeConfig {
             workers,
-            cache_capacity,
             ..ServeConfig::default()
         };
         let sessions = (0..workers)
@@ -816,15 +737,14 @@ mod tests {
 
     /// The oracle: the envelope as the server built it before it kept
     /// outcomes — each worker's whole session cloned and merged, the
-    /// merged channels encoded into a partial, the partials folded in
-    /// global first-seen order.
+    /// merged channels folded in global first-seen order.
     fn merged_envelope(sharded: &ShardedSession, p: f64) -> Vec<u8> {
         let partials = sharded
             .workers
             .iter()
             .map(|worker| {
                 let merged = lock_worker(worker).unwrap().session.clone().merge();
-                let outcomes: Vec<(String, Result<Verdict, String>)> = merged
+                merged
                     .into_channels()
                     .into_iter()
                     .map(|c| {
@@ -833,12 +753,7 @@ mod tests {
                             c.outcome.map_err(|e| e.to_string()),
                         )
                     })
-                    .collect();
-                let entries: Vec<(&str, &Result<Verdict, String>)> = outcomes
-                    .iter()
-                    .map(|(name, o)| (name.as_str(), o))
-                    .collect();
-                decode_partial(&encode_partial(&entries)).unwrap()
+                    .collect()
             })
             .collect();
         fold_verdicts(p, &sharded.channel_order().unwrap(), partials).encode()
@@ -858,7 +773,7 @@ mod tests {
         let p = 1e-12;
         let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
         for workers in [1, 2, 4] {
-            let sharded = sharded(workers, 256);
+            let sharded = sharded(workers);
             let mut envelopes = Vec::new();
             let mut check = |sharded: &ShardedSession| {
                 let got = sharded.verdict(p, None).unwrap();
@@ -900,41 +815,73 @@ mod tests {
 
     #[test]
     fn an_envelope_finishes_only_the_channels_that_moved() {
-        for cache_capacity in [256, 0] {
-            let sharded = sharded(2, cache_capacity);
-            for (i, name) in ["alpha", "bravo", "charlie", "delta"].iter().enumerate() {
-                sharded.ingest(name, &feed(10 + i as u64, 600)).unwrap();
-            }
-            sharded.verdict(1e-12, None).unwrap();
-            assert_eq!(finishes(&sharded), 4, "cache {cache_capacity}");
-            sharded.ingest("charlie", &feed(20, 50)).unwrap();
-            sharded.verdict(1e-12, None).unwrap();
-            assert_eq!(finishes(&sharded), 5, "one INGEST, one channel finished");
-            sharded.verdict(1e-9, None).unwrap();
-            assert_eq!(finishes(&sharded), 5, "a repeated envelope finishes none");
-            sharded.verdict(1e-12, Some("charlie")).unwrap();
-            sharded.verdict(1e-12, Some("alpha")).unwrap();
-            assert_eq!(
-                finishes(&sharded),
-                5,
-                "one-channel verdicts reuse kept outcomes"
-            );
-            sharded.ingest("alpha", &feed(21, 10)).unwrap();
-            sharded.verdict(1e-12, Some("alpha")).unwrap();
-            sharded.verdict(1e-12, None).unwrap();
-            assert_eq!(
-                finishes(&sharded),
-                6,
-                "the envelope reuses a one-channel finish"
-            );
-            // A quarantine moves the routed count once; after it the
-            // failed outcome is kept like any other.
-            sharded.ingest("bravo", &[-5.0, 80_000.0]).unwrap();
-            sharded.verdict(1e-12, None).unwrap();
-            sharded.verdict(1e-9, None).unwrap();
-            sharded.verdict(1e-12, Some("bravo")).unwrap();
-            assert_eq!(finishes(&sharded), 7, "a quarantined channel finishes once");
+        let sharded = sharded(2);
+        for (i, name) in ["alpha", "bravo", "charlie", "delta"].iter().enumerate() {
+            sharded.ingest(name, &feed(10 + i as u64, 600)).unwrap();
         }
+        sharded.verdict(1e-12, None).unwrap();
+        assert_eq!(finishes(&sharded), 4);
+        sharded.ingest("charlie", &feed(20, 50)).unwrap();
+        sharded.verdict(1e-12, None).unwrap();
+        assert_eq!(finishes(&sharded), 5, "one INGEST, one channel finished");
+        sharded.verdict(1e-9, None).unwrap();
+        assert_eq!(finishes(&sharded), 5, "a repeated envelope finishes none");
+        sharded.verdict(1e-12, Some("charlie")).unwrap();
+        sharded.verdict(1e-12, Some("alpha")).unwrap();
+        assert_eq!(
+            finishes(&sharded),
+            5,
+            "one-channel verdicts reuse kept outcomes"
+        );
+        sharded.ingest("alpha", &feed(21, 10)).unwrap();
+        sharded.verdict(1e-12, Some("alpha")).unwrap();
+        sharded.verdict(1e-12, None).unwrap();
+        assert_eq!(
+            finishes(&sharded),
+            6,
+            "the envelope reuses a one-channel finish"
+        );
+        // A quarantine moves the routed count once; after it the
+        // failed outcome is kept like any other.
+        sharded.ingest("bravo", &[-5.0, 80_000.0]).unwrap();
+        sharded.verdict(1e-12, None).unwrap();
+        sharded.verdict(1e-9, None).unwrap();
+        sharded.verdict(1e-12, Some("bravo")).unwrap();
+        assert_eq!(finishes(&sharded), 7, "a quarantined channel finishes once");
+    }
+
+    /// The memo keeps one encoded response per channel, for the last
+    /// `p` asked: a VERDICT at another `p` on a channel that did not
+    /// move answers its own fold, not the stored bytes, and switching
+    /// back answers the first fold again.
+    #[test]
+    fn distinct_probabilities_never_alias() {
+        let sharded = sharded(2);
+        sharded.ingest("alpha", &feed(30, 600)).unwrap();
+        let strict = sharded.verdict(1e-12, Some("alpha")).unwrap();
+        let loose = sharded.verdict(1e-9, Some("alpha")).unwrap();
+        assert_eq!(finishes(&sharded), 1, "the channel did not move");
+        let kept = {
+            let worker = sharded.owner("alpha").unwrap();
+            worker.outcomes["alpha"].outcome.clone()
+        };
+        let fold = |p: f64| {
+            fold_verdicts(
+                p,
+                &["alpha".to_string()],
+                vec![vec![("alpha".to_string(), kept.clone())]],
+            )
+            .encode()
+        };
+        assert_ne!(strict, loose);
+        assert_eq!(loose, fold(1e-9), "1e-9 answers the 1e-9 fold");
+        assert_eq!(strict, fold(1e-12));
+        assert_eq!(sharded.verdict(1e-12, Some("alpha")).unwrap(), strict);
+        assert_eq!(finishes(&sharded), 1);
+        let stats = sharded.shard_stats().unwrap();
+        let hits: u64 = stats.iter().map(|s| s.cache_hits).sum();
+        let misses: u64 = stats.iter().map(|s| s.cache_misses).sum();
+        assert_eq!((hits, misses), (2, 1), "only the first VERDICT finished");
     }
 
     /// A real verdict from a tiny deterministic campaign, computed once,

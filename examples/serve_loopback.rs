@@ -105,7 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (worst, budget) = envelope.map_err(|e| format!("envelope unavailable: {e}"))?;
     println!("envelope pwcet@{p:e} = {budget:.0} (worst channel: {worst})");
 
-    // 5. Repeat queries are answered from the fingerprint-keyed cache.
+    // 5. A repeated query finishes no channel: it folds the outcomes
+    //    kept at each channel's routed count (a hit in the stats).
     let _ = client.verdict(1e-12, None)?;
     let stats = client.stats()?;
     println!(

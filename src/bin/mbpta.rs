@@ -52,7 +52,6 @@ USAGE:
                 [--checkpoint <path> --checkpoint-every <k>]
   mbpta serve [--addr <host:port>] [--target-p <p>] [--block <n>] [--every <k>]
               [--workers <w>] [--max-conns <n>] [--jobs <j>]
-              [--cache-capacity <n>] [--cache-ttl <t>]
               [--checkpoint <path> --checkpoint-every <k>]
   mbpta serve --resume <path> [--addr <host:port>] [--workers <w>]
               [--max-conns <n>] [--jobs <j>]
@@ -143,9 +142,6 @@ OPTIONS (serve):
                          (0 = unbounded)                      [0]
   --jobs <j>             merge worker threads per session shard
                          (0 = all cores)                      [0]
-  --cache-capacity <n>   cached query responses *per worker*  [256]
-  --cache-ttl <t>        expire cache entries untouched for <t>
-                         ingest batches (0 = never)           [0]
   --checkpoint <path>    auto-checkpoint target: one sealed blob
                          per worker plus a manifest, atomically
                          committed by the manifest rename
@@ -287,8 +283,6 @@ const SERVE_FLAGS: Flags = &[
     ("--workers", true),
     ("--max-conns", true),
     ("--jobs", true),
-    ("--cache-capacity", true),
-    ("--cache-ttl", true),
     ("--checkpoint", true),
     ("--checkpoint-every", true),
     ("--resume", true),
@@ -1221,15 +1215,13 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 
     let server = if let Some(resume_path) = flag_value(args, "--resume")? {
         // The checkpoint records the serve configuration; re-specifying
-        // analysis or cache flags would silently conflict with it.
+        // analysis flags would silently conflict with it.
         // `--workers` is deliberately allowed: the manifest records the
         // old worker count, and resume re-partitions to the new one.
         for flag in [
             "--target-p",
             "--block",
             "--every",
-            "--cache-capacity",
-            "--cache-ttl",
             "--checkpoint",
             "--checkpoint-every",
         ] {
@@ -1252,8 +1244,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
         let block: usize = parse_flag(args, "--block", 50)?;
         let every: usize = parse_flag(args, "--every", 250)?;
-        let cache_capacity: usize = parse_flag(args, "--cache-capacity", 256)?;
-        let cache_ttl: u64 = parse_flag(args, "--cache-ttl", 0)?;
         let workers: usize = parse_flag(args, "--workers", 1)?;
         let (checkpoint_path, checkpoint_every) = match checkpoint_spec(args)? {
             Some((path, every)) => (Some(std::path::PathBuf::from(path)), every),
@@ -1268,8 +1258,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             snapshot_every: every,
             checkpoint_path,
             checkpoint_every,
-            cache_capacity,
-            cache_ttl,
             workers,
             max_conns,
             jobs,
@@ -1457,11 +1445,6 @@ fn call_cmd(args: &[String]) -> Result<(), String> {
             println!("protocol_errors={}", s.protocol_errors);
             println!("cache_hits={}", s.cache_hits);
             println!("cache_misses={}", s.cache_misses);
-            println!("cache_insertions={}", s.cache_insertions);
-            println!("cache_evictions={}", s.cache_evictions);
-            println!("cache_expirations={}", s.cache_expirations);
-            println!("cache_len={}", s.cache_len);
-            println!("cache_capacity={}", s.cache_capacity);
             println!("checkpoints_written={}", s.checkpoints_written);
             println!("last_checkpoint_bytes={}", s.last_checkpoint_bytes);
             println!("since_checkpoint={}", s.since_checkpoint);
@@ -1469,13 +1452,8 @@ fn call_cmd(args: &[String]) -> Result<(), String> {
             println!("workers={}", s.workers);
             for (i, shard) in s.shards.iter().enumerate() {
                 println!(
-                    "shard{i}: channels={} total={} cache_hits={} cache_misses={} \
-                     cache_len={}",
-                    shard.channels,
-                    shard.total,
-                    shard.cache_hits,
-                    shard.cache_misses,
-                    shard.cache_len
+                    "shard{i}: channels={} total={} cache_hits={} cache_misses={}",
+                    shard.channels, shard.total, shard.cache_hits, shard.cache_misses
                 );
             }
             Ok(())

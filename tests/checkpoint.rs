@@ -370,7 +370,7 @@ fn golden_analyzer() -> StreamAnalyzer {
 fn golden_analyzer_fixture_stays_decodable() {
     let reference = golden_analyzer();
     let current = save_analyzer(&reference);
-    let bytes = fixture_bytes("analyzer_v4.bin", &current);
+    let bytes = fixture_bytes("analyzer_v5.bin", &current);
     let decoded = load_analyzer(&bytes).expect("golden analyzer fixture must decode");
     assert_eq!(decoded.len(), 1010);
     assert_eq!(decoded.blocks(), 40);
@@ -392,7 +392,7 @@ fn golden_analyzer_fixture_stays_decodable() {
 fn removed_kll_sketch_fixture_is_rejected_not_misparsed() {
     // Written by a build that offered a second sketch algorithm: its
     // config and sketch records carry sketch-kind tag 1, under format 3.
-    // A v4 build refuses it at the version byte with a typed checkpoint
+    // This build refuses it at the version byte with a typed checkpoint
     // error naming both versions (the tag-1 refusal itself is pinned by
     // the stream crate's sketch-kind codec test). Read directly: this
     // fixture is never regenerated.
@@ -418,7 +418,7 @@ fn golden_federated_fixture_stays_decodable() {
         fed.push(x).unwrap();
     }
     let current = save_federated(&fed);
-    let bytes = fixture_bytes("federated_v4.bin", &current);
+    let bytes = fixture_bytes("federated_v5.bin", &current);
     let mut decoded = load_federated(&bytes).expect("golden federated fixture must decode");
     assert_eq!(decoded.len(), 1500);
     assert_eq!(decoded.shard_count(), 3);
@@ -439,7 +439,7 @@ fn golden_session_fixture_stays_decodable() {
         session.push(tagged).unwrap();
     }
     let current = session.checkpoint().unwrap();
-    let bytes = fixture_bytes("session_v4.bin", &current);
+    let bytes = fixture_bytes("session_v5.bin", &current);
     let restored =
         AnalysisSession::restore(factory, &bytes, 0).expect("golden session fixture must restore");
     assert_eq!(restored.len(), 1400);

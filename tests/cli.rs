@@ -539,6 +539,17 @@ fn unknown_flags_and_commands_are_rejected() {
             &["serve", "--resume", missing, "--sketch", "gk"],
             "unknown flag `--sketch`",
         ),
+        // The verdict cache is gone, and with it the flags that sized
+        // and aged it: kept outcomes are the only memo.
+        (
+            &["serve", "--cache-capacity", "256"],
+            "unknown flag `--cache-capacity`",
+        ),
+        (&["serve", "--cache-ttl", "0"], "unknown flag `--cache-ttl`"),
+        (
+            &["serve", "--resume", missing, "--cache-capacity", "8"],
+            "unknown flag `--cache-capacity`",
+        ),
     ];
     for (args, expected) in table {
         let out = mbpta()
@@ -646,7 +657,7 @@ fn session_resume_rejects_missing_and_corrupt_checkpoints() {
         .expect("spawn");
     assert!(written.status.success());
     let mut bytes = std::fs::read(&old).expect("checkpoint written");
-    bytes[4] = 3;
+    bytes[4] = 4;
     std::fs::write(&old, &bytes).expect("write");
     let out = mbpta()
         .args(["session", "--resume", old.to_str().expect("utf8 path")])
@@ -656,7 +667,7 @@ fn session_resume_rejects_missing_and_corrupt_checkpoints() {
     assert_ne!(out.status.code(), Some(101), "resume panicked");
     let stderr = String::from_utf8_lossy(&out.stderr);
     let why = format!(
-        "unsupported checkpoint format version 3 (this build reads {})",
+        "unsupported checkpoint format version 4 (this build reads {})",
         proxima::mbpta::persist::FORMAT_VERSION
     );
     assert!(stderr.contains(&why), "{stderr}");

@@ -7,8 +7,9 @@
 //!   INGEST / SNAPSHOT / STATS / MERGE frames — while a few more loop
 //!   the requests that lock every worker (envelope VERDICT, STATS,
 //!   CHECKPOINT) — leave the server with exactly the expected
-//!   deterministic counters (no wall-clock assertions), bounded cache
-//!   occupancy, no error frame, and per-channel verdicts
+//!   deterministic counters (no wall-clock assertions), one counted
+//!   VERDICT answer per worker visit, no error frame, and per-channel
+//!   verdicts
 //!   **bit-identical** to an offline [`AnalysisSession`] replay of the
 //!   same per-channel feeds.
 //! * **Isolation**: hostile bytes on one connection close only that
@@ -49,7 +50,6 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         stream: stream_config(),
         snapshot_every: 500,
-        cache_capacity: 32,
         ..ServeConfig::default()
     }
 }
@@ -197,7 +197,6 @@ fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
                             verdict_map(client.verdict(1e-12, None).expect("envelope verdict"));
                         assert!(wire.len() <= INGEST_CLIENTS + MERGE_CLIENTS);
                         let stats = client.stats().expect("stats");
-                        assert!(stats.cache_len <= stats.cache_capacity);
                         assert_eq!(stats.shards.len(), workers);
                         assert!(client.checkpoint().expect("checkpoint") > 0);
                         rounds += 1;
@@ -222,8 +221,7 @@ fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
                         verdict_map(client.verdict(1e-12, Some(&name)).expect("verdict"));
                     assert_eq!(wire[0].0, name);
                 }
-                let stats = client.stats().expect("stats");
-                assert!(stats.cache_len <= stats.cache_capacity);
+                client.stats().expect("stats");
                 let (len2, total, _) = client.ingest(&name, second).expect("ingest");
                 assert_eq!(len2 as usize, values.len());
                 assert!(total >= len2);
@@ -245,7 +243,8 @@ fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
     });
 
     // Deterministic counter balance: every measurement accounted for,
-    // every frame counted, the cache within its bound — no wall clock.
+    // every frame and every worker's VERDICT answer counted — no wall
+    // clock.
     let mut client = connect(addr);
     let stats = client.stats().expect("stats");
     assert_eq!(
@@ -275,7 +274,20 @@ fn run_soak(workers: usize, blobs: &[Vec<u8>]) -> WireVerdicts {
         stats.total,
         "every measurement lands on exactly one worker"
     );
-    assert!(stats.cache_len <= stats.cache_capacity);
+    // One hit or miss per one-channel VERDICT, and one per worker per
+    // envelope.
+    assert_eq!(
+        (stats.cache_hits + stats.cache_misses) as usize,
+        INGEST_CLIENTS.div_ceil(25) + workers * span_rounds
+    );
+    assert_eq!(
+        stats.shards.iter().map(|s| s.cache_hits).sum::<u64>(),
+        stats.cache_hits
+    );
+    assert_eq!(
+        stats.shards.iter().map(|s| s.cache_misses).sum::<u64>(),
+        stats.cache_misses
+    );
 
     let (wire, wire_envelope) = verdict_map(client.verdict(1e-12, None).expect("verdict"));
     assert_eq!(wire.len(), INGEST_CLIENTS + MERGE_CLIENTS);
@@ -574,6 +586,65 @@ fn shutdown_then_resume_is_bit_identical() {
         want_budget.to_bits()
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A serve checkpoint from the previous format (v4, which still
+/// recorded the removed verdict-cache settings) is refused at its
+/// manifest's version byte — by `Server::resume` and by `mbpta serve
+/// --resume` alike — with an error naming both versions: never misread,
+/// never a panic.
+#[test]
+fn previous_format_serve_checkpoint_is_refused_not_misread() {
+    use proxima::mbpta::persist::FORMAT_VERSION;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join("proxima_serve_e2e");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let stem = format!("previous_format_{}.ck", std::process::id());
+    let path = dir.join(&stem);
+    let config = ServeConfig {
+        workers: 2,
+        checkpoint_path: Some(path.clone()),
+        checkpoint_every: 400,
+        ..serve_config()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.ingest("alpha", &feed(9, 600)).expect("ingest");
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap().unwrap();
+
+    let mut bytes = std::fs::read(&path).expect("manifest written");
+    bytes[4] = 4;
+    std::fs::write(&path, &bytes).expect("write");
+    let why =
+        format!("unsupported checkpoint format version 4 (this build reads {FORMAT_VERSION})");
+
+    match Server::resume("127.0.0.1:0", &path, ResumeOptions::default()) {
+        Err(e) => assert!(e.to_string().contains(&why), "{e}"),
+        Ok(_) => panic!("a previous-format checkpoint resumed"),
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_mbpta"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--resume"])
+        .arg(&path)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn mbpta serve");
+    assert!(
+        !out.status.success(),
+        "a previous-format checkpoint resumed"
+    );
+    assert_ne!(out.status.code(), Some(101), "resume panicked");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&why), "{stderr}");
+
+    for entry in std::fs::read_dir(&dir).expect("read_dir").flatten() {
+        if entry.file_name().to_string_lossy().starts_with(&stem) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// The real binary: a 4-worker `mbpta serve` killed mid-campaign with
