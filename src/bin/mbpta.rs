@@ -80,7 +80,7 @@ COMMANDS:
                   --every 1 --stop-on-converged
   serve     long-running framed-TCP analysis service over the same
             session core: concurrent clients ingest tagged batches,
-            query snapshots/verdicts (cached), merge sealed federated
+            query snapshots and verdicts, merge sealed federated
             shard blobs, and trigger checkpoints; prints
             `listening on <addr>` once ready
   call      client for a running server: ingest a measurement file (one
