@@ -618,6 +618,55 @@ fn shard_blob_from_a_file_equals_the_public_push_batch_fold() {
 }
 
 #[test]
+fn shard_blob_from_a_simulation_equals_the_campaign_runner_push_batch_fold() {
+    // `shard --simulate` measures the campaign the way every other
+    // campaign is measured, so its sealed bytes must be those of an
+    // analyzer balanced for the run count and fed, through the public
+    // `push_batch`, the times `CampaignRunner::run` measures.
+    use proxima::prelude::*;
+    let dir = std::env::temp_dir().join("proxima_cli_test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let blob = dir.join("shard_simulated.bin");
+    let out = mbpta()
+        .args(["shard", "--simulate", "--runs", "900", "--seed", "77"])
+        .args(["--path", "saturated-x", "--shards", "3", "--block", "50"])
+        .args(["--out", blob.to_str().expect("utf8 path")])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let tvca = Tvca::new(TvcaConfig::default());
+    let campaign = CampaignRunner::new(PlatformConfig::mbpta_compliant())
+        .run(tvca.trace(ControlMode::SaturatedX), 900, 77)
+        .expect("campaign");
+    let stream = StreamConfig {
+        block_size: 50,
+        target_p: 1e-12,
+        ..StreamConfig::default()
+    };
+    let config = FederatedConfig::new(stream, 3).balanced_for(900);
+    let mut fed = FederatedAnalyzer::new(config).expect("config");
+    fed.push_batch(campaign.times()).expect("clean ingest");
+    assert_eq!(std::fs::read(&blob).expect("blob"), save_federated(&fed));
+
+    // An empty campaign is a clean error, not a panic.
+    let out = mbpta()
+        .args(["shard", "--simulate", "--runs", "0"])
+        .args(["--out", blob.to_str().expect("utf8 path")])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("shard feed contained no measurements"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn session_resume_rejects_missing_and_corrupt_checkpoints() {
     let out = mbpta()
         .args(["session", "--resume", "/nonexistent/ck.bin"])
