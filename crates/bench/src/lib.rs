@@ -1,4 +1,4 @@
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
 //! Each `exp_*` binary regenerates one table or figure of the paper
 //! (README's "Benchmarks and experiments" lists them, and

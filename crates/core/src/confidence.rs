@@ -92,28 +92,10 @@ pub fn budget_interval(
     resamples: usize,
     seed: u64,
 ) -> Result<BudgetInterval, MbptaError> {
-    budget_interval_with_jobs(times, report, p, level, resamples, seed, 0)
-}
-
-/// [`budget_interval`] with an explicit worker-thread count (`0` = all
-/// cores). The result is bit-identical for every `jobs` value.
-///
-/// # Errors
-///
-/// Same as [`budget_interval`].
-pub fn budget_interval_with_jobs(
-    times: &[f64],
-    report: &MbptaReport,
-    p: f64,
-    level: f64,
-    resamples: usize,
-    seed: u64,
-    jobs: usize,
-) -> Result<BudgetInterval, MbptaError> {
     let block = report.fit.block_size;
     let maxima = block_maxima(times, block)?;
     let estimate = report.budget_for(p)?;
-    interval_from_maxima(&maxima, block, estimate, p, level, resamples, seed, jobs)
+    interval_from_maxima(&maxima, block, estimate, p, level, resamples, seed, 0)
 }
 
 /// Percentile-bootstrap interval straight from a block-maxima vector — the
@@ -242,11 +224,19 @@ mod tests {
         // worker-local sequential RNG.
         let times = campaign(1500, 5);
         let report = MbptaConfig::default().analyze(&times).unwrap();
-        let serial = budget_interval_with_jobs(&times, &report, 1e-12, 0.95, 301, 13, 1).unwrap();
+        let block = report.fit.block_size;
+        let maxima = block_maxima(&times, block).unwrap();
+        let estimate = report.budget_for(1e-12).unwrap();
+        let interval = |jobs| {
+            interval_from_maxima(&maxima, block, estimate, 1e-12, 0.95, 301, 13, jobs).unwrap()
+        };
+        let serial = interval(1);
+        assert_eq!(
+            serial,
+            budget_interval(&times, &report, 1e-12, 0.95, 301, 13).unwrap()
+        );
         for jobs in [2, 3, 8] {
-            let parallel =
-                budget_interval_with_jobs(&times, &report, 1e-12, 0.95, 301, 13, jobs).unwrap();
-            assert_eq!(serial, parallel, "jobs={jobs} diverged from serial");
+            assert_eq!(serial, interval(jobs), "jobs={jobs} diverged from serial");
         }
     }
 

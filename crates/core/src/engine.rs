@@ -28,7 +28,6 @@ use crate::MbptaError;
 
 /// Which kind of engine produced a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum EngineKind {
     /// Whole-campaign analysis over a buffered measurement vector.
     Batch,

@@ -23,7 +23,12 @@ pub struct PerPathAnalysis {
 }
 
 impl PerPathAnalysis {
-    /// Analyse each labelled campaign with the same configuration.
+    /// Analyse each labelled campaign with the same configuration. The
+    /// paths are sharded over scoped threads on all cores, on the same
+    /// engine as the measurement campaigns. Each path's analysis is a pure
+    /// function of its campaign, so the result, including which path's
+    /// error is reported (the first by path order), is that of analysing
+    /// the paths one after another.
     ///
     /// # Errors
     ///
@@ -57,30 +62,12 @@ impl PerPathAnalysis {
         labelled_campaigns: &[(String, Vec<f64>)],
         config: &MbptaConfig,
     ) -> Result<Self, MbptaError> {
-        Self::run_with_jobs(labelled_campaigns, config, 0)
-    }
-
-    /// [`Self::run`] with an explicit worker-thread count (`0` = all
-    /// cores): the paths are sharded over scoped threads on the same
-    /// engine as the measurement campaigns. Each path's analysis is a pure
-    /// function of its campaign, so the result — including which path's
-    /// error is reported (the first by path order, matching the serial
-    /// semantics) — is identical for every `jobs` value.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run`].
-    pub fn run_with_jobs(
-        labelled_campaigns: &[(String, Vec<f64>)],
-        config: &MbptaConfig,
-        jobs: usize,
-    ) -> Result<Self, MbptaError> {
         if labelled_campaigns.is_empty() {
             return Err(MbptaError::InvalidConfig {
                 what: "per-path analysis needs at least one path",
             });
         }
-        let results = run_sharded(labelled_campaigns.len(), jobs, |shard| {
+        let results = run_sharded(labelled_campaigns.len(), 0, |shard| {
             labelled_campaigns[shard]
                 .iter()
                 .map(|(label, times)| {
@@ -206,32 +193,36 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_identical_across_job_counts() {
+    fn fan_out_equals_the_serial_per_path_analyses() {
         let paths = three_paths();
-        let serial = PerPathAnalysis::run_with_jobs(&paths, &MbptaConfig::default(), 1).unwrap();
-        for jobs in [2, 3, 8] {
-            let parallel =
-                PerPathAnalysis::run_with_jobs(&paths, &MbptaConfig::default(), jobs).unwrap();
-            assert_eq!(serial, parallel, "jobs={jobs} diverged from serial");
+        let config = MbptaConfig::default();
+        let fanned = PerPathAnalysis::run(&paths, &config).unwrap();
+        assert_eq!(fanned.paths().len(), paths.len());
+        for ((label, times), path) in paths.iter().zip(fanned.paths()) {
+            assert_eq!(&path.label, label);
+            assert_eq!(path.report, config.analyze(times).unwrap(), "{label}");
         }
     }
 
     #[test]
     fn parallel_error_is_first_by_path_order() {
-        // Two failing paths with distinct errors: every job count must
+        // Two failing paths with distinct errors: the fan-out must
         // report the earlier one — the degenerate path at index 1 (stats
         // error), not the drifting tail path (iid rejection).
         let mut paths = three_paths();
         paths.insert(1, ("degenerate".into(), vec![100.0; 1000]));
         let drifting: Vec<f64> = (0..1000).map(|i| 1e5 + i as f64 * 50.0).collect();
         paths.push(("drift".into(), drifting));
-        let serial = PerPathAnalysis::run_with_jobs(&paths, &MbptaConfig::default(), 1)
+        let config = MbptaConfig::default();
+        let first = config
+            .analyze(&paths[1].1)
             .expect_err("degenerate path must fail");
-        for jobs in [2, 8] {
-            let parallel = PerPathAnalysis::run_with_jobs(&paths, &MbptaConfig::default(), jobs)
-                .expect_err("degenerate path must fail");
-            assert_eq!(serial, parallel, "jobs={jobs}");
-        }
+        let last = config
+            .analyze(&paths[4].1)
+            .expect_err("drifting path must fail");
+        assert_ne!(first, last, "the two failures must be distinguishable");
+        let fanned = PerPathAnalysis::run(&paths, &config).expect_err("a path fails");
+        assert_eq!(fanned, first);
     }
 
     #[test]

@@ -38,8 +38,7 @@
 //! Convergence follows the criterion of
 //! [`proxima_mbpta::convergence`]: consecutive snapshot estimates at the
 //! reference cutoff must stay within `rel_tol` for `stable_snapshots`
-//! checkpoints; [`StreamConfig::from_convergence`] maps a
-//! [`ConvergenceConfig`] onto the streaming knobs directly.
+//! checkpoints.
 //!
 //! # Bulk ingestion
 //!
@@ -75,7 +74,6 @@
 use std::sync::OnceLock;
 
 use proxima_mbpta::confidence::{interval_from_maxima, BudgetInterval};
-use proxima_mbpta::convergence::ConvergenceConfig;
 use proxima_mbpta::engine::EngineEstimate;
 use proxima_mbpta::{BlockSpec, MbptaConfig, MbptaError, Pwcet};
 use proxima_prng::SplitMix64;
@@ -162,22 +160,6 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// Derive streaming knobs from the batch convergence criterion: the
-    /// reference cutoff, tolerance and stability count carry over; the
-    /// checkpoint step becomes the refit period in blocks.
-    pub fn from_convergence(c: &ConvergenceConfig) -> Self {
-        let block_size = fixed_block_size(&c.block);
-        StreamConfig {
-            block_size,
-            refit_every_blocks: (c.step / block_size).max(1),
-            target_p: c.reference_cutoff,
-            rel_tol: c.rel_tol,
-            stable_snapshots: c.stable_checkpoints,
-            min_blocks: (c.min_runs / block_size).max(2),
-            ..StreamConfig::default()
-        }
-    }
-
     /// Derive streaming knobs from a batch [`MbptaConfig`]: a fixed block
     /// carries over (an automatic spec falls back to its largest
     /// candidate) along with the significance level.
@@ -1215,18 +1197,6 @@ mod tests {
         assert_eq!(a.blocks(), 20_000 / 50);
         assert!(a.sketch().tuples() < 4_000, "{}", a.sketch().tuples());
         assert!(a.monitor().len() <= a.config().monitor_window);
-    }
-
-    #[test]
-    fn from_convergence_maps_fields() {
-        let c = ConvergenceConfig::default();
-        let s = StreamConfig::from_convergence(&c);
-        assert_eq!(s.block_size, 25);
-        assert_eq!(s.refit_every_blocks, 10); // step 250 / block 25
-        assert_eq!(s.target_p, c.reference_cutoff);
-        assert_eq!(s.rel_tol, c.rel_tol);
-        assert_eq!(s.stable_snapshots, c.stable_checkpoints);
-        assert_eq!(s.min_blocks, 20); // min_runs 500 / block 25
     }
 
     #[test]

@@ -26,19 +26,14 @@
 //! transparently (`mbpta session --shards N` is the CLI form). Shards are
 //! fed **contiguous run ranges**: shard `s` owns measurements
 //! `[s·L, (s+1)·L)` (the last shard also takes any overflow), matching
-//! how a real campaign splits its run indices across hosts — and because
-//! per-run seeds come from the master seed's SplitMix64 stream (O(1)
-//! random access), a shard can replay its range independently without
-//! fast-forwarding through anyone else's ([`FederatedAnalyzer::ingest_trace`]).
+//! how a real campaign splits its run indices across hosts.
 
 use proxima_mbpta::engine::{Engine, EngineEstimate, EngineFactory, EngineKind, Verdict};
 use proxima_mbpta::session::{AnalysisSession, ChannelId};
 use proxima_mbpta::{MbptaError, SessionBuilder};
-use proxima_sim::{DecodedTrace, Inst, PlatformConfig};
 
 use crate::analyzer::{StreamAnalyzer, StreamConfig};
 use crate::engine::finish_into_verdict;
-use crate::replay::TraceReplay;
 
 /// Blocks per shard when [`FederatedConfig::shard_len`] is left at 0.
 const DEFAULT_SHARD_BLOCKS: usize = 100;
@@ -319,77 +314,6 @@ impl FederatedAnalyzer {
             result?;
             i += take;
         }
-        Ok(())
-    }
-
-    /// Replay `runs` executions of `trace` on the simulated platform,
-    /// each shard measuring its own contiguous run range **in parallel**
-    /// (one thread per shard). Run `i` is seeded with the `i`-th element
-    /// of `master_seed`'s SplitMix64 stream — an O(1) random access — so
-    /// every shard starts mid-stream without replaying anyone else's
-    /// runs, and the union is bit-identical to a serial replay. The trace
-    /// is decoded once and shared by every shard; pass it by value to
-    /// free it as soon as it is decoded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::InvalidConfig`] if the analyzer already
-    /// holds measurements (ranges are assigned from run 0), or a shard's
-    /// ingest error.
-    pub fn ingest_trace(
-        &mut self,
-        platform: PlatformConfig,
-        trace: impl AsRef<[Inst]>,
-        runs: usize,
-        master_seed: u64,
-    ) -> Result<(), MbptaError> {
-        if self.n != 0 {
-            return Err(MbptaError::InvalidConfig {
-                what: "parallel trace ingest needs a fresh federated analyzer",
-            });
-        }
-        let shard_len = self.shard_len;
-        let last = self.shards.len() - 1;
-        // One shared decode of the trace; shard replays clone the Arc.
-        let decoded = DecodedTrace::new(&platform, trace.as_ref());
-        drop(trace);
-        let trace = std::sync::Arc::new(decoded);
-        // proxima-lint: allow(no-thread-spawn-outside-sharding) -- each scoped
-        // worker owns one shard and results are folded in shard index
-        // order, so scheduling cannot reach the output.
-        let outcomes: Vec<Result<(), MbptaError>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(s, analyzer)| {
-                    let start = (s * shard_len).min(runs);
-                    let end = if s == last {
-                        runs
-                    } else {
-                        ((s + 1) * shard_len).min(runs)
-                    };
-                    let trace = trace.clone();
-                    scope.spawn(move || {
-                        let replay = TraceReplay::from_decoded(trace, end, master_seed)
-                            .starting_at(start as u64);
-                        for x in replay {
-                            analyzer.ingest(x)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                // proxima-lint: allow(no-lib-panic) -- join() only errs if
-                // the worker itself panicked; this re-raises that panic, it
-                // does not introduce a new failure mode.
-                .map(|w| w.join().expect("shard worker panicked"))
-                .collect()
-        });
-        outcomes.into_iter().collect::<Result<(), _>>()?;
-        self.n = runs;
         Ok(())
     }
 
@@ -756,44 +680,6 @@ mod tests {
             assert_eq!(snap.distribution, single_final.distribution);
             assert_eq!(snap.n, single_final.n);
         }
-    }
-
-    #[test]
-    fn parallel_trace_ingest_matches_serial_routing() {
-        use proxima_workload::tvca::{ControlMode, Tvca, TvcaConfig};
-        let tvca = Tvca::new(TvcaConfig::default());
-        let trace = tvca.trace(ControlMode::Nominal);
-        let config = FederatedConfig::new(stream_config(), 3).balanced_for(900);
-
-        let mut parallel = FederatedAnalyzer::new(config.clone()).unwrap();
-        parallel
-            .ingest_trace(PlatformConfig::mbpta_compliant(), &trace, 900, 77)
-            .unwrap();
-
-        let mut serial = FederatedAnalyzer::new(config).unwrap();
-        for x in TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, 900, 77) {
-            serial.push(x).unwrap();
-        }
-        assert_eq!(parallel.len(), serial.len());
-        for (p, s) in parallel.shards().iter().zip(serial.shards()) {
-            assert_eq!(p.len(), s.len());
-            assert_eq!(p.maxima(), s.maxima());
-            assert_eq!(p.high_watermark(), s.high_watermark());
-        }
-        assert_eq!(
-            parallel.finish().unwrap().pwcet,
-            serial.finish().unwrap().pwcet
-        );
-        // Re-ingesting on a used analyzer is rejected.
-        let tvca2 = Tvca::new(TvcaConfig::default());
-        assert!(parallel
-            .ingest_trace(
-                PlatformConfig::mbpta_compliant(),
-                tvca2.trace(ControlMode::Nominal),
-                100,
-                1
-            )
-            .is_err());
     }
 
     #[test]

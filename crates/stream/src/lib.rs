@@ -17,10 +17,10 @@
 //!   fold and the session engines all return that one core type, with
 //!   the monitor's [`IidEvidence::Rolling`](proxima_mbpta::engine::IidEvidence)
 //!   as its i.i.d. evidence.
-//! * [`replay::TraceReplay`] streams a simulated platform run-by-run with
-//!   the same SplitMix64 per-run seeds as the batch campaign engine, and
-//!   [`replay::LineSource`] streams the measurement-file format — so both
-//!   existing traces and live rigs plug straight in.
+//! * [`replay::LineSource`] streams the measurement-file format from any
+//!   reader, so a live rig plugs straight in. A simulated campaign is
+//!   measured once, by [`CampaignRunner`](proxima_mbpta::CampaignRunner),
+//!   and its times are ingested as a slice.
 //! * [`engine::StreamEngine`] plugs the analyzer into the multi-channel
 //!   session core ([`proxima_mbpta::session`]):
 //!   `config.session().build_stream()` (via [`SessionStreamExt`]) serves
@@ -42,11 +42,13 @@
 //!
 //! ```
 //! use proxima_mbpta::session::Tagged;
-//! use proxima_mbpta::MbptaConfig;
-//! use proxima_stream::replay::TraceReplay;
+//! use proxima_mbpta::{CampaignRunner, MbptaConfig};
+//! use proxima_sim::PlatformConfig;
 //! use proxima_stream::{SessionStreamExt, StreamConfig};
-//! use proxima_workload::tvca::{ControlMode, TvcaConfig};
+//! use proxima_workload::tvca::{ControlMode, Tvca, TvcaConfig};
 //!
+//! let trace = Tvca::new(TvcaConfig::default()).trace(ControlMode::Nominal);
+//! let campaign = CampaignRunner::new(PlatformConfig::mbpta_compliant()).run(trace, 800, 7)?;
 //! let mut session = MbptaConfig::default()
 //!     .session()
 //!     .snapshot_every(1)
@@ -55,9 +57,8 @@
 //!         refit_every_blocks: 4,
 //!         ..StreamConfig::default()
 //!     })?;
-//! let source = TraceReplay::tvca(ControlMode::Nominal, TvcaConfig::default(), 800, 7);
 //! let mut snapshots = 0;
-//! for x in source {
+//! for &x in campaign.times() {
 //!     if let Some(snapshot) = session.push(Tagged::new("nominal", x))? {
 //!         assert!(snapshot.estimate.pwcet > snapshot.estimate.high_watermark);
 //!         snapshots += 1;
@@ -85,5 +86,5 @@ pub use federated::{
     FederatedAnalyzer, FederatedConfig, FederatedEngine, FederatedFactory, SessionFederatedExt,
 };
 pub use monitor::IidMonitor;
-pub use replay::{ByteLines, LineSource, LineSourceError, TraceReplay};
+pub use replay::{ByteLines, LineSource, LineSourceError};
 pub use sketch::{QuantileSketch, Sketch, SketchKind};

@@ -1,135 +1,17 @@
-//! Measurement sources that feed a [`StreamAnalyzer`].
+//! Line-oriented measurement sources that feed a [`StreamAnalyzer`].
 //!
-//! Two sources cover the deployment shapes:
-//!
-//! * [`TraceReplay`] — run an instruction trace (built with
-//!   [`proxima_workload::trace::TraceBuilder`] or taken from the TVCA) on
-//!   a simulated MBPTA-compliant platform, one measurement per `next()`.
-//!   Per-run seeds come from the master seed's SplitMix64 stream — the
-//!   same seeds [`CampaignRunner`](proxima_mbpta::CampaignRunner) uses —
-//!   so streaming a trace observes **exactly** the measurement vector a
-//!   batch campaign with the same master seed produces.
-//! * [`LineSource`] — parse the one-time-per-line interchange format
-//!   (blank lines and `#` comments skipped) incrementally from any
-//!   reader, without materializing the campaign first. Built on
-//!   [`ByteLines`], the zero-copy line walker: lines are parsed as byte
-//!   slices straight out of the reader's buffer, never copied into an
-//!   intermediate `String`.
+//! [`LineSource`] parses the one-time-per-line interchange format (blank
+//! lines and `#` comments skipped) incrementally from any reader, without
+//! materializing the campaign first. It is built on [`ByteLines`], the
+//! zero-copy line walker: lines are parsed as byte slices straight out of
+//! the reader's buffer, never copied into an intermediate `String`.
+//! Simulated campaigns are measured by
+//! [`CampaignRunner`](proxima_mbpta::CampaignRunner), whose times any
+//! analyzer ingests as a slice.
 //!
 //! [`StreamAnalyzer`]: crate::analyzer::StreamAnalyzer
 
 use std::io::BufRead;
-use std::sync::Arc;
-
-use proxima_prng::SplitMix64;
-use proxima_sim::{DecodedTrace, Inst, Platform, PlatformConfig};
-use proxima_workload::tvca::{ControlMode, Tvca, TvcaConfig};
-
-/// Replays a measurement campaign lazily: each `next()` is one fresh run
-/// of the trace on the platform (flushed caches, new seed — the paper's
-/// protocol), yielding its execution time in cycles.
-///
-/// # Examples
-///
-/// ```
-/// use proxima_sim::{Inst, PlatformConfig};
-/// use proxima_stream::replay::TraceReplay;
-///
-/// let trace: Vec<Inst> = (0..100)
-///     .map(|i| Inst::load(0x100 + 4 * (i % 16), 0x10_0000 + 4096 * (i % 40)))
-///     .collect();
-/// let times: Vec<f64> =
-///     TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, 50, 7).collect();
-/// assert_eq!(times.len(), 50);
-/// assert!(times.iter().all(|&t| t > 0.0));
-/// ```
-#[derive(Debug)]
-pub struct TraceReplay {
-    platform: Platform,
-    /// Shared, not owned: shard replays of one campaign all read the
-    /// same decoded trace ([`Self::from_decoded`]).
-    trace: Arc<DecodedTrace>,
-    master_seed: u64,
-    next_run: u64,
-    runs: u64,
-}
-
-impl TraceReplay {
-    /// Replay `runs` executions of `trace` on a fresh platform built from
-    /// `config`, seeding run `i` with the `i`-th element of
-    /// `master_seed`'s SplitMix64 stream. The trace is decoded here, once,
-    /// and freed.
-    pub fn new(config: PlatformConfig, trace: Vec<Inst>, runs: usize, master_seed: u64) -> Self {
-        let decoded = DecodedTrace::new(&config, &trace);
-        TraceReplay::from_decoded(Arc::new(decoded), runs, master_seed)
-    }
-
-    /// [`Self::new`] over an already-decoded, shared trace, on a platform
-    /// of the configuration it was decoded for — per-shard replays of one
-    /// campaign clone the `Arc`, and decode nothing.
-    pub fn from_decoded(trace: Arc<DecodedTrace>, runs: usize, master_seed: u64) -> Self {
-        TraceReplay {
-            platform: Platform::new(trace.config().clone()),
-            trace,
-            master_seed,
-            next_run: 0,
-            runs: runs as u64,
-        }
-    }
-
-    /// Convenience: replay a TVCA path on the MBPTA-compliant platform,
-    /// run by run, with the seeds `mbpta measure --jobs <j>` uses.
-    pub fn tvca(mode: ControlMode, tvca_config: TvcaConfig, runs: usize, master_seed: u64) -> Self {
-        let tvca = Tvca::new(tvca_config);
-        TraceReplay::new(
-            PlatformConfig::mbpta_compliant(),
-            tvca.trace(mode),
-            runs,
-            master_seed,
-        )
-    }
-
-    /// Start the replay at run `start` (0-based) instead of run 0,
-    /// yielding runs `start..runs`. Seeds still come from the same
-    /// master stream — `SplitMix64::stream_seed` is an O(1) random
-    /// access — so shard replays over disjoint ranges reproduce exactly
-    /// the runs a single full replay yields, without fast-forwarding.
-    #[must_use]
-    pub fn starting_at(mut self, start: u64) -> Self {
-        self.next_run = start.min(self.runs);
-        self
-    }
-
-    /// Runs already replayed.
-    pub fn replayed(&self) -> u64 {
-        self.next_run
-    }
-
-    /// Total runs this source will produce.
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-}
-
-impl Iterator for TraceReplay {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        if self.next_run >= self.runs {
-            return None;
-        }
-        let seed = SplitMix64::stream_seed(self.master_seed, self.next_run);
-        self.next_run += 1;
-        Some(self.platform.execute(&self.trace, seed).cycles as f64)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.runs - self.next_run) as usize;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for TraceReplay {}
 
 /// Why a [`LineSource`] could not yield a measurement: transport failure
 /// versus malformed data. Conflating the two would send an operator
@@ -340,65 +222,7 @@ impl<R: BufRead> Iterator for LineSource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proxima_mbpta::{Campaign, CampaignRunner};
-
-    fn striding_loads(n: usize) -> Vec<Inst> {
-        (0..n)
-            .map(|i| {
-                Inst::load(
-                    0x100 + 4 * (i as u64 % 16),
-                    0x10_0000 + 4096 * (i as u64 % 40),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn replay_matches_campaign_runner_bit_for_bit() {
-        // The replay source must observe the same measurement vector as a
-        // batch campaign: same per-run SplitMix64 seeds, same platform
-        // protocol.
-        let trace = striding_loads(200);
-        let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant()).with_jobs(1);
-        let batch = runner.run(&trace, 60, 99).unwrap();
-        let streamed: Vec<f64> =
-            TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, 60, 99).collect();
-        assert_eq!(batch.times(), &streamed[..]);
-    }
-
-    #[test]
-    fn replay_is_exact_size() {
-        let replay = TraceReplay::new(PlatformConfig::mbpta_compliant(), striding_loads(50), 30, 1);
-        assert_eq!(replay.len(), 30);
-        assert_eq!(replay.runs(), 30);
-        let times: Vec<f64> = replay.collect();
-        assert_eq!(times.len(), 30);
-    }
-
-    #[test]
-    fn offset_replay_reproduces_the_suffix_of_a_full_replay() {
-        let trace = striding_loads(150);
-        let full: Vec<f64> =
-            TraceReplay::new(PlatformConfig::mbpta_compliant(), trace.clone(), 60, 42).collect();
-        let suffix: Vec<f64> = TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, 60, 42)
-            .starting_at(40)
-            .collect();
-        assert_eq!(&full[40..], &suffix[..]);
-        // Clamped past the end: empty.
-        let empty: Vec<f64> =
-            TraceReplay::new(PlatformConfig::mbpta_compliant(), striding_loads(10), 5, 1)
-                .starting_at(99)
-                .collect();
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn tvca_replay_produces_positive_times() {
-        let times: Vec<f64> =
-            TraceReplay::tvca(ControlMode::Nominal, TvcaConfig::default(), 20, 5).collect();
-        assert_eq!(times.len(), 20);
-        assert!(times.iter().all(|&t| t > 0.0));
-    }
+    use proxima_mbpta::Campaign;
 
     #[test]
     fn line_source_parses_and_skips() {

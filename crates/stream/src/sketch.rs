@@ -125,9 +125,9 @@ pub struct QuantileSketch {
     pub(crate) max: f64,
     pub(crate) sum: f64,
     /// Cumulative tuple-maintenance work (shifted/merged/sorted tuple
-    /// slots) — a machine-independent cost counter for the ingest
-    /// benches. Not part of the sketch's logical state: excluded from
-    /// equality and never persisted.
+    /// slots) — a machine-independent cost counter for `ingest_report`
+    /// and the traced benchmark. Not part of the sketch's logical
+    /// state: excluded from equality and never persisted.
     pub(crate) maintenance_ops: u64,
 }
 
@@ -422,7 +422,7 @@ impl QuantileSketch {
 
     /// Cumulative tuple-maintenance operations (slots shifted, merged or
     /// sorted) since construction — the machine-independent work counter
-    /// the ingest benches compare batched vs itemized ingest on. Resets
+    /// `ingest_report` compares batched vs itemized ingest on. Resets
     /// to zero on checkpoint restore and never participates in equality.
     pub fn maintenance_ops(&self) -> u64 {
         self.maintenance_ops

@@ -66,13 +66,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. A remote shard: measure the fault-recovery path elsewhere,
     //    fold it into a sealed federated blob, ship ONLY the blob.
-    let mut fed = FederatedAnalyzer::new(FederatedConfig::new(stream, 4).balanced_for(runs))?;
-    fed.ingest_trace(
-        PlatformConfig::mbpta_compliant(),
+    let campaign = CampaignRunner::new(PlatformConfig::mbpta_compliant()).run(
         tvca.trace(ControlMode::FaultRecovery),
         runs,
         7,
     )?;
+    let mut fed = FederatedAnalyzer::new(FederatedConfig::new(stream, 4).balanced_for(runs))?;
+    fed.push_batch(campaign.times())?;
     let blob = save_federated(&fed);
     let mut client = ServeClient::connect(addr)?;
     let (n, total) = client.merge("fault-recovery", &blob)?;

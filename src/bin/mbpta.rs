@@ -309,12 +309,21 @@ const SHARD_FLAGS: Flags = &[
 
 /// Check `args` against `verb`'s flag table and return the positional
 /// (non-flag) arguments, in order; a value-taking flag consumes the
-/// argument after it.
-fn positionals<'a>(verb: &str, flags: Flags, args: &'a [String]) -> Result<Vec<&'a str>, String> {
+/// argument after it. A positional beyond the verb's `max` is an error:
+/// an argument the verb never reads must not pass silently either.
+fn positionals<'a>(
+    verb: &str,
+    flags: Flags,
+    max: usize,
+    args: &'a [String],
+) -> Result<Vec<&'a str>, String> {
     let mut found = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
+            if found.len() == max {
+                return Err(format!("unexpected argument `{arg}` for {verb}"));
+            }
             found.push(arg.as_str());
             continue;
         }
@@ -370,6 +379,17 @@ impl SimSource {
     }
 }
 
+/// A simulated feed reads no measurement file, so one given beside it is
+/// refused by name rather than ignored.
+fn no_file_beside_simulation(file: Option<&str>) -> Result<(), String> {
+    match file {
+        Some(file) => Err(format!(
+            "unexpected argument `{file}`: a simulated feed reads no measurement file"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// A buffered reader over `file`, or over stdin without one.
 fn open_feed(file: Option<&str>) -> Result<Box<dyn std::io::BufRead>, String> {
     Ok(match file {
@@ -389,7 +409,7 @@ fn measurement_lines(
 }
 
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
-    let pos = positionals("analyze", ANALYZE_FLAGS, args)?;
+    let pos = positionals("analyze", ANALYZE_FLAGS, 1, args)?;
     let file = *pos.first().ok_or("analyze needs a measurement file")?;
     let cutoff: f64 = parse_flag(args, "--cutoff", 1e-12)?;
     let alpha: f64 = parse_flag(args, "--alpha", 0.05)?;
@@ -440,7 +460,7 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn measure_cmd(args: &[String]) -> Result<(), String> {
-    positionals("measure", MEASURE_FLAGS, args)?;
+    positionals("measure", MEASURE_FLAGS, 0, args)?;
     let sim = SimSource::from_args(args, 3000)?;
     let jobs = flag_value(args, "--jobs")?
         .map(|raw| {
@@ -561,7 +581,7 @@ impl SessionParams {
         w.f64(self.target_p);
         w.usize(self.every);
         w.usize(self.shards);
-        // Format v3 keeps a sketch-kind byte here; GK is the only sketch.
+        // The layout keeps a sketch-kind byte here; GK is the only sketch.
         persist::Encode::encode(&SketchKind::Gk, w);
         w.bool(self.stop_on_converged);
         match self.sim {
@@ -678,7 +698,7 @@ fn checkpoint_spec(args: &[String]) -> Result<Option<(String, usize)>, String> {
 }
 
 fn session_cmd(args: &[String]) -> Result<(), String> {
-    let file = positionals("session", SESSION_FLAGS, args)?
+    let file = positionals("session", SESSION_FLAGS, 1, args)?
         .first()
         .copied();
     let jobs: usize = parse_flag(args, "--jobs", 0)?;
@@ -806,6 +826,7 @@ fn session_feed(
     consumed: usize,
 ) -> Result<Box<dyn Iterator<Item = Result<Tagged, String>>>, String> {
     if let Some((runs, seed)) = params.sim {
+        no_file_beside_simulation(file)?;
         // All four TVCA paths measured in ONE thread pool (`run_many`
         // shards the 4 × runs indices over the workers), then replayed
         // into the session as a round-robin interleaved tagged feed —
@@ -930,9 +951,6 @@ fn run_session(
             };
             drive_session(session, feed, params, ckpt, crash_after)
         }
-        // `EngineKind` is #[non_exhaustive]: a kind added by a future
-        // library version has no CLI wiring here yet.
-        other => Err(format!("engine kind `{other}` has no session wiring")),
     }
 }
 
@@ -1202,7 +1220,7 @@ fn print_summary(total: usize, merged: &SessionVerdict, target_p: f64) -> std::i
 /// `mbpta serve`: bind (or resume) the framed-TCP analysis service and
 /// run its accept loop until a SHUTDOWN frame arrives.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    positionals("serve", SERVE_FLAGS, args)?;
+    positionals("serve", SERVE_FLAGS, 0, args)?;
     let addr = flag_value(args, "--addr")?.unwrap_or("127.0.0.1:0");
     let jobs: usize = parse_flag(args, "--jobs", 0)?;
     let max_conns: usize = parse_flag(args, "--max-conns", 0)?;
@@ -1301,7 +1319,8 @@ fn print_wire_snapshot(snap: &WireSnapshot) {
 /// `mbpta call`: one request/response exchange with a running server
 /// (`ingest` streams many frames over the one connection).
 fn call_cmd(args: &[String]) -> Result<(), String> {
-    let pos = positionals("call", CALL_FLAGS, args)?;
+    // `<addr> ingest <channel> <file>` is the longest call.
+    let pos = positionals("call", CALL_FLAGS, 4, args)?;
     let (addr, verb, rest) = match pos.as_slice() {
         [addr, verb, rest @ ..] => (*addr, *verb, rest),
         _ => {
@@ -1310,6 +1329,9 @@ fn call_cmd(args: &[String]) -> Result<(), String> {
                 .into())
         }
     };
+    if let ("checkpoint" | "stats" | "shutdown", [extra, ..]) = (verb, rest) {
+        return Err(format!("unexpected argument `{extra}` for call {verb}"));
+    }
     let mut client =
         ServeClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     match verb {
@@ -1471,7 +1493,7 @@ fn call_cmd(args: &[String]) -> Result<(), String> {
 /// state blob for `call merge` — the shard ships folded analyzer state,
 /// never raw measurements.
 fn shard_cmd(args: &[String]) -> Result<(), String> {
-    let file = positionals("shard", SHARD_FLAGS, args)?.first().copied();
+    let file = positionals("shard", SHARD_FLAGS, 1, args)?.first().copied();
     let out = flag_value(args, "--out")?.ok_or("shard needs --out <blob>")?;
     let shards: usize = parse_flag(args, "--shards", 1)?;
     let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
@@ -1490,45 +1512,55 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
         ..StreamConfig::default()
     };
     let mut config = FederatedConfig::new(stream, shards);
-    let fed = if simulate {
+    let sim = if simulate {
+        no_file_beside_simulation(file)?;
         let sim = SimSource::from_args(args, 3000)?;
         // A known campaign volume balances the shards; the folded state
         // is bit-identical at every shard count regardless.
         config = config.balanced_for(sim.runs);
-        let mut fed = FederatedAnalyzer::new(config).map_err(|e| e.to_string())?;
-        eprintln!(
-            "sharding {} simulated runs of TVCA path `{}` over {shards} shard(s) (seed {})",
-            sim.runs, sim.mode, sim.seed
-        );
-        fed.ingest_trace(
-            PlatformConfig::mbpta_compliant(),
-            sim.trace,
-            sim.runs,
-            sim.seed,
-        )
-        .map_err(|e| e.to_string())?;
-        fed
+        Some(sim)
     } else {
-        // The engine ingests without reading shard snapshots, so a shard
-        // refit's bootstrap CI is computed only if the blob stores it.
-        let mut engine = FederatedEngine::new(config).map_err(|e| e.to_string())?;
-        let mut chunk: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
-        for x in measurement_lines(file)? {
-            chunk.push(x?);
-            if chunk.len() == FEED_CHUNK {
-                engine.push_batch(&chunk).map_err(|e| e.to_string())?;
-                chunk.clear();
+        None
+    };
+    // The engine ingests without reading shard snapshots, so a shard
+    // refit's bootstrap CI is computed only if the blob stores it.
+    let mut engine = FederatedEngine::new(config).map_err(|e| e.to_string())?;
+    match sim {
+        Some(sim) => {
+            eprintln!(
+                "sharding {} simulated runs of TVCA path `{}` over {shards} shard(s) (seed {})",
+                sim.runs, sim.mode, sim.seed
+            );
+            // `CampaignRunner::run` refuses an empty campaign; an empty
+            // simulated feed gets the same error as an empty file below.
+            if sim.runs > 0 {
+                let campaign = CampaignRunner::new(PlatformConfig::mbpta_compliant())
+                    .run(sim.trace, sim.runs, sim.seed)
+                    .map_err(|e| e.to_string())?;
+                engine
+                    .push_batch(campaign.times())
+                    .map_err(|e| e.to_string())?;
             }
         }
-        if !chunk.is_empty() {
-            engine.push_batch(&chunk).map_err(|e| e.to_string())?;
+        None => {
+            let mut chunk: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
+            for x in measurement_lines(file)? {
+                chunk.push(x?);
+                if chunk.len() == FEED_CHUNK {
+                    engine.push_batch(&chunk).map_err(|e| e.to_string())?;
+                    chunk.clear();
+                }
+            }
+            if !chunk.is_empty() {
+                engine.push_batch(&chunk).map_err(|e| e.to_string())?;
+            }
         }
-        engine.analyzer().clone()
-    };
+    }
+    let fed = engine.analyzer();
     if fed.is_empty() {
         return Err("shard feed contained no measurements".into());
     }
-    let blob = save_federated(&fed);
+    let blob = save_federated(fed);
     std::fs::write(out, &blob).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "wrote sealed federated blob: {} measurements over {shards} shard(s), {} bytes -> {out}",

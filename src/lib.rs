@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use proxima_stream::{
         FederatedAnalyzer, FederatedConfig, FederatedEngine, LineSource, SessionFederatedExt,
-        SessionStreamExt, StreamAnalyzer, StreamConfig, StreamEngine, TraceReplay,
+        SessionStreamExt, StreamAnalyzer, StreamConfig, StreamEngine,
     };
     pub use proxima_workload::bench_suite::Benchmark;
     pub use proxima_workload::tvca::{ControlMode, Scale, Tvca, TvcaConfig};

@@ -572,6 +572,78 @@ fn unknown_flags_and_commands_are_rejected() {
 }
 
 #[test]
+fn surplus_positional_arguments_are_rejected_by_name() {
+    // An argument a verb would never read fails and is named, instead of
+    // the run going ahead without it.
+    let file = measured_file("surplus_positional_feed.txt", "600");
+    let f = file.to_str().expect("utf8 path");
+    let dir = std::env::temp_dir().join("proxima_cli_test");
+    let blob = dir.join("surplus_positional_shard.bin");
+    let blob = blob.to_str().expect("utf8 path");
+    let ck = dir.join("surplus_positional_simulated_ck.bin");
+    let _ = std::fs::remove_file(&ck);
+    let ck = ck.to_str().expect("utf8 path");
+    let missing = dir.join("surplus_positional_missing_ck.bin");
+    let missing = missing.to_str().expect("utf8 path");
+    let written = mbpta()
+        .args(["session", "--simulate", "--runs", "300", "--block", "25"])
+        .args(["--checkpoint", ck, "--checkpoint-every", "100"])
+        .output()
+        .expect("spawn");
+    assert!(written.status.success(), "simulated checkpoint written");
+    let simulated = "a simulated feed reads no measurement file";
+    let table: &[(&[&str], String)] = &[
+        (
+            &["analyze", f, "second.txt"],
+            "unexpected argument `second.txt` for analyze".into(),
+        ),
+        (
+            &["session", f, "second.txt"],
+            "unexpected argument `second.txt` for session".into(),
+        ),
+        (
+            &["measure", "extra"],
+            "unexpected argument `extra` for measure".into(),
+        ),
+        // A missing checkpoint keeps a regression from serving forever.
+        (
+            &["serve", "extra", "--resume", missing],
+            "unexpected argument `extra` for serve".into(),
+        ),
+        (
+            &["session", f, "--simulate"],
+            format!("unexpected argument `{f}`: {simulated}"),
+        ),
+        (
+            &["shard", f, "--simulate", "--out", blob],
+            format!("unexpected argument `{f}`: {simulated}"),
+        ),
+        (
+            &["session", "--resume", ck, f],
+            format!("unexpected argument `{f}`: {simulated}"),
+        ),
+        (
+            &["call", "127.0.0.1:9", "stats", "extra"],
+            "unexpected argument `extra` for call stats".into(),
+        ),
+    ];
+    for (args, expected) in table {
+        let out = mbpta()
+            .args(*args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "`{}`", args.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(expected.as_str()),
+            "`{}` stderr missing `{expected}`:\n{stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
 fn shard_blob_from_a_file_equals_the_public_push_batch_fold() {
     // `shard <file>` feeds the file through the federated engine, which
     // leaves shard CIs owed until the blob encodes them; the sealed bytes

@@ -26,8 +26,11 @@ const TVCA_PATHS: &[ControlMode] = &[
 fn sharded_sessions_agree_with_single_stream_on_every_tvca_path() {
     let runs = 2000;
     for &mode in TVCA_PATHS {
-        let times: Vec<f64> =
-            TraceReplay::tvca(mode, TvcaConfig::default(), runs, 10_000_000).collect();
+        let trace = Tvca::new(TvcaConfig::default()).trace(mode);
+        let campaign = CampaignRunner::new(PlatformConfig::mbpta_compliant())
+            .run(trace, runs, 10_000_000)
+            .expect("campaign");
+        let times = campaign.times();
 
         let mut single = StreamAnalyzer::new(stream_config()).expect("config");
         single.extend(times.iter().copied()).expect("clean stream");
@@ -39,7 +42,7 @@ fn sharded_sessions_agree_with_single_stream_on_every_tvca_path() {
             block: BlockSpec::Fixed(25),
             ..MbptaConfig::default()
         }
-        .analyze(&times)
+        .analyze(times)
         .expect("batch analysis");
         let batch_budget = batch.budget_for(1e-12).expect("budget");
 
@@ -51,7 +54,7 @@ fn sharded_sessions_agree_with_single_stream_on_every_tvca_path() {
                 .expect("valid config");
             {
                 let mut channel = session.channel("path").expect("fresh channel");
-                for &x in &times {
+                for &x in times {
                     channel.push(x);
                 }
             }
@@ -71,32 +74,6 @@ fn sharded_sessions_agree_with_single_stream_on_every_tvca_path() {
             assert!(rel < 0.01, "{mode:?} shards={shards} rel={rel}");
         }
     }
-}
-
-#[test]
-fn parallel_shard_ingest_folds_to_the_serial_campaign_verdict() {
-    // Each shard replays its own contiguous run range on its own thread
-    // with O(1) SplitMix64 seed access — the multi-host campaign shape —
-    // and the fold equals the serial single-stream result.
-    let runs = 1500;
-    let tvca = Tvca::new(TvcaConfig::default());
-    let trace = tvca.trace(ControlMode::FaultRecovery);
-
-    let config = FederatedConfig::new(stream_config(), 4).balanced_for(runs);
-    let mut fed = FederatedAnalyzer::new(config).expect("config");
-    fed.ingest_trace(PlatformConfig::mbpta_compliant(), &trace, runs, 10_000_000)
-        .expect("parallel ingest");
-    let sharded = fed.finish().expect("fold");
-
-    let mut single = StreamAnalyzer::new(stream_config()).expect("config");
-    for x in TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, runs, 10_000_000) {
-        single.push(x).expect("clean stream");
-    }
-    let serial = single.finish().expect("final");
-    assert_eq!(sharded.pwcet, serial.pwcet);
-    assert_eq!(sharded.distribution, serial.distribution);
-    assert_eq!(sharded.high_watermark, serial.high_watermark);
-    assert_eq!(sharded.n, serial.n);
 }
 
 #[test]

@@ -69,20 +69,6 @@ fn streaming_10k_within_one_percent_of_batch_with_bounded_memory() {
 }
 
 #[test]
-fn streamed_simulator_replay_matches_batch_campaign_pipeline() {
-    // TraceReplay uses the CampaignRunner seed stream, so streaming the
-    // simulator and batch-measuring it see identical measurements.
-    let tvca = Tvca::new(TvcaConfig::default());
-    let trace = tvca.trace(ControlMode::Nominal);
-    let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant()).with_jobs(2);
-    let campaign = runner.run(&trace, 400, 42).expect("campaign");
-
-    let streamed: Vec<f64> =
-        TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, 400, 42).collect();
-    assert_eq!(campaign.times(), &streamed[..]);
-}
-
-#[test]
 fn snapshot_stream_reports_suspect_iid_on_drifting_source() {
     // A drifting stream must keep flowing but carry a suspect iid flag.
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
